@@ -1,14 +1,18 @@
 #include "io/binary.hpp"
 
-#include <cstring>
+#include <algorithm>
+#include <array>
+#include <condition_variable>
+#include <cstddef>
 #include <istream>
+#include <mutex>
 #include <ostream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/status.hpp"
 #include "fault/fault_injection.hpp"
+#include "parallel/fork_join.hpp"
 
 namespace are::io {
 
@@ -30,6 +34,24 @@ constexpr std::uint32_t kYetMagic = 0x59455431;    // "YET1"
 constexpr std::uint32_t kShardMagic = 0x53485244;  // "SHRD"
 constexpr std::uint32_t kVersion = 1;
 
+constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+/// Payload vectors are read in slices of this many bytes, so a vector's
+/// checksum starts after its first slice lands rather than after all of it.
+constexpr std::size_t kSliceBytes = std::size_t{1} << 20;
+
+/// FNV-1a continued from `hash` over a byte range: fnv1a(a ++ b) ==
+/// fnv1a_continue(fnv1a(a), b).
+std::uint64_t fnv1a_continue(std::uint64_t hash, const void* data, std::size_t size) noexcept {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    hash ^= bytes[i];
+    hash *= kFnvPrime;
+  }
+  return hash;
+}
+
 template <typename T>
 void write_pod(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(T));
@@ -43,26 +65,99 @@ T read_pod(std::istream& in) {
   return value;
 }
 
+/// One payload vector's bytes as the reader lands them. A checksum thread
+/// follows behind the reader and waits whenever it catches up.
+class ChecksumFeed {
+ public:
+  /// Reader side: the first `ready` bytes at `data` are in place.
+  void advance(const void* data, std::size_t ready) {
+    {
+      std::lock_guard lock(mutex_);
+      data_ = static_cast<const unsigned char*>(data);
+      ready_ = ready;
+    }
+    more_.notify_one();
+  }
+
+  /// Reader side: no more bytes will come, because the vector is complete
+  /// or because the read failed.
+  void close() {
+    {
+      std::lock_guard lock(mutex_);
+      closed_ = true;
+    }
+    more_.notify_one();
+  }
+
+  /// Checksum side: the FNV-1a of every byte made ready before close().
+  std::uint64_t follow() {
+    std::uint64_t hash = kFnvOffsetBasis;
+    std::size_t done = 0;
+    std::unique_lock lock(mutex_);
+    for (;;) {
+      more_.wait(lock, [&] { return ready_ > done || closed_; });
+      if (ready_ == done) return hash;
+      const unsigned char* data = data_;
+      const std::size_t ready = ready_;
+      lock.unlock();
+      hash = fnv1a_continue(hash, data + done, ready - done);
+      done = ready;
+      lock.lock();
+    }
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable more_;
+  const unsigned char* data_ = nullptr;
+  std::size_t ready_ = 0;
+  bool closed_ = false;
+};
+
 template <typename T>
-void write_vector(std::ostream& out, const std::vector<T>& values, std::uint64_t& hash) {
-  const auto count = static_cast<std::uint64_t>(values.size());
-  write_pod(out, count);
+void write_vector(std::ostream& out, std::span<const T> values) {
+  write_pod(out, static_cast<std::uint64_t>(values.size()));
   out.write(reinterpret_cast<const char*>(values.data()),
-            static_cast<std::streamsize>(values.size() * sizeof(T)));
-  hash ^= fnv1a(values.data(), values.size() * sizeof(T));
+            static_cast<std::streamsize>(values.size_bytes()));
+}
+
+/// Writes a record's payload: each vector as its element count then its
+/// bytes, then the footer, the XOR of the vectors' FNV-1a values. Each
+/// checksum runs on its own thread over the caller's memory while the bytes
+/// are written.
+template <typename... T>
+void write_payload(std::ostream& out, std::span<const T>... vectors) {
+  constexpr std::size_t kVectors = sizeof...(T);
+  const std::array<std::span<const std::byte>, kVectors> bytes{std::as_bytes(vectors)...};
+  std::array<std::uint64_t, kVectors> hashes{};
+  parallel::fork_join(1 + kVectors, 1 + kVectors, [&](std::size_t task) {
+    if (task > 0) {
+      hashes[task - 1] = fnv1a(bytes[task - 1].data(), bytes[task - 1].size());
+      return;
+    }
+    (write_vector(out, vectors), ...);
+  });
+  std::uint64_t hash = 0;
+  for (const std::uint64_t vector_hash : hashes) hash ^= vector_hash;
+  write_pod(out, hash);
 }
 
 template <typename T>
-std::vector<T> read_vector(std::istream& in, std::uint64_t& hash) {
+void read_vector(std::istream& in, std::vector<T>& values, ChecksumFeed& feed) {
   const auto count = read_pod<std::uint64_t>(in);
   // Refuse absurd sizes before allocating (corrupt count field).
   if (count > (1ULL << 33)) throw_corrupt("implausible vector size in binary stream");
-  std::vector<T> values(static_cast<std::size_t>(count));
-  in.read(reinterpret_cast<char*>(values.data()),
-          static_cast<std::streamsize>(values.size() * sizeof(T)));
-  if (!in) throw_corrupt("truncated binary stream");
-  hash ^= fnv1a(values.data(), values.size() * sizeof(T));
-  return values;
+  values.reserve(static_cast<std::size_t>(count));
+  // Grow slice by slice: zero-filling the whole vector first would hold the
+  // checksum thread back by the time the fill takes.
+  while (values.size() < count) {
+    const std::size_t begin = values.size();
+    values.resize(std::min<std::size_t>(count, begin + kSliceBytes / sizeof(T)));
+    in.read(reinterpret_cast<char*>(values.data() + begin),
+            static_cast<std::streamsize>((values.size() - begin) * sizeof(T)));
+    if (!in) throw_corrupt("truncated binary stream");
+    feed.advance(values.data(), values.size() * sizeof(T));
+  }
 }
 
 void check_header(std::istream& in, std::uint32_t magic) {
@@ -78,22 +173,50 @@ void check_footer(std::istream& in, std::uint64_t hash) {
   }
 }
 
+/// Closes every feed when the read ends, by a throw too, so no checksum
+/// thread waits for bytes that will never come.
+template <std::size_t N>
+struct CloseFeeds {
+  std::array<ChecksumFeed, N>& feeds;
+  ~CloseFeeds() {
+    for (ChecksumFeed& feed : feeds) feed.close();
+  }
+};
+
+/// Reads a record's payload vectors in file order and checks the footer.
+/// Each vector's FNV-1a runs on its own thread, following the read slice by
+/// slice, so hashing overlaps the rest of the read; the per-vector values
+/// are XORed and compared with the footer as the format defines. Truncation
+/// and checksum mismatch throw data-corruption, before the caller checks
+/// anything about the contents.
+template <typename... T>
+void read_payload(std::istream& in, std::vector<T>&... vectors) {
+  constexpr std::size_t kVectors = sizeof...(T);
+  std::array<ChecksumFeed, kVectors> feeds;
+  std::array<std::uint64_t, kVectors> hashes{};
+  parallel::fork_join(1 + kVectors, 1 + kVectors, [&](std::size_t task) {
+    if (task > 0) {
+      hashes[task - 1] = feeds[task - 1].follow();
+      return;
+    }
+    const CloseFeeds<kVectors> close{feeds};
+    std::size_t next = 0;
+    (read_vector(in, vectors, feeds[next++]), ...);
+  });
+  std::uint64_t hash = 0;
+  for (const std::uint64_t vector_hash : hashes) hash ^= vector_hash;
+  check_footer(in, hash);
+}
+
 }  // namespace
 
 std::uint64_t fnv1a(const void* data, std::size_t size) noexcept {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
+  return fnv1a_continue(kFnvOffsetBasis, data, size);
 }
 
 void write_elt_binary(std::ostream& out, const elt::EventLossTable& table) {
   write_pod(out, kEltMagic);
   write_pod(out, kVersion);
-  std::uint64_t hash = 0;
   std::vector<elt::EventId> events;
   std::vector<double> losses;
   events.reserve(table.size());
@@ -102,17 +225,14 @@ void write_elt_binary(std::ostream& out, const elt::EventLossTable& table) {
     events.push_back(record.event);
     losses.push_back(record.loss);
   }
-  write_vector(out, events, hash);
-  write_vector(out, losses, hash);
-  write_pod(out, hash);
+  write_payload(out, std::span<const elt::EventId>(events), std::span<const double>(losses));
 }
 
 elt::EventLossTable read_elt_binary(std::istream& in) {
   check_header(in, kEltMagic);
-  std::uint64_t hash = 0;
-  const auto events = read_vector<elt::EventId>(in, hash);
-  const auto losses = read_vector<double>(in, hash);
-  check_footer(in, hash);
+  std::vector<elt::EventId> events;
+  std::vector<double> losses;
+  read_payload(in, events, losses);
   if (events.size() != losses.size()) {
     throw_corrupt("ELT binary stream: event/loss length mismatch");
   }
@@ -124,14 +244,7 @@ elt::EventLossTable read_elt_binary(std::istream& in) {
 void write_yet_binary(std::ostream& out, const yet::YearEventTable& table) {
   write_pod(out, kYetMagic);
   write_pod(out, kVersion);
-  std::uint64_t hash = 0;
-  const std::vector<yet::EventId> events(table.events().begin(), table.events().end());
-  const std::vector<float> times(table.times().begin(), table.times().end());
-  const std::vector<std::uint64_t> offsets(table.offsets().begin(), table.offsets().end());
-  write_vector(out, events, hash);
-  write_vector(out, times, hash);
-  write_vector(out, offsets, hash);
-  write_pod(out, hash);
+  write_payload(out, table.events(), table.times(), table.offsets());
 }
 
 void write_shard_binary(std::ostream& out, std::span<const double> values) {
@@ -172,11 +285,10 @@ void read_shard_binary(std::istream& in, std::span<double> values) {
 
 yet::YearEventTable read_yet_binary(std::istream& in) {
   check_header(in, kYetMagic);
-  std::uint64_t hash = 0;
-  auto events = read_vector<yet::EventId>(in, hash);
-  auto times = read_vector<float>(in, hash);
-  auto offsets = read_vector<std::uint64_t>(in, hash);
-  check_footer(in, hash);
+  std::vector<yet::EventId> events;
+  std::vector<float> times;
+  std::vector<std::uint64_t> offsets;
+  read_payload(in, events, times, offsets);
   return yet::YearEventTable(std::move(events), std::move(times), std::move(offsets));
 }
 

@@ -4,6 +4,7 @@
 
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "parallel/fork_join.hpp"
 
 namespace are::parallel {
 
@@ -18,10 +19,7 @@ thread_local std::size_t tls_worker_slot = 0;
 std::size_t ThreadPool::worker_slot() noexcept { return tls_worker_slot; }
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
+  if (num_threads == 0) num_threads = hardware_threads();
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i + 1); });

@@ -16,7 +16,7 @@ namespace are::parallel {
 /// ParallelEngine.
 class ThreadPool {
  public:
-  /// `num_threads == 0` selects std::thread::hardware_concurrency().
+  /// `num_threads == 0` selects hardware_threads().
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 

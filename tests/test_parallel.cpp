@@ -1,15 +1,21 @@
 // Tests for the thread pool and parallel_for: completeness, disjointness
 // and full coverage of ranges under every partitioning strategy, the
 // cost-aware parallel_for_costed variant, worker identity, and the
-// per-worker TaskScratch arena.
+// per-worker TaskScratch arena; and for the load phase's fork_join.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "parallel/fork_join.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/task_scratch.hpp"
 #include "parallel/thread_pool.hpp"
@@ -318,6 +324,76 @@ TEST(ParallelFor, StaticPartitionsAreContiguousBlocks) {
     cursor = hi;
   }
   EXPECT_EQ(cursor, 1000u);
+}
+
+// --- fork_join ------------------------------------------------------------------
+
+TEST(ForkJoin, RunsEveryIndexOnce) {
+  for (const std::size_t threads : {1u, 3u, 8u}) {
+    std::vector<std::atomic<int>> runs(100);
+    fork_join(runs.size(), threads, [&](std::size_t i) { runs[i].fetch_add(1); });
+    for (const auto& count : runs) EXPECT_EQ(count.load(), 1) << threads << " threads";
+  }
+  fork_join(0, 4, [](std::size_t) { FAIL() << "no index to run"; });
+}
+
+TEST(ForkJoin, RethrowsTheLowestFailingIndex) {
+  // Index 5 fails at once; index 2 fails only after it has seen index 5's
+  // failure, so the first failure in time is not the one reported.
+  std::atomic<bool> five_failed{false};
+  try {
+    fork_join(8, 8, [&](std::size_t i) {
+      if (i == 5) {
+        five_failed = true;
+        throw std::runtime_error("index 5");
+      }
+      if (i == 2) {
+        while (!five_failed) std::this_thread::yield();
+        throw std::runtime_error("index 2");
+      }
+    });
+    FAIL() << "no exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "index 2");
+  }
+}
+
+TEST(ForkJoin, JoinsEveryTaskBeforeRethrowing) {
+  std::atomic<int> finished{0};
+  EXPECT_THROW(fork_join(4, 4,
+                         [&](std::size_t i) {
+                           if (i == 0) throw std::runtime_error("fail");
+                           std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                           finished.fetch_add(1);
+                         }),
+               std::runtime_error);
+  // Whatever started has finished: nothing still runs against this frame.
+  const int seen = finished.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(finished.load(), seen);
+}
+
+TEST(ForkJoin, LaterTasksMayWaitOnIndexZero) {
+  // The reader/checksum shape: tasks 1..n wait until task 0 has produced
+  // their input. Index 0 is claimed first, so even one thread cannot
+  // deadlock.
+  for (const std::size_t threads : {1u, 4u}) {
+    std::mutex mutex;
+    std::condition_variable produced;
+    int ready = 0;
+    std::vector<int> seen(4, -1);
+    fork_join(4, threads, [&](std::size_t i) {
+      std::unique_lock lock(mutex);
+      if (i == 0) {
+        ready = 3;
+        produced.notify_all();
+        return;
+      }
+      produced.wait(lock, [&] { return ready > 0; });
+      seen[i] = ready;
+    });
+    EXPECT_EQ(seen, (std::vector<int>{-1, 3, 3, 3})) << threads << " threads";
+  }
 }
 
 }  // namespace

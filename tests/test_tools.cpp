@@ -1,10 +1,19 @@
-// Tests for the CLI argument parser.
+// Tests for the CLI argument parser and the CLI's input loading: repeated
+// --elt flags, argument order, and which error a failing ELT set reports.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
+
 #include "args.hpp"
+#include "core/status.hpp"
+#include "inputs.hpp"
 
 namespace {
 
+using namespace are;
 using are::tools::Args;
 
 Args make_args(std::vector<std::string> tokens) {
@@ -78,6 +87,113 @@ TEST(Args, ScientificNotationDoubles) {
 TEST(Args, LastValueWinsOnRepeat) {
   const Args args = make_args({"--seed", "1", "--seed", "2"});
   EXPECT_EQ(args.get_u64("seed", 0), 2u);
+}
+
+TEST(Args, RepeatedKeyKeepsEveryValueInOrder) {
+  const Args args = make_args({"--elt", "a.elt", "--elt=b.elt", "--seed", "1", "--elt", "c.elt"});
+  EXPECT_EQ(args.require_all("elt"), (std::vector<std::string>{"a.elt", "b.elt", "c.elt"}));
+  EXPECT_EQ(args.get("elt", ""), "c.elt");
+  EXPECT_EQ(args.require_all("seed"), (std::vector<std::string>{"1"}));
+  EXPECT_TRUE(args.require_all("missing").empty());
+}
+
+// --- Input loading (tools/inputs.hpp) ----------------------------------------------
+
+class Inputs : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const std::string test = ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = std::filesystem::temp_directory_path() / ("are_tools_" + test);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::string write_elt(const std::string& name, const elt::EventLossTable& table) {
+    const std::string path = (dir_ / name).string();
+    std::ofstream out(path, std::ios::binary);
+    io::write_elt_binary(out, table);
+    return path;
+  }
+
+  std::string write_corrupt_elt(const std::string& name) {
+    const std::string path = write_elt(name, elt::EventLossTable({{1, 1.0}, {2, 2.0}}));
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(20);  // inside the event vector's payload
+    file.put('\x7f');
+    return path;
+  }
+
+  std::string missing(const std::string& name) const { return (dir_ / name).string(); }
+
+  static core::Portfolio build(const std::vector<std::string>& paths) {
+    return tools::build_portfolio(paths, elt::LookupKind::kDirectAccess, 100,
+                                  financial::LayerTerms{}, 1.0);
+  }
+
+  std::filesystem::path dir_;
+};
+
+TEST_F(Inputs, RepeatedEltFlagsPriceEveryEltInOrder) {
+  const std::string a = write_elt("a.elt", elt::EventLossTable({{1, 10.0}}));
+  const std::string b = write_elt("b.elt", elt::EventLossTable({{1, 20.0}, {2, 5.0}}));
+  const std::vector<std::string> paths = tools::elt_paths(make_args({"--elt", a, "--elt", b}));
+  ASSERT_EQ(paths, (std::vector<std::string>{a, b}));
+
+  const core::Portfolio portfolio = build(paths);
+  ASSERT_EQ(portfolio.layers.size(), 1u);
+  const auto& elts = portfolio.layers[0].elts;
+  ASSERT_EQ(elts.size(), 2u);
+  EXPECT_DOUBLE_EQ(elts[0].lookup->lookup(1), 10.0);
+  EXPECT_DOUBLE_EQ(elts[1].lookup->lookup(1), 20.0);
+  EXPECT_DOUBLE_EQ(elts[1].lookup->lookup(2), 5.0);
+}
+
+TEST_F(Inputs, FlagPathsComeBeforePositionalPaths) {
+  EXPECT_EQ(tools::elt_paths(make_args({"p.elt", "--elt", "a.elt", "--yet", "y.yet", "q.elt"})),
+            (std::vector<std::string>{"a.elt", "p.elt", "q.elt"}));
+  EXPECT_THROW(tools::elt_paths(make_args({"--yet", "y.yet"})), std::runtime_error);
+  EXPECT_THROW(tools::elt_paths(make_args({"--elt", "a.elt", "--elt"})), std::runtime_error);
+}
+
+TEST_F(Inputs, ManyEltsKeepArgumentOrder) {
+  std::vector<std::string> paths;
+  for (int i = 0; i < 12; ++i) {
+    paths.push_back(write_elt("e" + std::to_string(i) + ".elt",
+                              elt::EventLossTable({{static_cast<elt::EventId>(i), 1.0 + i}})));
+  }
+  const core::Portfolio portfolio = build(paths);
+  ASSERT_EQ(portfolio.layers[0].elts.size(), paths.size());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    EXPECT_DOUBLE_EQ(portfolio.layers[0].elts[i].lookup->lookup(static_cast<elt::EventId>(i)),
+                     1.0 + static_cast<double>(i));
+  }
+}
+
+TEST_F(Inputs, FirstFailingEltInArgumentOrderIsReported) {
+  const std::string good = write_elt("good.elt", elt::EventLossTable({{1, 1.0}}));
+  const std::string corrupt = write_corrupt_elt("corrupt.elt");
+  const std::string beyond = write_elt("beyond.elt", elt::EventLossTable({{500, 1.0}}));
+  for (int repeat = 0; repeat < 20; ++repeat) {
+    try {
+      build({good, good, missing("gone.elt"), corrupt, missing("also_gone.elt"), good});
+      ADD_FAILURE() << "missing ELT accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()), "cannot open ELT file: " + missing("gone.elt"));
+    }
+    try {
+      build({good, corrupt, good, missing("gone.elt"), beyond});
+      ADD_FAILURE() << "corrupt ELT accepted";
+    } catch (const core::StatusError& error) {
+      EXPECT_EQ(error.code(), core::StatusCode::kDataCorruption);
+    }
+    try {
+      build({good, beyond, corrupt});
+      ADD_FAILURE() << "ELT beyond the catalog accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()),
+                "ELT " + beyond + " has events beyond the YET catalog universe");
+    }
+  }
 }
 
 }  // namespace

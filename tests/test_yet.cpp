@@ -1,10 +1,14 @@
-// Tests for the Year Event Table: CSR layout invariants, generator
+// Tests for the Year Event Table: CSR layout invariants (the trial-order
+// check across parallel trial ranges included), generator
 // determinism, count models, rate-proportional sampling and seasonality.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "catalog/event_catalog.hpp"
 #include "yet/generator.hpp"
@@ -47,6 +51,33 @@ TEST(YearEventTable, ValidatesStructure) {
   EXPECT_THROW(YearEventTable({1, 2}, {0.9f, 0.1f}, {0, 2}), std::invalid_argument);
   // Empty offsets rejected.
   EXPECT_THROW(YearEventTable({}, {}, {}), std::invalid_argument);
+}
+
+// Large enough that the trial-order check splits over several trial ranges
+// on a multi-core host: a misordered trial in any range, the first or the
+// last, fails with the serial check's error.
+TEST(YearEventTable, TimeOrderCheckedInEveryTrialRange) {
+  constexpr std::size_t kTrials = 1024;
+  constexpr std::size_t kPerTrial = 1024;
+  std::vector<std::uint64_t> offsets(kTrials + 1);
+  for (std::size_t t = 0; t <= kTrials; ++t) offsets[t] = t * kPerTrial;
+  std::vector<float> times(kTrials * kPerTrial);
+  for (std::size_t k = 0; k < times.size(); ++k) {
+    times[k] = static_cast<float>(k % kPerTrial) / kPerTrial;
+  }
+  const std::vector<yet::EventId> events(times.size(), 1);
+  EXPECT_NO_THROW(YearEventTable(events, times, offsets));
+
+  for (const std::size_t trial : {std::size_t{0}, kTrials / 2, kTrials - 1}) {
+    std::vector<float> misordered = times;
+    std::swap(misordered[trial * kPerTrial + 3], misordered[trial * kPerTrial + 4]);
+    try {
+      YearEventTable(events, misordered, offsets);
+      ADD_FAILURE() << "misordered trial " << trial << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_STREQ(error.what(), "YET trial occurrences must be time-ordered");
+    }
+  }
 }
 
 TEST(YearEventTable, MemoryAccounting) {

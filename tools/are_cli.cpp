@@ -63,6 +63,7 @@
 #include <vector>
 
 #include "args.hpp"
+#include "inputs.hpp"
 #include "catmodel/cat_model.hpp"
 #include "core/analysis.hpp"
 #include "core/engine_registry.hpp"
@@ -89,6 +90,8 @@ namespace {
 
 using namespace are;
 using tools::Args;
+using tools::load_elt;
+using tools::load_yet;
 
 int usage() {
   std::cerr <<
@@ -175,51 +178,11 @@ elt::LookupKind parse_lookup(const Args& args) {
   throw std::runtime_error("unknown --lookup '" + name + "'");
 }
 
-yet::YearEventTable load_yet(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open YET file: " + path);
-  return io::read_yet_binary(in);
-}
-
-elt::EventLossTable load_elt(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open ELT file: " + path);
-  return io::read_elt_binary(in);
-}
-
-/// Gathers every --elt argument (repeatable) plus positional .elt paths.
-std::vector<std::string> elt_paths(const Args& args) {
-  std::vector<std::string> paths;
-  if (args.has("elt")) paths.push_back(args.require("elt"));
-  for (const std::string& positional : args.positional()) {
-    if (positional.size() > 4 && positional.substr(positional.size() - 4) == ".elt") {
-      paths.push_back(positional);
-    }
-  }
-  if (paths.empty()) throw std::runtime_error("at least one --elt FILE is required");
-  return paths;
-}
-
 core::Portfolio build_portfolio(const Args& args, std::size_t catalog_size) {
-  core::Layer layer;
-  layer.id = 1;
-  layer.terms = parse_terms(args);
+  const financial::LayerTerms terms = parse_terms(args);
   const elt::LookupKind kind = parse_lookup(args);
   const double share = args.get_double("share", 1.0);
-  for (const std::string& path : elt_paths(args)) {
-    const elt::EventLossTable table = load_elt(path);
-    if (!table.empty() && table.max_event() >= catalog_size) {
-      throw std::runtime_error("ELT " + path + " has events beyond the YET catalog universe");
-    }
-    core::LayerElt layer_elt;
-    layer_elt.lookup = elt::make_lookup(kind, table, catalog_size);
-    layer_elt.terms.share = share;
-    layer_elt.terms.validate();
-    layer.elts.push_back(std::move(layer_elt));
-  }
-  core::Portfolio portfolio;
-  portfolio.layers.push_back(std::move(layer));
-  return portfolio;
+  return tools::build_portfolio(tools::elt_paths(args), kind, catalog_size, terms, share);
 }
 
 core::CoverageWindow parse_window(const std::string& spec) {

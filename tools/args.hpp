@@ -2,7 +2,8 @@
 
 // Minimal dependency-free argument parser for the are_cli tool:
 // --key=value / --key value / --flag, with typed access and error
-// reporting.
+// reporting. A repeated key keeps every value in command-line order; the
+// single-value getters read the last one.
 
 #include <cstdint>
 #include <map>
@@ -25,11 +26,11 @@ class Args {
       token = token.substr(2);
       const auto equals = token.find('=');
       if (equals != std::string::npos) {
-        values_[token.substr(0, equals)] = token.substr(equals + 1);
+        values_[token.substr(0, equals)].push_back(token.substr(equals + 1));
       } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[token] = argv[++i];
+        values_[token].push_back(argv[++i]);
       } else {
-        values_[token] = "";  // bare flag
+        values_[token].push_back("");  // bare flag
       }
     }
   }
@@ -38,13 +39,24 @@ class Args {
 
   std::string get(const std::string& key, const std::string& fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+    return it == values_.end() ? fallback : it->second.back();
   }
 
   std::string require(const std::string& key) const {
     const auto it = values_.find(key);
-    if (it == values_.end() || it->second.empty()) {
+    if (it == values_.end() || it->second.back().empty()) {
       throw std::runtime_error("missing required option --" + key);
+    }
+    return it->second.back();
+  }
+
+  /// Every value given for a repeatable key, in command-line order; each
+  /// must be non-empty.
+  std::vector<std::string> require_all(const std::string& key) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return {};
+    for (const std::string& value : it->second) {
+      if (value.empty()) throw std::runtime_error("missing required option --" + key);
     }
     return it->second;
   }
@@ -52,17 +64,17 @@ class Args {
   std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
-    return parse_u64(key, it->second);
+    return parse_u64(key, it->second.back());
   }
 
   double get_double(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
+    const std::string& value = it->second.back();
     try {
-      return std::stod(it->second);
+      return std::stod(value);
     } catch (const std::exception&) {
-      throw std::runtime_error("option --" + key + " expects a number, got '" + it->second +
-                               "'");
+      throw std::runtime_error("option --" + key + " expects a number, got '" + value + "'");
     }
   }
 
@@ -80,7 +92,7 @@ class Args {
     }
   }
 
-  std::map<std::string, std::string> values_;
+  std::map<std::string, std::vector<std::string>> values_;
   std::vector<std::string> positional_;
 };
 
