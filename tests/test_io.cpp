@@ -24,6 +24,26 @@ elt::EventLossTable sample_elt() {
   return elt::EventLossTable({{3, 12.5}, {100, 7.25}, {7, 0.125}});
 }
 
+using Reader = std::function<void(std::istream&)>;
+
+const Reader kReadElt = [](std::istream& in) { io::read_elt_binary(in); };
+const Reader kReadYet = [](std::istream& in) { io::read_yet_binary(in); };
+
+// Reading `bytes` must fail with data-corruption, and with `message` in the
+// error when one is given.
+void expect_corrupt(const std::string& bytes, const Reader& read, const std::string& what,
+                    const std::string& message = "") {
+  std::stringstream stream(bytes);
+  try {
+    read(stream);
+    ADD_FAILURE() << what << ": accepted";
+  } catch (const core::StatusError& error) {
+    EXPECT_EQ(error.code(), core::StatusCode::kDataCorruption) << what << ": " << error.what();
+    EXPECT_NE(std::string(error.what()).find(message), std::string::npos)
+        << what << ": " << error.what();
+  }
+}
+
 // --- CSV ------------------------------------------------------------------------
 
 TEST(Csv, EltRoundTrip) {
@@ -134,6 +154,21 @@ TEST(Binary, YetRoundTrip) {
   }
 }
 
+TEST(Binary, DetectsCorruption) {
+  std::stringstream stream;
+  io::write_elt_binary(stream, sample_elt());
+  std::string bytes = stream.str();
+  bytes[bytes.size() / 2] ^= 0x01;  // byte 34: bit 48 of the losses' count field
+  expect_corrupt(bytes, kReadElt, "count bit flip", "implausible vector size");
+}
+
+TEST(Binary, DetectsTruncation) {
+  std::stringstream stream;
+  io::write_elt_binary(stream, sample_elt());
+  const std::string bytes = stream.str();
+  expect_corrupt(bytes.substr(0, bytes.size() - 9), kReadElt, "truncated", "truncated");
+}
+
 TEST(Binary, RejectsWrongMagic) {
   std::stringstream stream;
   io::write_elt_binary(stream, sample_elt());
@@ -209,26 +244,14 @@ std::vector<VectorBytes> layout(const std::string& bytes,
   return vectors;
 }
 
-using Reader = std::function<void(std::istream&)>;
-
-void expect_corrupt(const std::string& bytes, const Reader& read, const std::string& what) {
-  std::stringstream stream(bytes);
-  try {
-    read(stream);
-    ADD_FAILURE() << what << ": accepted";
-  } catch (const core::StatusError& error) {
-    EXPECT_EQ(error.code(), core::StatusCode::kDataCorruption) << what << ": " << error.what();
-  }
-}
-
 std::string flip_bit(std::string bytes, std::size_t at) {
   bytes[at] = static_cast<char>(bytes[at] ^ 0x10);
   return bytes;
 }
 
-// Flips a bit at the start, middle and end of each vector's payload and in
-// the footer, and truncates inside each count field, each payload and the
-// footer. The vectors are large enough to span several read slices, so the
+// Flips a bit in a high and a low byte of each vector's count field, at the
+// start, middle and end of each payload and in the footer, and truncates
+// inside each count field, each payload and the footer. The vectors are large enough to span several read slices, so the
 // reader fails while checksum threads are still live.
 void expect_every_corruption_caught(const std::string& bytes,
                                     const std::vector<std::size_t>& element_sizes,
@@ -243,6 +266,12 @@ void expect_every_corruption_caught(const std::string& bytes,
       expect_corrupt(flip_bit(bytes, vec.payload_at + offset), read,
                      name + " bit flip at byte " + std::to_string(offset));
     }
+    // A high count bit is refused before anything is allocated. A low one
+    // misplaces every later field: a later count is implausible, the read
+    // runs out, or the checksum differs.
+    expect_corrupt(flip_bit(bytes, vec.count_at + 6), read, name + " count bit flip, high byte",
+                   "implausible vector size");
+    expect_corrupt(flip_bit(bytes, vec.count_at), read, name + " count bit flip, low byte");
     expect_corrupt(bytes.substr(0, vec.count_at + 3), read, name + " truncated in its count");
     expect_corrupt(bytes.substr(0, vec.payload_at + vec.payload_bytes / 2), read,
                    name + " truncated mid-payload");
@@ -265,9 +294,8 @@ TEST(BinaryCorruption, EveryYetVectorAndFooter) {
     std::stringstream intact(bytes);
     EXPECT_EQ(io::read_yet_binary(intact).num_trials(), 2'000u);
   }
-  expect_every_corruption_caught(bytes,
-                                 {sizeof(yet::EventId), sizeof(float), sizeof(std::uint64_t)},
-                                 [](std::istream& in) { io::read_yet_binary(in); });
+  expect_every_corruption_caught(
+      bytes, {sizeof(yet::EventId), sizeof(float), sizeof(std::uint64_t)}, kReadYet);
 }
 
 TEST(BinaryCorruption, EveryEltVectorAndFooter) {
@@ -282,8 +310,7 @@ TEST(BinaryCorruption, EveryEltVectorAndFooter) {
     std::stringstream intact(bytes);
     EXPECT_EQ(io::read_elt_binary(intact).size(), 300'000u);
   }
-  expect_every_corruption_caught(bytes, {sizeof(elt::EventId), sizeof(double)},
-                                 [](std::istream& in) { io::read_elt_binary(in); });
+  expect_every_corruption_caught(bytes, {sizeof(elt::EventId), sizeof(double)}, kReadElt);
 }
 
 // A YET record built by hand, with a valid footer over payloads that break a
@@ -318,9 +345,8 @@ TEST(BinaryCorruption, ChecksumIsCheckedBeforeYetInvariants) {
     std::stringstream valid_checksum(yet_record_breaking_invariants(false));
     EXPECT_THROW(io::read_yet_binary(valid_checksum), std::invalid_argument);
   }
-  expect_corrupt(yet_record_breaking_invariants(true),
-                 [](std::istream& in) { io::read_yet_binary(in); },
-                 "bad checksum over an invariant-breaking YET");
+  expect_corrupt(yet_record_breaking_invariants(true), kReadYet,
+                 "bad checksum over an invariant-breaking YET", "checksum mismatch");
 }
 
 }  // namespace

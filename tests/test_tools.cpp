@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -153,6 +154,16 @@ TEST_F(Inputs, FlagPathsComeBeforePositionalPaths) {
             (std::vector<std::string>{"a.elt", "p.elt", "q.elt"}));
   EXPECT_THROW(tools::elt_paths(make_args({"--yet", "y.yet"})), std::runtime_error);
   EXPECT_THROW(tools::elt_paths(make_args({"--elt", "a.elt", "--elt"})), std::runtime_error);
+}
+
+TEST_F(Inputs, InfoDescribesEveryEltInOrder) {
+  const std::string a = write_elt("a.elt", elt::EventLossTable({{1, 10.0}}));
+  const std::string b = write_elt("b.elt", elt::EventLossTable({{4, 20.0}, {2, 5.0}}));
+  std::ostringstream out;
+  tools::describe_elts(out, tools::elt_paths(make_args({"--elt", a, "--elt", b})));
+  EXPECT_EQ(out.str(),
+            "ELT: 1 event losses, max event id 1, total loss 10\n"
+            "ELT: 2 event losses, max event id 4, total loss 25\n");
 }
 
 TEST_F(Inputs, ManyEltsKeepArgumentOrder) {

@@ -9,7 +9,7 @@
 //   are_cli run       --yet years.yet --elt a.elt [--elt b.elt ...] [terms...] --out ylt.csv
 //   are_cli report    --yet years.yet --elt a.elt ... [terms...]     (EP table to stdout)
 //   are_cli price     --yet years.yet --elt a.elt ... [terms...]     (quote to stdout)
-//   are_cli info      --yet years.yet | --elt book.elt               (describe a file)
+//   are_cli info      --yet years.yet | --elt book.elt ...           (describe files)
 //   are_cli simd-info [--runnable]   (runtime SIMD dispatch facts for this host)
 //   are_cli list-engines [--names] [--bit-identical]   (dump the engine registry)
 //   are_cli list-engines --sinks   (smoke-run every sink-capable engine under a
@@ -90,7 +90,6 @@ namespace {
 
 using namespace are;
 using tools::Args;
-using tools::load_elt;
 using tools::load_yet;
 
 int usage() {
@@ -104,7 +103,7 @@ commands:
   run                aggregate analysis -> YLT CSV       (--yet F --elt F... --out FILE)
   report             aggregate analysis -> EP table      (--yet F --elt F...)
   price              aggregate analysis -> layer quote   (--yet F --elt F...)
-  info               describe a .yet/.elt binary file    (--yet F | --elt F)
+  info               describe .yet/.elt binary files     (--yet F | --elt F...)
   simd-info          runtime SIMD dispatch facts: cpuid-detected, compiled-in,
                      and chosen extensions (--runnable: one runnable extension
                      per line, machine-readable — what CI override loops use)
@@ -943,9 +942,7 @@ int cmd_info(const Args& args) {
     return 0;
   }
   if (args.has("elt")) {
-    const auto table = load_elt(args.require("elt"));
-    std::cout << "ELT: " << table.size() << " event losses, max event id " << table.max_event()
-              << ", total loss " << table.total_loss() << "\n";
+    tools::describe_elts(std::cout, tools::elt_paths(args));
     return 0;
   }
   throw std::runtime_error("info needs --yet FILE or --elt FILE");

@@ -1,10 +1,11 @@
 #pragma once
 
 // Input loading for the are_cli tool: the YET, the ELT paths of a command
-// line, and the one-layer portfolio built from them.
+// line, the one-layer portfolio built from them, and `info`'s ELT lines.
 
 #include <cstddef>
 #include <fstream>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -39,6 +40,15 @@ inline std::vector<std::string> elt_paths(const Args& args) {
   }
   if (paths.empty()) throw std::runtime_error("at least one --elt FILE is required");
   return paths;
+}
+
+/// `are_cli info` for ELT files: one line per path, in the order given.
+inline void describe_elts(std::ostream& out, const std::vector<std::string>& paths) {
+  for (const std::string& path : paths) {
+    const elt::EventLossTable table = load_elt(path);
+    out << "ELT: " << table.size() << " event losses, max event id " << table.max_event()
+        << ", total loss " << table.total_loss() << "\n";
+  }
 }
 
 /// One layer under `terms` covering every ELT at `share`, in the order of
