@@ -33,9 +33,12 @@ void fig5a_measured_cpu(benchmark::State& state) {
   static const core::Portfolio portfolio = bench::make_portfolio(kScale, 1, 15);
 
   core::AnalysisConfig config;
-  config.engine = core::EngineKind::kChunked;
+  // The event-chunk knob on one scalar thread: the series the paper's CPU
+  // chunking discussion measures.
+  config.engine = core::EngineKind::kParallel;
   config.chunk_size = chunk;
   config.num_threads = 1;
+  config.simd_extension = core::SimdExtension::kScalar;
   for (auto _ : state) {
     auto ylt = bench::run(portfolio, yet_table, config);
     benchmark::DoNotOptimize(ylt);

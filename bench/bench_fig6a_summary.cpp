@@ -23,9 +23,8 @@ using bench::Scale;
 
 const Scale kScale = Scale::current();
 
-/// One measured series per registered bit-identical engine: the sweep is a
-/// loop over the EngineRegistry, so a backend registered there shows up
-/// here with zero bench changes.
+/// One measured series per engine: the sweep is a loop over the
+/// EngineRegistry's four schedules.
 void summary_measured(benchmark::State& state, const core::AnalysisConfig& config) {
   static const yet::YearEventTable yet_table =
       bench::make_yet(kScale, kScale.trials, kScale.events_per_trial);
@@ -68,10 +67,8 @@ int main(int argc, char** argv) {
     bench::print_note("measured series at calibrated sub-scale; ARE_BENCH_FULL=1 for paper scale");
   }
   for (const auto& engine : core::EngineRegistry::global().descriptors()) {
-    if (!engine.bit_identical_to_sequential || !engine.available_in_this_build) continue;
     core::AnalysisConfig config;
     config.engine = engine.kind;
-    config.engine_name = engine.name;  // exact dispatch even if kinds repeat
     const std::string name = "fig6a/measured_" + engine.name;
     benchmark::RegisterBenchmark(name.c_str(),
                                  [config](benchmark::State& s) { summary_measured(s, config); })

@@ -20,8 +20,9 @@ void fig6b_instrumented(benchmark::State& state) {
 
   core::InstrumentationSink sink;
   core::AnalysisConfig config;
-  config.engine = core::EngineKind::kInstrumented;
+  config.engine = core::EngineKind::kSequential;
   config.instrumentation = &sink;
+  config.collect_phases = true;
   core::PhaseBreakdown phases;
   for (auto _ : state) {
     auto ylt = bench::run(portfolio, yet_table, config);
@@ -38,7 +39,7 @@ void fig6b_instrumented(benchmark::State& state) {
 
 int main(int argc, char** argv) {
   bench::print_note(
-      "Fig 6b reproduction: phase breakdown of the instrumented engine "
+      "Fig 6b reproduction: phase breakdown of seq --phases "
       "(direct access tables, 15 ELTs).");
 
   // One up-front instrumented run with the breakdown printed as a series.
@@ -47,8 +48,9 @@ int main(int argc, char** argv) {
     const auto portfolio = bench::make_portfolio(kScale, 1, 15);
     core::InstrumentationSink sink;
     core::AnalysisConfig config;
-    config.engine = core::EngineKind::kInstrumented;
+    config.engine = core::EngineKind::kSequential;
     config.instrumentation = &sink;
+    config.collect_phases = true;
     bench::run(portfolio, yet_table, config);
     const core::PhaseBreakdown& phases = *sink.phases;
     bench::print_row("fig6b", "phase_fetch", 0, "percent", 100.0 * phases.fetch_fraction());

@@ -110,12 +110,15 @@ int main(int argc, char** argv) {
     bench::print_row(("fused_" + workload.name).c_str(), "speedup", 1.0, "seq_seconds",
                      workload.sequential_seconds);
 
-    // Reference engines at max threads (0 = hardware concurrency).
+    // Reference engines at max threads (0 = hardware concurrency): the pool
+    // schedule on scalar lanes ("parallel") and on kAuto's lanes ("simd").
     const double parallel_seconds =
-        measure_point(workload, "parallel", {.engine = core::EngineKind::kParallel}, report);
+        measure_point(workload, "parallel",
+                      {.engine = core::EngineKind::kParallel,
+                       .simd_extension = core::SimdExtension::kScalar},
+                      report);
     if (workload.name == "fig6a_cache") cache_fig6a_parallel = parallel_seconds;
-    measure_point(workload, "simd",
-                  {.engine = core::EngineKind::kSimd, .num_threads = 0}, report);
+    measure_point(workload, "simd", {.engine = core::EngineKind::kParallel}, report);
 
     // The tentpole sweep: tile size x scheduling policy at max threads.
     for (const std::size_t tile : kTiles) {

@@ -1,14 +1,15 @@
-// SIMD batch-execution engine vs. the scalar engines.
+// The kernel's SIMD lane types vs. scalar lanes.
 //
 // The paper's Fig 6b attributes ~78% of aggregate-analysis time to ELT
 // lookups and financial-term application — both data-parallel across
-// trials. This bench measures how much of that the lane-parallel engine
-// recovers on real hardware:
+// trials. This bench measures how much of that the vectorized lanes
+// (--simd-ext) recover on real hardware:
 //
-//   * simd/<ext>            — the simd engine at each compiled lane width,
-//                             vs the seq / parallel / chunked engines on
-//                             the Fig 2a direct-access workload
-//   * simd_threads/<n>      — the simd x threads composition mode (lane
+//   * simd/<ext>            — one thread of the parallel engine at each
+//                             runnable lane width, vs seq and the scalar
+//                             parallel / event-chunked runs on the Fig 2a
+//                             direct-access workload
+//   * simd_threads/<n>      — lanes x threads composition (lane
 //                             parallelism inside each worker's trial block)
 //   * generic lookup series — the non-gatherable (hash/sorted) path, where
 //                             only the financial/layer phases vectorize
@@ -77,7 +78,9 @@ void engine_sequential(benchmark::State& state) {
 
 void engine_parallel(benchmark::State& state) {
   for (auto _ : state) {
-    auto ylt = bench::run(direct_portfolio(), shared_yet(), {.engine = core::EngineKind::kParallel});
+    auto ylt = bench::run(direct_portfolio(), shared_yet(),
+                          {.engine = core::EngineKind::kParallel,
+                           .simd_extension = SimdExtension::kScalar});
     benchmark::DoNotOptimize(ylt);
   }
 }
@@ -85,14 +88,17 @@ void engine_parallel(benchmark::State& state) {
 void engine_chunked(benchmark::State& state) {
   for (auto _ : state) {
     auto ylt = bench::run(direct_portfolio(), shared_yet(),
-                          {.engine = core::EngineKind::kChunked, .num_threads = 1});
+                          {.engine = core::EngineKind::kParallel,
+                           .num_threads = 1,
+                           .chunk_size = 4,
+                           .simd_extension = SimdExtension::kScalar});
     benchmark::DoNotOptimize(ylt);
   }
 }
 
 void engine_simd(benchmark::State& state, SimdExtension extension, bool direct) {
   core::AnalysisConfig config;
-  config.engine = core::EngineKind::kSimd;
+  config.engine = core::EngineKind::kParallel;
   config.num_threads = 1;
   config.simd_extension = extension;
   const core::Portfolio& portfolio = direct ? direct_portfolio() : generic_portfolio();
@@ -112,7 +118,7 @@ void engine_sequential_cached(benchmark::State& state) {
 
 void engine_simd_cached(benchmark::State& state, SimdExtension extension) {
   core::AnalysisConfig config;
-  config.engine = core::EngineKind::kSimd;
+  config.engine = core::EngineKind::kParallel;
   config.num_threads = 1;
   config.simd_extension = extension;
   for (auto _ : state) {
@@ -124,7 +130,7 @@ void engine_simd_cached(benchmark::State& state, SimdExtension extension) {
 
 void engine_simd_threads(benchmark::State& state) {
   core::AnalysisConfig config;
-  config.engine = core::EngineKind::kSimd;
+  config.engine = core::EngineKind::kParallel;
   config.num_threads = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     auto ylt = bench::run(direct_portfolio(), shared_yet(), config);
@@ -146,7 +152,7 @@ void engine_sequential_generic(benchmark::State& state) {
 
 int main(int argc, char** argv) {
   bench::print_note(
-      "SIMD batch engine on the Fig 2a workload shape (1 layer x 15 "
+      "SIMD lane types on the Fig 2a workload shape (1 layer x 15 "
       "direct-access ELTs). Two regimes: 'simd/' runs the standard catalog "
       "(tables far exceed L2 -> memory-access bound, lanes roughly tie "
       "scalar and kAuto narrows to sse2), 'simd_cached/' runs a "

@@ -61,13 +61,8 @@ int main(int argc, char** argv) {
 
   bench::JsonReport report;
   for (const auto& engine : core::EngineRegistry::global().descriptors()) {
-    if (!engine.supports_sharded_output() || !engine.available_in_this_build) continue;
-    // The windowed engine without a window is seq; skip the duplicate row.
-    if (engine.kind == core::EngineKind::kWindowed) continue;
-
     core::AnalysisConfig config;
     config.engine = engine.kind;
-    config.engine_name = engine.name;
 
     start = Clock::now();
     auto materialized = core::run({portfolio, yet_table, config});

@@ -49,7 +49,7 @@ int main() {
 
   // 3. Aggregate analysis: YET x layer -> Year Loss Table, through the
   //    unified front door (the default config is the thread-pool engine;
-  //    set AnalysisConfig::engine to pick any registered strategy).
+  //    set AnalysisConfig::engine to pick one of the four schedules).
   const core::YearLossTable ylt = core::run({portfolio, year_event_table});
 
   // 4. Risk measures from the YLT.

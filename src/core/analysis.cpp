@@ -4,6 +4,7 @@
 #include <string>
 
 #include "core/engine_registry.hpp"
+#include "core/trial_kernel.hpp"
 #include "fault/fault_injection.hpp"
 #include "obs/telemetry.hpp"
 
@@ -13,11 +14,7 @@ std::string_view to_string(EngineKind kind) noexcept {
   switch (kind) {
     case EngineKind::kSequential: return "seq";
     case EngineKind::kParallel: return "parallel";
-    case EngineKind::kChunked: return "chunked";
     case EngineKind::kOpenMp: return "openmp";
-    case EngineKind::kSimd: return "simd";
-    case EngineKind::kWindowed: return "windowed";
-    case EngineKind::kInstrumented: return "instrumented";
     case EngineKind::kFused: return "fused";
   }
   return "unknown";
@@ -28,8 +25,6 @@ void AnalysisConfig::validate() const {
   if (partition_chunk == 0) {
     throw std::invalid_argument("AnalysisConfig: partition_chunk must be > 0");
   }
-  if (chunk_size == 0) throw std::invalid_argument("AnalysisConfig: chunk_size must be > 0");
-  // tile_trials == 0 is valid: the fused engine derives the tile size.
   if (sharding.shard_trials == 0) {
     throw std::invalid_argument("AnalysisConfig: sharding.shard_trials must be > 0");
   }
@@ -41,9 +36,7 @@ void AnalysisConfig::validate() const {
 
 namespace {
 
-/// Shared validation + registry resolution + capability checks for both
-/// front doors. Capability mismatches are errors, never silently ignored
-/// fields.
+/// Shared validation + engine resolution for both front doors.
 const EngineDescriptor& resolve_engine(const AnalysisConfig& config) {
   config.validate();
 
@@ -51,26 +44,10 @@ const EngineDescriptor& resolve_engine(const AnalysisConfig& config) {
   const EngineDescriptor& engine = config.engine_name.empty()
                                        ? registry.require(config.engine)
                                        : registry.require(config.engine_name);
-  if (!engine.available_in_this_build) {
-    throw std::invalid_argument("engine '" + engine.name + "' is not available in this build (" +
-                                engine.availability_note + ")");
-  }
-  if (config.window && !engine.supports_windowing) {
-    throw std::invalid_argument("engine '" + engine.name +
-                                "' does not support a coverage window (every kernel-backed "
-                                "builtin does; use one of those, or clear "
-                                "AnalysisConfig::window)");
-  }
   if (config.pool != nullptr && !engine.supports_pool_reuse) {
     throw std::invalid_argument("engine '" + engine.name +
                                 "' cannot reuse a borrowed thread pool (clear "
                                 "AnalysisConfig::pool)");
-  }
-  if (config.collect_phases && !engine.supports_instrumentation) {
-    throw std::invalid_argument("engine '" + engine.name +
-                                "' cannot collect a phase breakdown (every kernel-backed "
-                                "builtin can; use one of those, or clear "
-                                "AnalysisConfig::collect_phases)");
   }
   if (config.collect_phases && config.instrumentation == nullptr) {
     throw std::invalid_argument(
@@ -78,6 +55,83 @@ const EngineDescriptor& resolve_engine(const AnalysisConfig& config) {
         "(set AnalysisConfig::instrumentation)");
   }
   return engine;
+}
+
+/// The two halves of a kernel run, resolved from the request: what the
+/// kernel computes per block (config) and how blocks are scheduled (launch)
+/// — plus why that lane type was chosen (InstrumentationSink's note).
+struct ResolvedExecution {
+  TrialKernelConfig config;
+  KernelLaunch launch;
+  std::string simd_note;
+};
+
+ResolvedExecution resolve_execution(const AnalysisRequest& request, EngineKind kind) {
+  const AnalysisConfig& config = request.config;
+  ResolvedExecution resolved;
+  // The knobs every engine honours: they parameterize the kernel body, so
+  // no schedule can change the bytes they produce.
+  resolved.config.window = config.window;
+  resolved.config.event_chunk = config.chunk_size;
+  resolved.config.block_trials = config.tile_trials;
+  resolved.config.instrument = config.collect_phases;
+  resolved.config.ground_up_capture = config.ground_up_capture;
+  resolved.config.ground_up_replay = config.ground_up_replay;
+  resolved.config.cancel = config.cancel;
+  if (kind == EngineKind::kSequential && config.simd_extension == SimdExtension::kAuto) {
+    // seq is the reference every other run is compared with, so kAuto
+    // keeps it scalar; an explicit extension is honoured like anywhere.
+    resolved.config.extension = SimdExtension::kScalar;
+    resolved.simd_note = "seq runs scalar lanes under auto (the reference)";
+  } else {
+    const SimdResolution simd = resolve_simd_extension_ex(
+        request.portfolio, {config.num_threads, config.simd_extension});
+    resolved.config.extension = simd.extension;
+    resolved.simd_note = simd.note;
+  }
+
+  // The schedule is the engine.
+  resolved.launch.num_threads = config.num_threads;
+  resolved.launch.pool = config.pool;  // non-null only past the pool check
+  resolved.launch.partition = config.partition;
+  resolved.launch.chunk = config.partition_chunk;
+  using Schedule = KernelLaunch::Schedule;
+  switch (kind) {
+    case EngineKind::kSequential: resolved.launch.schedule = Schedule::kSerial; break;
+    case EngineKind::kParallel: resolved.launch.schedule = Schedule::kPool; break;
+    case EngineKind::kOpenMp: resolved.launch.schedule = Schedule::kOpenMp; break;
+    case EngineKind::kFused: resolved.launch.schedule = Schedule::kCosted; break;
+  }
+  return resolved;
+}
+
+/// Shared execution path of both front doors: resolves the kernel config +
+/// launch, records the per-run facts, runs, and delivers the breakdown.
+void execute(const AnalysisRequest& request, EngineKind kind, YearLossTable* ylt,
+             YltSink* sink) {
+  const ResolvedExecution resolved = resolve_execution(request, kind);
+  InstrumentationSink* facts = request.config.instrumentation;
+  if (facts != nullptr) {
+    facts->engine_used = kind;
+    if (kind == EngineKind::kOpenMp) {
+      // The kernel's kOpenMp schedule uses OpenMP directives whenever the
+      // build has them and otherwise falls back to the thread pool; surface
+      // which one ran instead of making callers probe openmp_available().
+      facts->openmp_used = openmp_available();
+    }
+    facts->simd_extension_used = resolved.config.extension;
+    facts->simd_resolution_note = resolved.simd_note;
+  }
+  // collect_phases implies a sink (resolve_engine checked it).
+  PhaseBreakdown phases;
+  AccessCounts accesses;
+  const bool deliver = resolved.config.instrument;
+  run_trial_kernel(request.portfolio, request.yet_table, resolved.config, resolved.launch, ylt,
+                   sink, deliver ? &phases : nullptr, deliver ? &accesses : nullptr);
+  if (deliver) {
+    facts->phases = phases;
+    facts->accesses = accesses;
+  }
 }
 
 }  // namespace
@@ -92,20 +146,19 @@ YearLossTable run(const AnalysisRequest& request) {
   const obs::RunScope telemetry(request.config.telemetry.counters,
                                 request.config.telemetry.trace);
   const fault::ScopedArm faults(request.config.faults);
-  return engine.run(request);
+  std::vector<std::uint32_t> layer_ids;
+  for (const Layer& layer : request.portfolio.layers) layer_ids.push_back(layer.id);
+  YearLossTable ylt(std::move(layer_ids), request.yet_table.num_trials());
+  execute(request, engine.kind, &ylt, nullptr);
+  return ylt;
 }
 
 void run_to_sink(const AnalysisRequest& request, YltSink& sink) {
   const EngineDescriptor& engine = resolve_engine(request.config);
-  if (engine.run_to_sink == nullptr) {
-    throw std::invalid_argument("engine '" + engine.name +
-                                "' cannot emit into a YltSink (no sharded/out-of-core output; "
-                                "see list-engines for engines with the 'sharded' capability)");
-  }
   const obs::RunScope telemetry(request.config.telemetry.counters,
                                 request.config.telemetry.trace);
   const fault::ScopedArm faults(request.config.faults);
-  engine.run_to_sink(request, sink);
+  execute(request, engine.kind, nullptr, &sink);
 }
 
 }  // namespace are::core

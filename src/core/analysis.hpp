@@ -1,17 +1,16 @@
 #pragma once
 
 // Unified engine API — the single front door to the aggregate-analysis
-// engines. The paper's contribution is one algorithm mapped onto many
-// execution strategies; this header makes that literal: callers build an
-// AnalysisRequest (portfolio + YET + AnalysisConfig) and call run(). Which
-// strategy executes is data (EngineKind in the config, resolved through the
-// EngineRegistry), not a choice of free function, so an
-// engines x window x instrumentation sweep is a loop over configs.
-//
-// The legacy run_sequential / run_parallel / run_chunked / run_openmp /
-// run_simd / run_windowed / run_instrumented entry points remain as the
-// engine implementations; outside src/core they should only appear in
-// equivalence tests that pin the new API against them.
+// engines. The paper runs one algorithm sequentially, with OpenMP on
+// multi-core CPUs, and chunked on GPUs; here every one of those is the
+// shared trial-block kernel (core/trial_kernel.hpp) under one of four
+// schedules. Callers build an AnalysisRequest (portfolio + YET +
+// AnalysisConfig) and call run() or run_to_sink(). The schedule is
+// EngineKind; everything else the kernel varies — lane type, event chunk,
+// block size, coverage window, phase timing — is a knob of AnalysisConfig
+// that every engine honours, so an engine x knob sweep is a loop over
+// configs and every point of it is bit-identical to scalar seq with the
+// same window.
 
 #include <cstddef>
 #include <optional>
@@ -19,26 +18,22 @@
 #include <string_view>
 
 #include "core/cancel.hpp"
+#include "core/coverage_window.hpp"
 #include "core/engine.hpp"
 #include "core/simd_engine.hpp"
-#include "core/windowed_engine.hpp"
 
 namespace are::core {
 
 class GroundUpLossCache;  // core/trial_kernel.hpp
 
-/// Every execution strategy the registry knows about. The enumerators are
-/// stable identifiers; their canonical string names (used by the CLI and
-/// config files) live in the EngineRegistry descriptors.
+/// The kernel's four schedules. Their canonical string names (used by the
+/// CLI, the service protocol and config files) live in the EngineRegistry
+/// descriptors.
 enum class EngineKind {
-  kSequential = 0,  ///< reference implementation, the bit-identity anchor
-  kParallel,        ///< thread-pool trial parallelism (paper's multi-core)
-  kChunked,         ///< event-chunked kernel (CPU analogue of the GPU kernel)
-  kOpenMp,          ///< OpenMP directives (falls back to thread pool)
-  kSimd,            ///< lane-parallel batch engine (one trial per lane)
-  kWindowed,        ///< sequential with a mid-year coverage window
-  kInstrumented,    ///< sequential with per-phase timers + access counters
-  kFused,           ///< trial-tiled single-pass engine: all layers per tile
+  kSequential = 0,  ///< serial: one thread, the bit-identity anchor
+  kParallel,        ///< pool: parallel_for over trial ranges (paper's multi-core)
+  kOpenMp,          ///< OpenMP `parallel for` over blocks (falls back to the pool)
+  kFused,           ///< costed: parallel_for_costed over the YET offsets
 };
 
 /// Canonical name of the engine kind ("seq", "parallel", ...). Matches the
@@ -46,31 +41,30 @@ enum class EngineKind {
 std::string_view to_string(EngineKind kind) noexcept;
 
 /// Per-run facts written back through AnalysisConfig::instrumentation.
-/// Every engine adapter records which engine actually executed and its
-/// engine-specific resolution (did OpenMP really run? which SIMD lane type
-/// did kAuto pick?); only engines whose descriptor sets
-/// supports_instrumentation also fill the phase/access breakdown.
+/// Every engine records which engine actually executed and its resolution
+/// (did OpenMP really run? which SIMD lane type ran?); a collect_phases run
+/// also fills the phase/access breakdown.
 struct InstrumentationSink {
   /// The engine that executed the request.
   std::optional<EngineKind> engine_used;
 
   /// kOpenMp only: true when OpenMP directives actually ran, false when the
   /// build lacks OpenMP and the bit-identical thread-pool fallback executed.
-  /// The legacy run_openmp hid this; the registry surfaces it.
   std::optional<bool> openmp_used;
 
-  /// kSimd and kFused: the extension that actually executed after kAuto
-  /// resolution — the runtime dispatch decision (cpuid ∩ compiled-in,
-  /// ARE_SIMD_EXT override) plus the memory-bound narrowing to SSE2.
+  /// The extension that actually executed after kAuto resolution — for
+  /// parallel/openmp/fused the runtime dispatch decision (cpuid ∩
+  /// compiled-in, ARE_SIMD_EXT override) plus the memory-bound narrowing
+  /// to SSE2; for seq, scalar.
   std::optional<SimdExtension> simd_extension_used;
 
-  /// kSimd and kFused: WHY that extension ran — explicit request, the env
-  /// override, the cpuid / compiled-in cap, or the cache-regime narrowing
-  /// with the footprint that triggered it. Mirrors
+  /// WHY that extension ran — explicit request, the env override, the
+  /// cpuid / compiled-in cap, the cache-regime narrowing with the footprint
+  /// that triggered it, or seq's scalar reference. Mirrors
   /// core::resolve_simd_extension_ex().note; --verbose prints it.
   std::optional<std::string> simd_resolution_note;
 
-  /// Fig-6b phase attribution and memory-access counters (kInstrumented).
+  /// Fig-6b phase attribution and memory-access counters (collect_phases).
   std::optional<PhaseBreakdown> phases;
   std::optional<AccessCounts> accesses;
 };
@@ -102,8 +96,8 @@ struct TelemetryOptions {
 
 /// Knobs of the sharded output mode (read when output == kSharded).
 struct ShardingOptions {
-  /// Trials per shard. Shard boundaries also clamp the fused engine's tile
-  /// boundaries, so every finished tile lands in exactly one shard.
+  /// Trials per shard. Shard boundaries also clamp every engine's kernel
+  /// blocks, so every finished block lands in exactly one shard.
   std::uint64_t shard_trials = 4096;
   /// Resident-shard budget in bytes; 0 = unlimited (nothing spills).
   std::size_t memory_budget_bytes = 0;
@@ -113,61 +107,60 @@ struct ShardingOptions {
   std::string spill_dir;
 };
 
-/// Composable execution configuration. One struct covers every engine; each
-/// engine reads the fields it understands and run() rejects combinations
-/// the engine's descriptor says it cannot honour (no silent ignoring).
+/// Composable execution configuration. One struct covers every engine, and
+/// every engine honours every kernel knob below; run() rejects what it
+/// cannot honour — a borrowed pool on an engine that owns its threads, an
+/// extension this host cannot run, collect_phases without a sink — and
+/// never silently ignores a field.
 struct AnalysisConfig {
   EngineKind engine = EngineKind::kParallel;
 
-  /// When non-empty, run() dispatches by this registry name instead of
-  /// `engine`. This is how engines registered under custom names are
-  /// reached: EngineKind is a closed enum, so a runtime-registered backend
-  /// reuses an existing kind, and kind lookup would find the builtin first.
-  /// The CLI always dispatches by name.
+  /// When non-empty, run() dispatches by this registry name ("seq",
+  /// "parallel", "openmp", "fused") instead of `engine`; an unknown name
+  /// fails listing the four. The CLI and the service dispatch by name.
   std::string engine_name;
 
-  /// Worker threads for the threaded engines (kParallel, kChunked, kOpenMp,
-  /// kSimd): 0 = hardware concurrency, 1 = single-threaded.
+  /// Worker threads for kParallel, kOpenMp and kFused: 0 = hardware
+  /// concurrency, 1 = single-threaded. kSequential always runs on one.
   std::size_t num_threads = 0;
 
-  /// kParallel: trial-range partitioning strategy and, for dynamic/guided,
-  /// the number of trials per work item.
+  /// kParallel and kFused: trial-range partitioning strategy and, for
+  /// kParallel's dynamic/guided, the number of trials per work item.
   parallel::Partition partition = parallel::Partition::kStatic;
   std::size_t partition_chunk = 256;
 
-  /// kChunked: events staged per scratch chunk (the paper's Fig-5a knob).
-  std::size_t chunk_size = 4;
+  /// Events the combine/occurrence phases stage at a time (the paper's
+  /// GPU chunk-size knob, Fig 5a); 0 = the whole kernel block at once.
+  std::size_t chunk_size = 0;
 
-  /// kFused: trials per tile (the fused engine processes every layer over
-  /// one tile's events before moving on; see core/fused_engine.hpp).
-  /// 0 = derive from the ELT footprint and events/trial
-  /// (core::default_tile_trials).
+  /// Trials per kernel block (the tile every layer is processed over before
+  /// the next block starts). 0 = derive from the ELT footprint and
+  /// events/trial (core::default_tile_trials).
   std::size_t tile_trials = 0;
 
-  /// kSimd: lane type to run; kAuto resolves to the widest compiled
-  /// extension with the memory-bound narrowing.
+  /// Lane type of the kernel's vectorized phases. kAuto resolves, for
+  /// parallel/openmp/fused, to the widest runnable extension with the
+  /// memory-bound narrowing (resolve_simd_extension_ex); seq stays scalar
+  /// under kAuto, because it is the reference every other run is compared
+  /// with. Every engine honours an explicit extension and rejects one that
+  /// is not runnable here.
   SimdExtension simd_extension = SimdExtension::kAuto;
 
-  /// Coverage window within the contractual year; requires an engine whose
-  /// descriptor sets supports_windowing (kWindowed). Absent = full year.
+  /// Coverage window within the contractual year. Absent = full year.
   std::optional<CoverageWindow> window;
 
-  /// When set, the engine adapter records execution facts here, and
-  /// engines with supports_instrumentation fill the phase breakdown.
-  /// Borrowed, not owned; any engine accepts it.
+  /// When set, the engine records execution facts here, and a
+  /// collect_phases run the phase breakdown. Borrowed, not owned.
   InstrumentationSink* instrumentation = nullptr;
 
-  /// Request the Fig-6b phase breakdown; requires an engine whose
-  /// descriptor sets supports_instrumentation and a non-null
-  /// `instrumentation` sink to receive it. kInstrumented always fills the
-  /// breakdown; kFused switches to a timer-instrumented (slower,
-  /// bit-identical) tile path only when this is set, so the default fused
-  /// hot path stays untimed.
+  /// Request the Fig-6b phase breakdown; requires a non-null
+  /// `instrumentation` sink to receive it. The kernel switches to its
+  /// timer-instrumented (slower, bit-identical) block path only when this
+  /// is set, so the default hot path stays untimed.
   bool collect_phases = false;
 
   /// Output placement. run() serves kMaterialized only; kSharded runs go
-  /// through shard::run_sharded (or run_to_sink with your own sink) and
-  /// require an engine whose descriptor has a run_to_sink adapter.
+  /// through shard::run_sharded (or run_to_sink with your own sink).
   OutputMode output = OutputMode::kMaterialized;
   ShardingOptions sharding;
 
@@ -176,7 +169,7 @@ struct AnalysisConfig {
 
   /// Borrowed thread pool, reused across runs (the real-time pricing path);
   /// requires an engine whose descriptor sets supports_pool_reuse
-  /// (kParallel, kSimd). nullptr = the engine owns its threads.
+  /// (kParallel, kFused). nullptr = the engine owns its threads.
   parallel::ThreadPool* pool = nullptr;
 
   /// Delta execution (core/trial_kernel.hpp GroundUpLossCache; the resident
@@ -207,11 +200,10 @@ struct AnalysisConfig {
   std::string faults;
 
   /// Engine-independent sanity checks; throws std::invalid_argument on a
-  /// malformed window, partition_chunk == 0, chunk_size == 0, or
-  /// sharding.shard_trials == 0 (tile_trials == 0 is valid: it selects the
-  /// tile-size heuristic).
-  /// Engine-capability checks (window/pool vs. descriptor flags, extension
-  /// availability) happen in run(), which knows the registry.
+  /// malformed window, partition_chunk == 0, sharding.shard_trials == 0, or
+  /// both ground-up pointers set (chunk_size == 0 and tile_trials == 0 are
+  /// valid: the whole block, and the block-size heuristic). The pool check
+  /// and extension availability happen in run(), which knows the engine.
   void validate() const;
 };
 
@@ -224,20 +216,18 @@ struct AnalysisRequest {
 };
 
 /// The front door: validates the config, resolves the engine through
-/// EngineRegistry::global(), rejects capability mismatches
-/// (std::invalid_argument), and dispatches. Output YLTs of engines whose
-/// descriptor sets bit_identical_to_sequential are bit-identical to
-/// EngineKind::kSequential for the same request. Serves
-/// OutputMode::kMaterialized only — a sharded config is redirected (by
-/// error message) to shard::run_sharded, which owns the sharded table.
+/// EngineRegistry::global() (std::invalid_argument on an unknown engine or
+/// a pool the engine cannot borrow), resolves the kernel's knobs, and runs
+/// the kernel under the engine's schedule. Every engine and knob setting
+/// produces the bytes of scalar EngineKind::kSequential with the same
+/// window. Serves OutputMode::kMaterialized only — a sharded config is
+/// redirected (by error message) to shard::run_sharded, which owns the
+/// sharded table.
 YearLossTable run(const AnalysisRequest& request);
 
-/// Sink front door: same validation/capability checks as run(), then the
-/// engine emits finished trial-range blocks into `sink` instead of an
-/// owned YearLossTable. Requires an engine whose descriptor carries a
-/// run_to_sink adapter (descriptor.supports_sharded_output()); engines
-/// whose descriptor also sets bit_identical_to_sequential deliver exactly
-/// the bytes run_sequential would have produced for every cell.
+/// Sink front door: same checks as run(), then the engine emits finished
+/// trial-range blocks into `sink` instead of an owned YearLossTable —
+/// exactly the bytes run() would have produced for every cell.
 void run_to_sink(const AnalysisRequest& request, YltSink& sink);
 
 }  // namespace are::core

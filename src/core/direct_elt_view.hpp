@@ -10,7 +10,7 @@
 namespace are::core::detail {
 
 /// Raw-pointer view of a direct access table: the fast path shared by
-/// every engine (sequential, parallel, chunked, SIMD gather source).
+/// every lane type of the trial-block kernel (scalar loads, SIMD gathers).
 /// Precondition: Layer::all_direct_access() — every lookup downcasts via
 /// as_direct_access(). Keeping this in one place is part of the engines'
 /// bit-identity contract: all of them must read the same data/universe

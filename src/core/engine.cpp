@@ -1,70 +1,6 @@
 #include "core/engine.hpp"
 
-#include <stdexcept>
-#include <vector>
-
-#include "core/trial_kernel.hpp"
-
-// Every engine in this file is a *driver* over the shared trial-block
-// kernel (core/trial_kernel.hpp): it only chooses block partitioning,
-// scheduling, and lane width. The loop nest itself — ELT lookups, financial
-// and occurrence terms, the aggregate recurrence — lives in the kernel,
-// exactly once, which is what keeps every engine's YLT bit-identical to the
-// sequential reference.
-
 namespace are::core {
-
-YearLossTable run_sequential(const Portfolio& portfolio, const yet::YearEventTable& yet_table) {
-  YearLossTable ylt = make_year_loss_table(portfolio, yet_table);
-  run_trial_kernel(portfolio, yet_table, {}, {}, &ylt, nullptr);
-  return ylt;
-}
-
-void run_sequential_to_sink(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
-                            YltSink& sink) {
-  run_trial_kernel(portfolio, yet_table, {}, {}, nullptr, &sink);
-}
-
-YearLossTable run_parallel(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
-                           parallel::ThreadPool& pool, const ParallelOptions& options) {
-  YearLossTable ylt = make_year_loss_table(portfolio, yet_table);
-  KernelLaunch launch;
-  launch.schedule = KernelLaunch::Schedule::kPool;
-  launch.pool = &pool;
-  launch.partition = options.partition;
-  launch.chunk = options.chunk;
-  run_trial_kernel(portfolio, yet_table, {}, launch, &ylt, nullptr);
-  return ylt;
-}
-
-YearLossTable run_parallel(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
-                           const ParallelOptions& options) {
-  parallel::ThreadPool pool(options.num_threads);
-  return run_parallel(portfolio, yet_table, pool, options);
-}
-
-YearLossTable run_chunked(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
-                          const ChunkedOptions& options) {
-  if (options.chunk_size == 0) throw std::invalid_argument("chunk size must be > 0");
-  YearLossTable ylt = make_year_loss_table(portfolio, yet_table);
-  TrialKernelConfig config;
-  config.event_chunk = options.chunk_size;
-  KernelLaunch launch;
-  launch.schedule = KernelLaunch::Schedule::kPool;
-  launch.num_threads = options.num_threads;
-  run_trial_kernel(portfolio, yet_table, config, launch, &ylt, nullptr);
-  return ylt;
-}
-
-InstrumentedResult run_instrumented(const Portfolio& portfolio,
-                                    const yet::YearEventTable& yet_table) {
-  InstrumentedResult result{make_year_loss_table(portfolio, yet_table), {}, {}};
-  TrialKernelConfig config;
-  config.instrument = true;
-  run_trial_kernel(portfolio, yet_table, config, {}, &result.ylt, nullptr, &result.phases,
-                   &result.accesses);
-  return result;
-}
 
 AccessCounts predict_access_counts(const Portfolio& portfolio,
                                    const yet::YearEventTable& yet_table) noexcept {

@@ -9,76 +9,21 @@
 #include "parallel/parallel_for.hpp"
 #include "yet/year_event_table.hpp"
 
+// The engine vocabulary shared by the front door (core/analysis.hpp), the
+// trial-block kernel, and the cost models: the Fig-6b phase breakdown and
+// the paper's memory-access counts. Every engine runs the paper's "Basic
+// Algorithm for Aggregate Risk Analysis" — (1) look up each event's loss in
+// each covered ELT, (2) apply the ELT financial terms and combine across
+// ELTs, (3) apply occurrence terms, (4) accumulate and apply aggregate
+// terms — in the shared trial-block kernel (core/trial_kernel.hpp); callers
+// reach it through core::run / core::run_to_sink.
+
 namespace are::core {
 
-/// Builds the (layer ids x trials) output table every driver fills —
-/// shared by the engine entry points and the registry adapters.
-inline YearLossTable make_year_loss_table(const Portfolio& portfolio,
-                                          const yet::YearEventTable& yet_table) {
-  std::vector<std::uint32_t> ids;
-  ids.reserve(portfolio.layers.size());
-  for (const Layer& layer : portfolio.layers) ids.push_back(layer.id);
-  return YearLossTable(std::move(ids), yet_table.num_trials());
-}
-
-/// Aggregate analysis, sequential reference engine — the bit-identity
-/// anchor. The paper's "Basic Algorithm for Aggregate Risk Analysis" —
-/// (1) look up each event's loss in each covered ELT, (2) apply the ELT
-/// financial terms and combine across ELTs, (3) apply occurrence terms,
-/// (4) accumulate and apply aggregate terms — executes in the shared
-/// trial-block kernel (core/trial_kernel.hpp); this driver runs it on one
-/// thread over the whole trial range.
-YearLossTable run_sequential(const Portfolio& portfolio, const yet::YearEventTable& yet_table);
-
-/// Sequential engine emitting into a YltSink: the kernel processes trials
-/// in blocks that never cross sink.block_trials(), each block's layer rows
-/// staged in one block-sized scratch buffer and emitted — so with a
-/// sharded sink the monolithic trials x layers table never exists. The
-/// per-trial arithmetic is exactly run_sequential's, so a
-/// MaterializedYltSink reproduces its YLT byte-for-byte.
-void run_sequential_to_sink(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
-                            YltSink& sink);
-
-struct ParallelOptions {
-  /// Worker threads; 0 = hardware concurrency.
-  std::size_t num_threads = 0;
-  parallel::Partition partition = parallel::Partition::kStatic;
-  /// Trials per dynamic/guided chunk.
-  std::size_t chunk = 256;
-};
-
-/// Trial-parallel engine: one logical task per block of trials on a thread
-/// pool, mirroring the paper's OpenMP implementation ("a single thread is
-/// employed per trial"). Bit-identical output to run_sequential.
-YearLossTable run_parallel(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
-                           const ParallelOptions& options = {});
-
-/// Reuses an existing pool (cheaper when an application runs many analyses,
-/// e.g. the real-time pricing scenario).
-YearLossTable run_parallel(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
-                           parallel::ThreadPool& pool, const ParallelOptions& options = {});
-
-struct ChunkedOptions {
-  /// Events processed per chunk — the paper's GPU "chunk size" knob
-  /// (Fig 5a: best at 4, flat to 12, cliff beyond shared-memory capacity).
-  std::size_t chunk_size = 4;
-  /// Threads for the trial-parallel outer loop (0 = hardware concurrency,
-  /// 1 = fully sequential chunked execution).
-  std::size_t num_threads = 1;
-};
-
-/// Chunked engine: the CPU analogue of the paper's optimised GPU kernel.
-/// The kernel's combine/occurrence phases stage at most chunk_size events
-/// at a time in the scratch buffers (the stand-in for per-SM shared
-/// memory), with the path-dependent aggregate state carried across chunks
-/// by TrialAccumulator. Bit-identical output to run_sequential.
-YearLossTable run_chunked(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
-                          const ChunkedOptions& options = {});
-
-/// Phase attribution for the instrumented engine (Fig 6b of the paper:
-/// event fetch / ELT lookup / financial terms / layer terms) plus an
-/// output phase for sink emission — zero on materialized runs (no sink),
-/// so the four Fig-6b fractions still sum to 1.0 there.
+/// Phase attribution of a run with AnalysisConfig::collect_phases (Fig 6b
+/// of the paper: event fetch / ELT lookup / financial terms / layer terms)
+/// plus an output phase for sink emission — zero on materialized runs (no
+/// sink), so the four Fig-6b fractions still sum to 1.0 there.
 struct PhaseBreakdown {
   double fetch_seconds = 0.0;
   double lookup_seconds = 0.0;
@@ -113,23 +58,9 @@ struct AccessCounts {
   std::uint64_t layer_term_applications = 0;
 };
 
-struct InstrumentedResult {
-  YearLossTable ylt;
-  PhaseBreakdown phases;
-  AccessCounts accesses;
-};
-
-/// Runs the analysis with per-phase timers and access counters (the
-/// kernel's instrumented block path: each phase sweeps the block's staged
-/// event buffer), so attribution is directly comparable to Fig 6b. Access
-/// counts follow the paper's line-by-line algorithm and match
-/// predict_access_counts. Output YLT is bit-identical to run_sequential.
-InstrumentedResult run_instrumented(const Portfolio& portfolio,
-                                    const yet::YearEventTable& yet_table);
-
 /// Pure access-count prediction without running the simulation (used by the
-/// analytical models and asserted against the instrumented engine's actual
-/// counters in tests).
+/// analytical models and asserted against the counters a collect_phases run
+/// records in tests).
 AccessCounts predict_access_counts(const Portfolio& portfolio,
                                    const yet::YearEventTable& yet_table) noexcept;
 

@@ -1,136 +1,12 @@
 #include "core/engine_registry.hpp"
 
 #include <stdexcept>
-#include <utility>
 
-#include "core/fused_engine.hpp"
-#include "core/openmp_engine.hpp"
-#include "core/trial_kernel.hpp"
 #include "simd/dispatch.hpp"
 
 namespace are::core {
 
 namespace {
-
-// --- Adapters: AnalysisRequest -> trial-kernel driver -----------------------
-//
-// Every builtin engine is a parameterization of the shared trial-block
-// kernel: the adapter translates the AnalysisConfig into the kernel config
-// (lane width, window, event chunk, instrumentation) and the launch
-// (schedule, threads, partitioning) that *define* the engine. Because all
-// of them run the same kernel body, the capability matrix is uniform:
-// every builtin applies windows, fills the Fig-6b breakdown, and emits into
-// a YltSink.
-
-/// The two halves of an engine definition, resolved from the request —
-/// plus, for the lane-parallel engines, why that lane type was chosen
-/// (surfaced through InstrumentationSink::simd_resolution_note).
-struct ResolvedExecution {
-  TrialKernelConfig config;
-  KernelLaunch launch;
-  std::string simd_note;
-};
-
-ResolvedExecution resolve_execution(const AnalysisRequest& request, EngineKind kind) {
-  const AnalysisConfig& config = request.config;
-  ResolvedExecution resolved;
-  resolved.config.window = config.window;
-  resolved.config.instrument = config.collect_phases || kind == EngineKind::kInstrumented;
-  // Ground-up capture/replay parameterize the shared kernel, so every
-  // builtin supports delta execution uniformly (schedule and lane width
-  // never change the captured or replayed bytes).
-  resolved.config.ground_up_capture = config.ground_up_capture;
-  resolved.config.ground_up_replay = config.ground_up_replay;
-  // Cancellation likewise rides the shared kernel: every builtin honours
-  // the caller's token at its block boundaries.
-  resolved.config.cancel = config.cancel;
-  resolved.launch.num_threads = config.num_threads;
-  resolved.launch.pool = config.pool;  // non-null only past the capability check
-
-  switch (kind) {
-    case EngineKind::kSequential:
-    case EngineKind::kWindowed:
-    case EngineKind::kInstrumented:
-      resolved.launch.schedule = KernelLaunch::Schedule::kSerial;
-      break;
-    case EngineKind::kParallel:
-      resolved.launch.schedule = KernelLaunch::Schedule::kPool;
-      resolved.launch.partition = config.partition;
-      resolved.launch.chunk = config.partition_chunk;
-      break;
-    case EngineKind::kChunked:
-      resolved.launch.schedule = KernelLaunch::Schedule::kPool;
-      resolved.config.event_chunk = config.chunk_size;
-      break;
-    case EngineKind::kOpenMp:
-      resolved.launch.schedule = KernelLaunch::Schedule::kOpenMp;
-      break;
-    case EngineKind::kSimd: {
-      resolved.launch.schedule = KernelLaunch::Schedule::kPool;
-      const SimdResolution simd = resolve_simd_extension_ex(
-          request.portfolio, {config.num_threads, config.simd_extension});
-      resolved.config.extension = simd.extension;
-      resolved.simd_note = simd.note;
-      break;
-    }
-    case EngineKind::kFused: {
-      resolved.launch.schedule = KernelLaunch::Schedule::kCosted;
-      resolved.launch.partition = config.partition;
-      // Full kAuto resolution, not just the widest runnable extension: the
-      // fused engine gathers from the same direct tables, so the cache-
-      // regime narrowing applies to it identically.
-      const SimdResolution simd = resolve_simd_extension_ex(
-          request.portfolio, {config.num_threads, config.simd_extension});
-      resolved.config.extension = simd.extension;
-      resolved.simd_note = simd.note;
-      resolved.config.block_trials = config.tile_trials;
-      break;
-    }
-  }
-  return resolved;
-}
-
-/// Shared execution path of every adapter: records the per-run facts,
-/// resolves the kernel config + launch, runs, and delivers the breakdown.
-void execute(const AnalysisRequest& request, EngineKind kind, YearLossTable* ylt,
-             YltSink* sink) {
-  InstrumentationSink* facts = request.config.instrumentation;
-  if (facts != nullptr) {
-    facts->engine_used = kind;
-    if (kind == EngineKind::kOpenMp) {
-      // The kernel's kOpenMp schedule uses OpenMP directives whenever the
-      // build has them and otherwise falls back to the thread pool; surface
-      // which one ran instead of making callers probe openmp_available().
-      facts->openmp_used = openmp_available();
-    }
-  }
-  const ResolvedExecution resolved = resolve_execution(request, kind);
-  if (facts != nullptr && (kind == EngineKind::kSimd || kind == EngineKind::kFused)) {
-    facts->simd_extension_used = resolved.config.extension;
-    facts->simd_resolution_note = resolved.simd_note;
-  }
-  const bool deliver = resolved.config.instrument && facts != nullptr;
-  PhaseBreakdown phases;
-  AccessCounts accesses;
-  run_trial_kernel(request.portfolio, request.yet_table, resolved.config, resolved.launch, ylt,
-                   sink, deliver ? &phases : nullptr, deliver ? &accesses : nullptr);
-  if (deliver) {
-    facts->phases = phases;
-    facts->accesses = accesses;
-  }
-}
-
-template <EngineKind K>
-YearLossTable adapt_run(const AnalysisRequest& request) {
-  YearLossTable ylt = make_year_loss_table(request.portfolio, request.yet_table);
-  execute(request, K, &ylt, nullptr);
-  return ylt;
-}
-
-template <EngineKind K>
-void adapt_run_to_sink(const AnalysisRequest& request, YltSink& sink) {
-  execute(request, K, nullptr, &sink);
-}
 
 /// The runtime-dispatch facts for this (binary, host) pair: which kernel
 /// TUs the build linked, what this host's cpuid reports, and which of them
@@ -145,21 +21,47 @@ std::string simd_dispatch_note() {
 
 }  // namespace
 
-void EngineRegistry::register_engine(EngineDescriptor descriptor) {
-  if (descriptor.name.empty()) {
-    throw std::invalid_argument("engine descriptor needs a non-empty name");
-  }
-  if (descriptor.run == nullptr) {
-    throw std::invalid_argument("engine descriptor '" + descriptor.name +
-                                "' needs a run function");
-  }
-  for (EngineDescriptor& existing : descriptors_) {
-    if (existing.name == descriptor.name) {
-      existing = std::move(descriptor);
-      return;
-    }
-  }
-  descriptors_.push_back(std::move(descriptor));
+bool openmp_available() noexcept {
+#ifdef _OPENMP
+  return true;
+#else
+  return false;
+#endif
+}
+
+EngineRegistry::EngineRegistry() {
+  // What distinguishes the engines is only the schedule (and so which of
+  // them can borrow a pool); every knob — lane type, window, event chunk,
+  // block size, phases, sinks, delta execution — is the shared kernel's.
+  descriptors_ = {
+      {.kind = EngineKind::kSequential,
+       .name = "seq",
+       .summary = "serial schedule, the bit-identity anchor",
+       .availability_note = "scalar lanes under --simd-ext auto (the reference); an explicit "
+                            "extension runs as requested"},
+      {.kind = EngineKind::kParallel,
+       .name = "parallel",
+       .summary = "thread-pool trial parallelism (static/dynamic/guided partition)",
+       .supports_pool_reuse = true,
+       .availability_note = simd_dispatch_note()},
+      {.kind = EngineKind::kOpenMp,
+       .name = "openmp",
+       .summary = "OpenMP trial parallelism (the paper's multi-core implementation)",
+       .availability_note = openmp_available()
+                                ? "OpenMP compiled in; directives run"
+                                : "OpenMP not compiled in; bit-identical thread-pool "
+                                  "fallback runs (see InstrumentationSink::openmp_used)"},
+      {.kind = EngineKind::kFused,
+       .name = "fused",
+       .summary = "cost-aware schedule: trial ranges balanced by event count",
+       .supports_pool_reuse = true,
+       .availability_note = simd_dispatch_note()},
+  };
+}
+
+const EngineRegistry& EngineRegistry::global() {
+  static const EngineRegistry registry;
+  return registry;
 }
 
 const EngineDescriptor* EngineRegistry::find(EngineKind kind) const noexcept {
@@ -178,8 +80,9 @@ const EngineDescriptor* EngineRegistry::find(std::string_view name) const noexce
 
 const EngineDescriptor& EngineRegistry::require(EngineKind kind) const {
   if (const EngineDescriptor* descriptor = find(kind)) return *descriptor;
-  throw std::invalid_argument("no engine registered for kind '" +
-                              std::string(to_string(kind)) + "'");
+  throw std::invalid_argument("no engine for kind " +
+                              std::to_string(static_cast<int>(kind)) + " (known engines: " +
+                              known_names() + ")");
 }
 
 const EngineDescriptor& EngineRegistry::require(std::string_view name) const {
@@ -195,121 +98,6 @@ std::string EngineRegistry::known_names() const {
     names += descriptor.name;
   }
   return names;
-}
-
-EngineRegistry make_builtin_registry() {
-  EngineRegistry registry;
-
-  // Every builtin drives the shared trial-block kernel, so the cross-
-  // cutting capabilities are uniform: windowing, the Fig-6b breakdown
-  // (collect_phases), and sharded/out-of-core output via run_to_sink hold
-  // for all of them. What distinguishes the engines is scheduling and lane
-  // width — see resolve_execution above.
-
-  registry.register_engine({
-      .kind = EngineKind::kSequential,
-      .name = "seq",
-      .summary = "sequential reference engine (the bit-identity anchor)",
-      .supports_windowing = true,
-      .supports_instrumentation = true,
-      .bit_identical_to_sequential = true,
-      .run = &adapt_run<EngineKind::kSequential>,
-      .run_to_sink = &adapt_run_to_sink<EngineKind::kSequential>,
-  });
-  registry.register_engine({
-      .kind = EngineKind::kParallel,
-      .name = "parallel",
-      .summary = "thread-pool trial parallelism (static/dynamic/guided partition)",
-      .supports_windowing = true,
-      .supports_instrumentation = true,
-      .supports_pool_reuse = true,
-      .bit_identical_to_sequential = true,
-      .run = &adapt_run<EngineKind::kParallel>,
-      .run_to_sink = &adapt_run_to_sink<EngineKind::kParallel>,
-  });
-  registry.register_engine({
-      .kind = EngineKind::kChunked,
-      .name = "chunked",
-      .summary = "event-chunked kernel staging, the CPU analogue of the paper's GPU kernel",
-      .supports_windowing = true,
-      .supports_instrumentation = true,
-      .bit_identical_to_sequential = true,
-      .run = &adapt_run<EngineKind::kChunked>,
-      .run_to_sink = &adapt_run_to_sink<EngineKind::kChunked>,
-  });
-  registry.register_engine({
-      .kind = EngineKind::kOpenMp,
-      .name = "openmp",
-      .summary = "OpenMP trial parallelism (paper's multi-core implementation)",
-      .supports_windowing = true,
-      .supports_instrumentation = true,
-      .bit_identical_to_sequential = true,
-      .availability_note = openmp_available()
-                               ? "OpenMP compiled in; directives run"
-                               : "OpenMP not compiled in; bit-identical thread-pool "
-                                 "fallback runs (see InstrumentationSink::openmp_used)",
-      .run = &adapt_run<EngineKind::kOpenMp>,
-      .run_to_sink = &adapt_run_to_sink<EngineKind::kOpenMp>,
-  });
-  registry.register_engine({
-      .kind = EngineKind::kSimd,
-      .name = "simd",
-      .summary = "lane-parallel batch engine: the kernel at the resolved vector width",
-      .supports_windowing = true,
-      .supports_instrumentation = true,
-      .supports_pool_reuse = true,
-      .bit_identical_to_sequential = true,
-      .availability_note = simd_dispatch_note(),
-      .run = &adapt_run<EngineKind::kSimd>,
-      .run_to_sink = &adapt_run_to_sink<EngineKind::kSimd>,
-  });
-  registry.register_engine({
-      .kind = EngineKind::kWindowed,
-      .name = "windowed",
-      .summary = "sequential engine with a mid-year coverage window",
-      .supports_windowing = true,
-      .supports_instrumentation = true,
-      // A real window changes the YLT by design; only the full-year default
-      // matches seq, so the flag must stay false for the CI CSV diff.
-      .bit_identical_to_sequential = false,
-      .run = &adapt_run<EngineKind::kWindowed>,
-      .run_to_sink = &adapt_run_to_sink<EngineKind::kWindowed>,
-  });
-  registry.register_engine({
-      .kind = EngineKind::kFused,
-      .name = "fused",
-      .summary = "trial-tiled single-pass engine: all layers per tile, cost-aware "
-                 "scheduling, widest lanes",
-      .supports_windowing = true,
-      .supports_instrumentation = true,
-      .supports_pool_reuse = true,
-      // Bit-identical for the default full-year coverage (what CI diffs); a
-      // real mid-year window intentionally changes the YLT — it matches
-      // run_windowed for the same window instead.
-      .bit_identical_to_sequential = true,
-      .availability_note = simd_dispatch_note() +
-                           "; a non-full-year --window changes the YLT by design "
-                           "(same semantics as the windowed engine)",
-      .run = &adapt_run<EngineKind::kFused>,
-      .run_to_sink = &adapt_run_to_sink<EngineKind::kFused>,
-  });
-  registry.register_engine({
-      .kind = EngineKind::kInstrumented,
-      .name = "instrumented",
-      .summary = "sequential engine with Fig-6b phase timers and access counters",
-      .supports_windowing = true,
-      .supports_instrumentation = true,
-      .bit_identical_to_sequential = true,
-      .run = &adapt_run<EngineKind::kInstrumented>,
-      .run_to_sink = &adapt_run_to_sink<EngineKind::kInstrumented>,
-  });
-
-  return registry;
-}
-
-EngineRegistry& EngineRegistry::global() {
-  static EngineRegistry registry = make_builtin_registry();
-  return registry;
 }
 
 }  // namespace are::core

@@ -1,12 +1,10 @@
 #pragma once
 
-// Runtime engine registry: maps EngineKind (and its canonical string name,
-// for CLI/config parsing) to a self-describing descriptor with capability
-// flags and the adapter that executes an AnalysisRequest. The built-in
-// engines are registered at construction; new backends register themselves
-// at startup via EngineRegistry::global().register_engine() and become
-// reachable from core::run(), are_cli --engine, and list-engines without
-// touching any caller.
+// The engine table: maps EngineKind and its canonical string name (for
+// CLI, protocol and config parsing) to a descriptor of one of the trial
+// kernel's four schedules. The table is fixed; every engine honours every
+// AnalysisConfig knob, so the only capability that differs between them is
+// borrowing a thread pool.
 
 #include <span>
 #include <string>
@@ -17,70 +15,28 @@
 
 namespace are::core {
 
-/// Self-description of one execution strategy. The capability flags are
-/// what run() enforces and what sweeps/CI introspect, so a descriptor must
-/// tell the truth: claim supports_windowing only if the engine applies
-/// AnalysisConfig::window, bit_identical_to_sequential only if its YLT is
-/// byte-for-byte equal to the sequential engine's for any request.
+/// Self-description of one schedule, as list-engines prints it.
 struct EngineDescriptor {
   EngineKind kind = EngineKind::kSequential;
-  /// Canonical name for string lookup ("seq", "parallel", ...). Lowercase,
-  /// no spaces; unique within the registry.
+  /// Canonical name for string lookup ("seq", "parallel", ...).
   std::string name;
   /// One-line human description for list-engines.
   std::string summary;
-
-  /// Applies AnalysisConfig::window instead of rejecting it.
-  bool supports_windowing = false;
-  /// Fills InstrumentationSink::phases/accesses (every engine records the
-  /// execution facts; this flag is about the Fig-6b breakdown).
-  bool supports_instrumentation = false;
-  /// Honours AnalysisConfig::pool instead of rejecting it.
+  /// Honours AnalysisConfig::pool instead of rejecting it (the service
+  /// reads this to hand its session pool to the engine).
   bool supports_pool_reuse = false;
-  /// YLT is byte-for-byte equal to kSequential for any request — the
-  /// contract CI enforces by diffing CSVs against seq.
-  bool bit_identical_to_sequential = false;
-  /// False when this build cannot execute the engine at all. Engines with a
-  /// bit-identical fallback (kOpenMp without OpenMP) stay available and say
-  /// so in availability_note.
-  bool available_in_this_build = true;
   /// Build-dependent detail: OpenMP presence/fallback, compiled SIMD
   /// extensions, ... Surfaced by list-engines.
   std::string availability_note;
-
-  /// The adapter: unpacks the request into the engine implementation.
-  /// Preconditions (config validated, capabilities checked) are run()'s
-  /// job; adapters may assume them.
-  YearLossTable (*run)(const AnalysisRequest&) = nullptr;
-
-  /// Optional sink adapter: emits finished trial-range blocks into a
-  /// YltSink instead of returning an owned table — the out-of-core path
-  /// behind OutputMode::kSharded. Engines without one reject sharded
-  /// output in core::run_to_sink.
-  void (*run_to_sink)(const AnalysisRequest&, YltSink&) = nullptr;
-
-  /// True when this engine can execute with sharded/out-of-core output.
-  bool supports_sharded_output() const noexcept { return run_to_sink != nullptr; }
 };
 
-/// Registry of execution strategies, keyed by kind and by name.
+/// The four builtin engines, keyed by kind and by name.
 class EngineRegistry {
  public:
-  /// The process-wide registry used by core::run(), pre-populated with the
-  /// built-in engines. Register new backends at startup; concurrent
-  /// registration with in-flight lookups is not synchronised.
-  static EngineRegistry& global();
+  /// The process-wide table used by core::run().
+  static const EngineRegistry& global();
 
-  /// An empty registry (for tests that want isolation from global()).
-  EngineRegistry() = default;
-
-  /// Adds a descriptor; a descriptor with the same name replaces the
-  /// existing one (kinds may legitimately repeat — an experimental backend
-  /// can shadow a builtin under a new name). Throws std::invalid_argument
-  /// on an empty name or null run function.
-  void register_engine(EngineDescriptor descriptor);
-
-  /// nullptr when absent. Kind lookup returns the first (builtin) entry.
+  /// nullptr when absent.
   const EngineDescriptor* find(EngineKind kind) const noexcept;
   const EngineDescriptor* find(std::string_view name) const noexcept;
 
@@ -89,20 +45,20 @@ class EngineRegistry {
   const EngineDescriptor& require(EngineKind kind) const;
   const EngineDescriptor& require(std::string_view name) const;
 
-  /// All descriptors in registration order (builtins first). The span is
-  /// invalidated by register_engine.
+  /// All descriptors: seq, parallel, openmp, fused.
   std::span<const EngineDescriptor> descriptors() const noexcept { return descriptors_; }
 
   /// Comma-separated canonical names, for error messages and usage text.
   std::string known_names() const;
 
  private:
+  EngineRegistry();
+
   std::vector<EngineDescriptor> descriptors_;
 };
 
-/// Builds a registry containing the built-in engines with this build's
-/// availability facts (OpenMP presence, compiled SIMD extensions).
-/// global() calls this once; tests can call it for a fresh instance.
-EngineRegistry make_builtin_registry();
+/// True when the library was compiled with OpenMP support; without it the
+/// openmp engine runs the bit-identical thread-pool fallback.
+bool openmp_available() noexcept;
 
 }  // namespace are::core

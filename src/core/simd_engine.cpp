@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
-#include <vector>
 
-#include "core/trial_kernel.hpp"
 #include "elt/direct_access_table.hpp"
 #include "simd/dispatch.hpp"
-#include "simd/vec.hpp"
 
 namespace are::core {
 
@@ -143,26 +139,6 @@ SimdResolution resolve_simd_extension_ex(const Portfolio& portfolio,
                                 "host's cpu");
   }
   return resolved;
-}
-
-YearLossTable run_simd(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
-                       parallel::ThreadPool& pool, const SimdOptions& options) {
-  portfolio.validate();
-  YearLossTable ylt = make_year_loss_table(portfolio, yet_table);
-
-  TrialKernelConfig config;
-  config.extension = resolve_simd_extension(portfolio, options);
-  KernelLaunch launch;
-  launch.schedule = KernelLaunch::Schedule::kPool;
-  launch.pool = &pool;
-  run_trial_kernel(portfolio, yet_table, config, launch, &ylt, nullptr);
-  return ylt;
-}
-
-YearLossTable run_simd(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
-                       const SimdOptions& options) {
-  parallel::ThreadPool pool(options.num_threads);
-  return run_simd(portfolio, yet_table, pool, options);
 }
 
 }  // namespace are::core

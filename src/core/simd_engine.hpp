@@ -9,7 +9,8 @@
 
 namespace are::core {
 
-/// Runtime-selectable instruction-set extension for run_simd. kAuto is a
+/// Runtime-selectable instruction-set extension for the trial kernel's
+/// vectorized phases (AnalysisConfig::simd_extension). kAuto is a
 /// true load-time decision since the per-extension kernel TUs landed (see
 /// simd/dispatch.hpp): the widest extension that is BOTH compiled into this
 /// binary AND reported by this host's cpuid (ARE_SIMD_EXT overrides),
@@ -51,19 +52,17 @@ SimdExtension best_simd_extension() noexcept;
 std::size_t simd_lane_width(SimdExtension extension);
 
 struct SimdOptions {
-  /// Worker threads for the outer trial-block loop; 0 = hardware
-  /// concurrency, 1 = single-threaded lane-parallel execution. Values > 1
-  /// compose lane-level and thread-level parallelism (the bench's
-  /// "simd x threads" mode).
+  /// Worker threads of the run being resolved (0 = hardware concurrency).
   std::size_t num_threads = 1;
-  /// Which lane type to run; throws std::invalid_argument from run_simd if
-  /// the extension is not compiled into this build.
+  /// The requested lane type; resolution throws std::invalid_argument if it
+  /// is not runnable here.
   SimdExtension extension = SimdExtension::kAuto;
 };
 
-/// The extension run_simd will actually execute for this portfolio and
-/// options: resolves kAuto (runtime dispatch + the footprint narrowing)
-/// and throws std::invalid_argument for extensions not runnable here.
+/// The extension a parallel, openmp or fused run executes for this
+/// portfolio and options: resolves kAuto (runtime dispatch + the footprint
+/// narrowing) and throws std::invalid_argument for extensions not runnable
+/// here.
 SimdExtension resolve_simd_extension(const Portfolio& portfolio, const SimdOptions& options);
 
 /// resolve_simd_extension plus WHY — the one-sentence rationale the
@@ -75,27 +74,5 @@ struct SimdResolution {
   std::string note;
 };
 SimdResolution resolve_simd_extension_ex(const Portfolio& portfolio, const SimdOptions& options);
-
-/// Lane-parallel batch engine: the shared trial-block kernel
-/// (core/trial_kernel.hpp) driven at the resolved vector width. The hot
-/// phases of the paper's algorithm — ELT lookup (hardware gather on
-/// direct-access tables, prefetching lookup_many batches otherwise),
-/// financial terms, and occurrence terms — run on vector registers over a
-/// block's events; only the path-dependent aggregate recurrence
-/// (TrialAccumulator) sweeps each trial scalar.
-///
-/// Bit-identical output to run_sequential for every lane width and thread
-/// count: the vectorized phases perform the same double-precision
-/// operations in the same order as the scalar expressions (see
-/// simd/vec.hpp for the min/max rounding contract), and lane width only
-/// decides which events share a register, never how a trial's own
-/// arithmetic associates.
-YearLossTable run_simd(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
-                       const SimdOptions& options = {});
-
-/// Reuses an existing pool (cheaper when an application runs many
-/// analyses; mirrors the run_parallel overload).
-YearLossTable run_simd(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
-                       parallel::ThreadPool& pool, const SimdOptions& options = {});
 
 }  // namespace are::core

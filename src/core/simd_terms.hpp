@@ -1,11 +1,11 @@
 #pragma once
 
-// Financial and layer terms broadcast into vector registers, shared by the
-// lane-parallel engines (core/simd_engine.cpp batches trials across lanes;
-// core/fused_engine.cpp batches a tile's events across lanes). One
-// definition keeps the bit-identity contract in one place: every helper
-// rounds exactly like the scalar expressions in financial/terms.hpp (see
-// the min/max convention note in simd/vec.hpp).
+// Financial and layer terms broadcast into vector registers, shared by
+// every lane type of the trial-block kernel (core/trial_kernel_body.hpp
+// batches a block's events across lanes). One definition keeps the
+// bit-identity contract in one place: every helper rounds exactly like the
+// scalar expressions in financial/terms.hpp (see the min/max convention
+// note in simd/vec.hpp).
 
 #include "financial/terms.hpp"
 

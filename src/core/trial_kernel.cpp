@@ -263,7 +263,7 @@ void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet
 
   // Feed the collected per-phase wall times into the registry so an
   // instrumented run's Fig-6b attribution is visible to exporters and the
-  // future service without threading InstrumentedResult around.
+  // service's per-request telemetry diffs.
   if (obs::enabled() && config.instrument && phases != nullptr) {
     obs::TelemetryRegistry& registry = obs::TelemetryRegistry::global();
     const auto ns = [](double seconds) {

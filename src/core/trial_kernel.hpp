@@ -10,20 +10,21 @@
 //
 //   - scalar and simd::VecD term paths (one templated body; the lane type is
 //     a runtime choice, resolved once at kernel construction),
-//   - an optional CoverageWindow (the windowed engine's semantics),
+//   - an optional CoverageWindow,
 //   - optional per-phase timers + access counters (the Fig-6b breakdown),
-//   - optional event-chunked staging (the chunked engine's Fig-5a knob),
+//   - optional event-chunked staging (the paper's Fig-5a GPU chunk knob),
 //   - delivery either straight into a YearLossTable or into a YltSink
 //     (finished blocks never cross sink.block_trials() boundaries, so a
 //     sharded sink receives each block into exactly one shard).
 //
-// The engines are now *drivers*: each one only chooses block partitioning,
-// scheduling (serial / parallel_for / parallel_for_costed / OpenMP), and
-// lane width over this kernel — see KernelLaunch and run_trial_kernel().
-// Every (engine x threads x lane x sink) combination produces bytes
-// identical to the sequential reference, because every combination runs
-// this body: per (layer, trial) cell the arithmetic and its order never
-// change, only which cells share a register or a thread.
+// An engine is nothing but a schedule over this kernel (serial /
+// parallel_for / parallel_for_costed / OpenMP, see KernelLaunch); the knobs
+// above are TrialKernelConfig, set identically for every engine by
+// core::run (core/analysis.cpp). Every (engine x threads x lane x chunk x
+// block x sink) combination produces bytes identical to the scalar serial
+// reference, because every combination runs this body: per (layer, trial)
+// cell the arithmetic and its order never change, only which cells share a
+// register or a thread.
 
 #include <cstddef>
 #include <cstdint>
@@ -100,14 +101,14 @@ struct TrialKernelConfig {
   /// Coverage window; absent or full-year = every occurrence counts.
   std::optional<CoverageWindow> window;
 
-  /// Maximum trials per kernel block (the fused engine's tile size). The
+  /// Maximum trials per kernel block (AnalysisConfig::tile_trials). The
   /// staged per-event buffers are proportional to a block's event count, so
   /// blocks bound scratch memory. 0 = derive from the ELT footprint and
   /// events/trial (default_tile_trials).
   std::size_t block_trials = 0;
 
   /// When non-zero, the combine/occurrence phases stage at most this many
-  /// events at a time (the chunked engine's events-per-chunk knob, Fig 5a).
+  /// events at a time (AnalysisConfig::chunk_size, the Fig-5a knob).
   /// 0 = stage the whole block at once. Never changes the output bytes.
   std::size_t event_chunk = 0;
 
@@ -210,8 +211,8 @@ class TrialBlockKernel {
 /// TrialKernelConfig this is the *entire* definition of an engine.
 struct KernelLaunch {
   enum class Schedule {
-    kSerial,  ///< one thread, one scratch (seq / windowed / instrumented)
-    kPool,    ///< parallel_for over trials on a thread pool (parallel / chunked / simd)
+    kSerial,  ///< one thread, one scratch (seq)
+    kPool,    ///< parallel_for over trials on a thread pool (parallel)
     kCosted,  ///< parallel_for_costed over the YET offsets (fused): chunks
               ///< carry ~one block's worth of *events*, so skewed trial
               ///< lengths balance across workers
@@ -240,11 +241,10 @@ void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet
                       YearLossTable* ylt, YltSink* sink, PhaseBreakdown* phases = nullptr,
                       AccessCounts* accesses = nullptr);
 
-/// The block-size heuristic behind TrialKernelConfig::block_trials == 0
-/// (historically the fused engine's tile heuristic): sizes the block so its
-/// staged per-event working set (~20 B per event across ids, timestamps,
-/// and the combined-loss buffer) fits the cache share a block can
-/// realistically claim. Cache-regime aware: when the portfolio's lookup
+/// The block-size heuristic behind TrialKernelConfig::block_trials == 0:
+/// sizes the block so its staged per-event working set (~20 B per event
+/// across ids, timestamps, and the combined-loss buffer) fits the cache
+/// share a block can realistically claim. Cache-regime aware: when the portfolio's lookup
 /// tables themselves fit in cache the whole budget goes to the block; once
 /// the tables far exceed it, lookups miss regardless and a smaller block
 /// keeps the staged buffers from thrashing too. Clamped to [16, 4096].

@@ -30,9 +30,9 @@ class YltSink {
                     std::span<const double> losses) = 0;
 
   /// When non-zero, emitted blocks must not cross multiples of this trial
-  /// count — the sharded sink returns its shard size here so the fused
-  /// engine clamps tile boundaries to shard boundaries and every tile lands
-  /// in exactly one shard.
+  /// count — the sharded sink returns its shard size here so the kernel
+  /// clamps block boundaries to shard boundaries and every block lands in
+  /// exactly one shard.
   virtual std::uint64_t block_trials() const noexcept { return 0; }
 };
 

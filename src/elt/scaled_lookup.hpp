@@ -27,8 +27,8 @@ class ScaledLookup final : public ILossLookup {
   }
 
   /// Forwards the batch to the base table's (prefetching) override, then
-  /// scales in place — so decorating an ELT keeps the fused/simd engines'
-  /// batched lookup path instead of degrading to the scalar default loop.
+  /// scales in place — so decorating an ELT keeps the kernel's batched
+  /// lookup path instead of degrading to the scalar default loop.
   void lookup_many(const EventId* events, std::size_t count, double* out) const noexcept override {
     base_->lookup_many(events, count, out);
     for (std::size_t i = 0; i < count; ++i) out[i] *= factor_;

@@ -10,7 +10,7 @@ namespace are::financial {
 /// Aggregate terms are path-dependent: the ceded amount of event k is the
 /// *increment* of the capped cumulative loss, so it depends on the sequence
 /// of prior events in the trial. This accumulator makes that recurrence an
-/// O(1)-state object so the chunked engines can carry it across chunks.
+/// O(1)-state object so the kernel can carry it across event chunks.
 class TrialAccumulator {
  public:
   constexpr explicit TrialAccumulator(const LayerTerms& terms) noexcept : terms_(terms) {}

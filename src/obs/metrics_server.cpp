@@ -20,10 +20,12 @@ namespace are::obs {
 
 namespace {
 
+/// MSG_NOSIGNAL: a scraper that disconnects mid-response costs its own
+/// connection an EPIPE, never the serving process a SIGPIPE.
 void write_all(int fd, const std::string& data) {
   std::size_t sent = 0;
   while (sent < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + sent, data.size() - sent);
+    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return;  // scraper went away mid-response; nothing sensible to do

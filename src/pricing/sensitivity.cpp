@@ -3,16 +3,26 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/analysis.hpp"
+
 namespace are::pricing {
 
 namespace {
+
+/// Every re-pricing runs the sequential reference engine.
+core::YearLossTable run_reference(const core::Portfolio& portfolio,
+                                  const yet::YearEventTable& yet_table) {
+  core::AnalysisConfig config;
+  config.engine = core::EngineKind::kSequential;
+  return core::run({portfolio, yet_table, config});
+}
 
 double premium_at(const core::Portfolio& base, std::size_t layer_index,
                   const financial::LayerTerms& terms, const yet::YearEventTable& yet_table,
                   const PricingAssumptions& assumptions) {
   core::Portfolio bumped = base;
   bumped.layers[layer_index].terms = terms;
-  const core::YearLossTable ylt = core::run_sequential(bumped, yet_table);
+  const core::YearLossTable ylt = run_reference(bumped, yet_table);
   return price_layer(ylt.layer_losses(layer_index), terms, assumptions).technical_premium;
 }
 
@@ -56,7 +66,7 @@ TermSensitivities term_sensitivities(const core::Portfolio& portfolio,
   }
 
   TermSensitivities sensitivities;
-  const core::YearLossTable base_ylt = core::run_sequential(portfolio, yet_table);
+  const core::YearLossTable base_ylt = run_reference(portfolio, yet_table);
   sensitivities.base = price_layer(base_ylt.layer_losses(layer_index),
                                    portfolio.layers[layer_index].terms, options.assumptions);
 

@@ -12,7 +12,7 @@ namespace are::rng {
 /// (trial, draw) is a pure function of (key, counter), so any trial can be
 /// generated on any thread, in any order, with bit-identical results. This
 /// is what makes the pre-simulated Year Event Table reproducible across the
-/// sequential, thread-pool and chunked engines.
+/// serial and threaded engines.
 class Philox4x32 {
  public:
   using result_type = std::uint32_t;

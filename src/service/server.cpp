@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -58,8 +59,22 @@ double parse_amount(const std::string& value, const std::string& key) {
   } catch (const std::exception&) {
     consumed = 0;
   }
-  if (consumed != value.size()) {
+  if (consumed == 0 || consumed != value.size()) {
     throw std::invalid_argument("field " + key + ": cannot parse amount '" + value + "'");
+  }
+  return parsed;
+}
+
+/// Unsigned integer field, consumed whole: no sign, no trailing text, no
+/// wrap-around (`deadline-ms=-1` must not become 2^64-1).
+template <typename Unsigned>
+Unsigned parse_unsigned(const std::string& value, const std::string& key) {
+  Unsigned parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  if (error != std::errc{} || stop != end) {
+    throw std::invalid_argument("field " + key + ": expected a non-negative integer, got '" +
+                                value + "'");
   }
   return parsed;
 }
@@ -86,7 +101,7 @@ bool parse_terms_fields(const std::map<std::string, std::string>& fields,
 std::uint32_t parse_layer_id(const std::map<std::string, std::string>& fields) {
   auto it = fields.find("layer");
   if (it == fields.end()) return 1;  // are_cli-built books have a single layer id 1
-  return static_cast<std::uint32_t>(std::stoul(it->second));
+  return parse_unsigned<std::uint32_t>(it->second, "layer");
 }
 
 bool parse_flag(const std::map<std::string, std::string>& fields, const char* key,
@@ -231,16 +246,20 @@ int make_listen_socket(const std::string& path) {
   return fd;
 }
 
-void write_all(int fd, const std::string& data) {
+/// False when the peer went away. MSG_NOSIGNAL: a client that disconnects
+/// before its responses are written must cost its own connection an EPIPE,
+/// never the whole process a SIGPIPE.
+bool write_all(int fd, const std::string& data) {
   std::size_t sent = 0;
   while (sent < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + sent, data.size() - sent);
+    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
-      return;  // peer went away; nothing sensible to do server-side
+      return false;
     }
     sent += static_cast<std::size_t>(n);
   }
+  return true;
 }
 
 }  // namespace
@@ -285,22 +304,14 @@ std::string Server::handle_quote(const std::string& line) {
     request.engine = it->second;
   }
   if (const auto it = fields.find("window"); it != fields.end()) {
-    const std::size_t colon = it->second.find(':');
-    if (colon == std::string::npos) {
-      throw std::invalid_argument("window must be <from:to>");
-    }
-    core::CoverageWindow window;
-    window.from = std::stof(it->second.substr(0, colon));
-    window.to = std::stof(it->second.substr(colon + 1));
-    window.validate();
-    request.window = window;
+    request.window = core::CoverageWindow::parse(it->second);
   }
   request.collect_phases = parse_flag(fields, "phases", false);
   request.use_cache = parse_flag(fields, "cache", true);
   request.use_delta = parse_flag(fields, "delta", true);
   request.sharded = parse_flag(fields, "sharded", false);
   if (const auto it = fields.find("deadline-ms"); it != fields.end()) {
-    request.deadline_ms = std::stoull(it->second);
+    request.deadline_ms = parse_unsigned<std::uint64_t>(it->second, "deadline-ms");
   }
 
   const QuoteResponse response = service_.quote(request);
@@ -400,16 +411,16 @@ int Server::serve() {
     connections.emplace_back([this, conn, &conns_mutex, &open_conns] {
       std::string pending;
       char buf[4096];
-      for (;;) {
+      for (bool peer_open = true; peer_open;) {
         const ssize_t n = ::read(conn, buf, sizeof buf);
         if (n < 0 && errno == EINTR) continue;
         if (n <= 0) break;
         pending.append(buf, static_cast<std::size_t>(n));
         std::size_t newline;
-        while ((newline = pending.find('\n')) != std::string::npos) {
+        while (peer_open && (newline = pending.find('\n')) != std::string::npos) {
           const std::string request = pending.substr(0, newline);
           pending.erase(0, newline + 1);
-          write_all(conn, handle_line(request) + "\n");
+          peer_open = write_all(conn, handle_line(request) + "\n");
         }
         if (stop_requested()) break;
       }
@@ -470,7 +481,11 @@ std::string Server::round_trip(const std::string& socket_path, const std::string
     ::close(fd);
     throw std::runtime_error("connect to " + socket_path + ": " + reason);
   }
-  write_all(fd, line + "\n");
+  if (!write_all(fd, line + "\n")) {
+    const std::string reason = std::strerror(errno);
+    ::close(fd);
+    throw std::runtime_error("send to " + socket_path + ": " + reason);
+  }
   std::string response;
   char buf[4096];
   while (response.find('\n') == std::string::npos) {

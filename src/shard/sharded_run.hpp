@@ -11,9 +11,7 @@ namespace are::shard {
 /// AnalysisConfig::sharding) and executes the engine through
 /// core::run_to_sink, so finished trial-range blocks land directly in
 /// their owning shards and the monolithic trials x layers buffer never
-/// exists. Requires an engine whose descriptor carries a run_to_sink
-/// adapter (seq and fused among the builtins); for engines that also set
-/// bit_identical_to_sequential, materialize() of the returned table is
+/// exists. For every engine, materialize() of the returned table is
 /// byte-for-byte equal to core::run's YearLossTable — including runs whose
 /// memory budget forced shards through a spill-and-restore cycle.
 ShardedYearLossTable run_sharded(const core::AnalysisRequest& request);

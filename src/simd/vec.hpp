@@ -12,8 +12,8 @@
 // direct-access lookup is a gather of doubles by u32 event id).
 //
 // Bit-identity contract: every operation here rounds exactly like the
-// corresponding scalar expression in the reference engine, so the SIMD
-// engine's YLT is bit-identical to run_sequential's. Two details carry
+// corresponding scalar expression of the kernel's scalar lanes, so a run at
+// any lane width is bit-identical to scalar seq. Two details carry
 // that contract:
 //   * min/max follow the x86 MINPD/MAXPD convention (return the SECOND
 //     operand on equality), which matches the `a < b ? a : b` /
@@ -149,7 +149,7 @@ struct VecD<sse2_ext> {
 // ---------------------------------------------------------------------------
 // AVX2: 4 double lanes with a real masked hardware gather. The u32 event
 // ids are widened to i64 so the bounds compare is correct for the
-// TrialBatch pad sentinel 0xFFFFFFFF (as i32 it would compare negative).
+// invalid-event sentinel 0xFFFFFFFF (as i32 it would compare negative).
 // Masked-off lanes of VGATHERQPD are not loaded, so out-of-universe ids
 // never touch memory.
 // ---------------------------------------------------------------------------
@@ -174,7 +174,7 @@ struct VecD<avx2_ext> {
   static reg blend(mask m, reg a, reg b) noexcept { return _mm256_blendv_pd(b, a, m); }
 
   /// Indices pre-widened to i64 so the bounds compare is correct for the
-  /// TrialBatch pad sentinel 0xFFFFFFFF (as i32 it would compare negative).
+  /// invalid-event sentinel 0xFFFFFFFF (as i32 it would compare negative).
   using ivec = __m256i;
   static ivec load_index(const std::uint32_t* p) noexcept {
     return _mm256_cvtepu32_epi64(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));

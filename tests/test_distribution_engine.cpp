@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "core/distribution_engine.hpp"
-#include "core/engine.hpp"
+#include "core/analysis.hpp"
 #include "elt/lookup.hpp"
 #include "financial/discretize.hpp"
 #include "metrics/statistics.hpp"
@@ -14,6 +14,12 @@
 namespace {
 
 using namespace are;
+
+/// The sequential reference engine.
+core::YearLossTable run_seq(const core::Portfolio& portfolio,
+                            const yet::YearEventTable& yet_table) {
+  return core::run({portfolio, yet_table, {.engine = core::EngineKind::kSequential}});
+}
 
 // --- Discretizer ------------------------------------------------------------
 
@@ -93,7 +99,7 @@ TEST_F(DistributionEngineTest, ZeroCvReproducesScalarEngine) {
   options.bin_width = 1.0;  // exact grid for integer losses
   const auto result = core::run_distribution_analysis(portfolio, yet_table, options);
 
-  const auto ylt = core::run_sequential(portfolio, yet_table);
+  const auto ylt = run_seq(portfolio, yet_table);
   const double scalar_mean = metrics::summarize(ylt.layer_losses(0)).mean();
   ASSERT_EQ(result.layer_distributions.size(), 1u);
   EXPECT_NEAR(result.layer_distributions[0].mean(), scalar_mean, 1e-9);
@@ -114,7 +120,7 @@ TEST_F(DistributionEngineTest, ZeroCvWithTermsReproducesScalarEngine) {
   options.bin_width = 1.0;
   const auto result = core::run_distribution_analysis(portfolio, yet_table, options);
 
-  const auto ylt = core::run_sequential(portfolio, yet_table);
+  const auto ylt = run_seq(portfolio, yet_table);
   EXPECT_NEAR(result.layer_distributions[0].mean(),
               metrics::summarize(ylt.layer_losses(0)).mean(), 1e-9);
 }
@@ -132,7 +138,7 @@ TEST_F(DistributionEngineTest, SecondaryUncertaintyWidensButKeepsMean) {
   options.bin_width = 0.5;
   const auto result = core::run_distribution_analysis(portfolio, yet_table, options);
 
-  const auto ylt = core::run_sequential(portfolio, yet_table);
+  const auto ylt = run_seq(portfolio, yet_table);
   const double scalar_mean = metrics::summarize(ylt.layer_losses(0)).mean();
   EXPECT_NEAR(result.layer_distributions[0].mean(), scalar_mean, 0.03 * scalar_mean);
   EXPECT_GT(result.layer_distributions[0].variance(), 0.0);
@@ -147,7 +153,7 @@ TEST_F(DistributionEngineTest, UncertaintyChangesCededMeanUnderTerms) {
   const auto portfolio = make_portfolio(terms);
   const auto yet_table = make_yet();
 
-  const auto ylt = core::run_sequential(portfolio, yet_table);
+  const auto ylt = run_seq(portfolio, yet_table);
   const double scalar_mean = metrics::summarize(ylt.layer_losses(0)).mean();
   EXPECT_DOUBLE_EQ(scalar_mean, 0.0);  // mean losses never reach the retention
 

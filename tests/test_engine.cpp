@@ -1,7 +1,8 @@
 // Tests for the core aggregate risk engine: correctness against
-// hand-computed cases, bit-identical equivalence of all engine variants
-// (sequential / parallel / chunked / instrumented), parameterized sweeps
-// over chunk sizes and lookup representations, and access-count prediction.
+// hand-computed cases, bit-identical equivalence of every engine across
+// lookup representations, parameterized sweeps over event-chunk sizes,
+// thread counts and partitions, the Fig-6b phase breakdown, and
+// access-count prediction.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -82,6 +83,22 @@ yet::YearEventTable synthetic_yet(std::uint64_t trials, double events) {
   return yet::generate_uniform_yet(config, kUniverse);
 }
 
+/// The sequential reference engine (scalar lanes).
+YearLossTable run_seq(const Portfolio& portfolio, const yet::YearEventTable& yet_table) {
+  return core::run({portfolio, yet_table, {.engine = core::EngineKind::kSequential}});
+}
+
+/// A seq run with the Fig-6b breakdown and access counters collected.
+core::InstrumentationSink run_seq_phases(const Portfolio& portfolio,
+                                         const yet::YearEventTable& yet_table) {
+  core::InstrumentationSink sink;
+  core::AnalysisConfig config{.engine = core::EngineKind::kSequential};
+  config.instrumentation = &sink;
+  config.collect_phases = true;
+  core::run({portfolio, yet_table, config});
+  return sink;
+}
+
 void expect_identical(const YearLossTable& a, const YearLossTable& b) {
   ASSERT_EQ(a.num_layers(), b.num_layers());
   ASSERT_EQ(a.num_trials(), b.num_trials());
@@ -96,7 +113,7 @@ void expect_identical(const YearLossTable& a, const YearLossTable& b) {
 // --- Hand-computed correctness ------------------------------------------------
 
 TEST(SequentialEngine, NoTermsSumsLosses) {
-  const auto ylt = core::run_sequential(tiny_portfolio(financial::LayerTerms{}), tiny_yet());
+  const auto ylt = run_seq(tiny_portfolio(financial::LayerTerms{}), tiny_yet());
   ASSERT_EQ(ylt.num_trials(), 4u);
   EXPECT_DOUBLE_EQ(ylt.at(0, 0), 300.0);  // 100 + 200
   EXPECT_DOUBLE_EQ(ylt.at(0, 1), 300.0);  // 300
@@ -107,7 +124,7 @@ TEST(SequentialEngine, NoTermsSumsLosses) {
 TEST(SequentialEngine, OccurrenceTermsPerEvent) {
   // Retention 150, limit 200: event losses 100,200,300,400 -> 0,50,150,200.
   const auto ylt =
-      core::run_sequential(tiny_portfolio(financial::LayerTerms::cat_xl(150.0, 200.0)), tiny_yet());
+      run_seq(tiny_portfolio(financial::LayerTerms::cat_xl(150.0, 200.0)), tiny_yet());
   EXPECT_DOUBLE_EQ(ylt.at(0, 0), 50.0);   // 0 + 50
   EXPECT_DOUBLE_EQ(ylt.at(0, 1), 150.0);  // 150
   EXPECT_DOUBLE_EQ(ylt.at(0, 2), 0.0);
@@ -116,7 +133,7 @@ TEST(SequentialEngine, OccurrenceTermsPerEvent) {
 
 TEST(SequentialEngine, AggregateTermsPerTrial) {
   // Aggregate retention 250, unlimited: trial sums 300,300,0,600 -> 50,50,0,350.
-  const auto ylt = core::run_sequential(
+  const auto ylt = run_seq(
       tiny_portfolio(financial::LayerTerms::aggregate_xl(250.0, financial::kUnlimited)),
       tiny_yet());
   EXPECT_DOUBLE_EQ(ylt.at(0, 0), 50.0);
@@ -133,7 +150,7 @@ TEST(SequentialEngine, CombinedOccurrenceAndAggregateTerms) {
   terms.aggregate_limit = 120.0;
   // Occurrence-net trial losses: 50, 150, 0, 200 -> aggregate band [60, 180]:
   // 0, 90, 0, 120.
-  const auto ylt = core::run_sequential(tiny_portfolio(terms), tiny_yet());
+  const auto ylt = run_seq(tiny_portfolio(terms), tiny_yet());
   EXPECT_DOUBLE_EQ(ylt.at(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(ylt.at(0, 1), 90.0);
   EXPECT_DOUBLE_EQ(ylt.at(0, 2), 0.0);
@@ -153,7 +170,7 @@ TEST(SequentialEngine, EltFinancialTermsAppliedBeforeCombination) {
   }
   Portfolio portfolio;
   portfolio.layers.push_back(std::move(layer));
-  const auto ylt = core::run_sequential(portfolio, tiny_yet());
+  const auto ylt = run_seq(portfolio, tiny_yet());
   EXPECT_DOUBLE_EQ(ylt.at(0, 1), 0.75 * 300.0);
 }
 
@@ -163,7 +180,7 @@ TEST(SequentialEngine, MultipleLayersIndependent) {
   second.layers[0].id = 8;
   portfolio.layers.push_back(second.layers[0]);
 
-  const auto ylt = core::run_sequential(portfolio, tiny_yet());
+  const auto ylt = run_seq(portfolio, tiny_yet());
   ASSERT_EQ(ylt.num_layers(), 2u);
   EXPECT_DOUBLE_EQ(ylt.at(0, 0), 300.0);
   EXPECT_DOUBLE_EQ(ylt.at(1, 0), 50.0);
@@ -174,36 +191,39 @@ TEST(SequentialEngine, MultipleLayersIndependent) {
 
 TEST(SequentialEngine, ValidatesPortfolio) {
   const Portfolio empty;
-  EXPECT_THROW(core::run_sequential(empty, tiny_yet()), std::invalid_argument);
+  EXPECT_THROW(run_seq(empty, tiny_yet()), std::invalid_argument);
 
   Portfolio no_elts;
   no_elts.layers.emplace_back();
-  EXPECT_THROW(core::run_sequential(no_elts, tiny_yet()), std::invalid_argument);
+  EXPECT_THROW(run_seq(no_elts, tiny_yet()), std::invalid_argument);
 }
 
 // --- Engine equivalence (the paper's cross-platform identity) -----------------
 
 class EngineEquivalence : public ::testing::TestWithParam<elt::LookupKind> {};
 
-TEST_P(EngineEquivalence, AllVariantsBitIdentical) {
+TEST_P(EngineEquivalence, EveryEngineBitIdentical) {
   const Portfolio portfolio = synthetic_portfolio(2, 4, GetParam());
   const auto yet_table = synthetic_yet(500, 80.0);
+  const auto sequential = run_seq(portfolio, yet_table);
 
-  // Pin the unified API against the legacy reference entry point, then
-  // sweep the other engines through core::run.
-  const auto sequential = core::run_sequential(portfolio, yet_table);
-  expect_identical(sequential,
-                   core::run({portfolio, yet_table, {.engine = core::EngineKind::kSequential}}));
-
-  expect_identical(sequential, core::run({portfolio, yet_table,
-                                          {.engine = core::EngineKind::kParallel,
-                                           .num_threads = 4}}));
-  expect_identical(sequential, core::run({portfolio, yet_table,
-                                          {.engine = core::EngineKind::kChunked,
-                                           .num_threads = 1,
-                                           .chunk_size = 4}}));
-  expect_identical(sequential,
-                   core::run({portfolio, yet_table, {.engine = core::EngineKind::kInstrumented}}));
+  for (const auto kind : {core::EngineKind::kSequential, core::EngineKind::kParallel,
+                          core::EngineKind::kOpenMp, core::EngineKind::kFused}) {
+    SCOPED_TRACE(core::to_string(kind));
+    expect_identical(sequential,
+                     core::run({portfolio, yet_table, {.engine = kind, .num_threads = 4}}));
+    // The paper's GPU chunk knob on the same schedule.
+    expect_identical(sequential,
+                     core::run({portfolio, yet_table,
+                                {.engine = kind, .num_threads = 1, .chunk_size = 4}}));
+    // The timer-instrumented block path (lookup_many on every table kind).
+    core::InstrumentationSink sink;
+    core::AnalysisConfig phases{.engine = kind, .num_threads = 2};
+    phases.instrumentation = &sink;
+    phases.collect_phases = true;
+    expect_identical(sequential, core::run({portfolio, yet_table, phases}));
+    EXPECT_TRUE(sink.phases.has_value());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, EngineEquivalence,
@@ -216,14 +236,15 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, EngineEquivalence,
 
 class ChunkSweep : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(ChunkSweep, ChunkedMatchesSequentialAtEveryChunkSize) {
+TEST_P(ChunkSweep, EventChunkMatchesSequentialAtEveryChunkSize) {
   const Portfolio portfolio = synthetic_portfolio(1, 3);
   const auto yet_table = synthetic_yet(300, 50.0);
-  const auto sequential = core::run_sequential(portfolio, yet_table);
-
-  core::ChunkedOptions options;
-  options.chunk_size = GetParam();
-  expect_identical(sequential, core::run_chunked(portfolio, yet_table, options));
+  const auto sequential = run_seq(portfolio, yet_table);
+  expect_identical(sequential,
+                   core::run({portfolio, yet_table,
+                              {.engine = core::EngineKind::kParallel,
+                               .num_threads = 1,
+                               .chunk_size = GetParam()}}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ChunkSweep,
@@ -234,15 +255,15 @@ class ThreadSweep : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(ThreadSweep, ParallelMatchesSequentialAtEveryThreadCount) {
   const Portfolio portfolio = synthetic_portfolio(1, 3);
   const auto yet_table = synthetic_yet(257, 40.0);  // prime: uneven partitions
-  const auto sequential = core::run_sequential(portfolio, yet_table);
+  const auto sequential = run_seq(portfolio, yet_table);
 
   for (const auto partition : {parallel::Partition::kStatic, parallel::Partition::kDynamic,
                                parallel::Partition::kGuided}) {
-    core::ParallelOptions options;
-    options.num_threads = GetParam();
-    options.partition = partition;
-    options.chunk = 16;
-    expect_identical(sequential, core::run_parallel(portfolio, yet_table, options));
+    expect_identical(sequential, core::run({portfolio, yet_table,
+                                            {.engine = core::EngineKind::kParallel,
+                                             .num_threads = GetParam(),
+                                             .partition = partition,
+                                             .partition_chunk = 16}}));
   }
 }
 
@@ -268,51 +289,56 @@ TEST(EngineEquivalenceExtra, MixedLookupKindsAcrossElts) {
   portfolio.layers.push_back(std::move(layer));
 
   const auto yet_table = synthetic_yet(200, 60.0);
-  const auto sequential = core::run_sequential(portfolio, yet_table);
-  expect_identical(sequential, core::run_chunked(portfolio, yet_table, {8, 1}));
-  expect_identical(sequential, core::run_parallel(portfolio, yet_table, {3, {}, 64}));
+  const auto sequential = run_seq(portfolio, yet_table);
+  expect_identical(sequential, core::run({portfolio, yet_table,
+                                          {.engine = core::EngineKind::kParallel,
+                                           .num_threads = 1,
+                                           .chunk_size = 8}}));
+  expect_identical(sequential, core::run({portfolio, yet_table,
+                                          {.engine = core::EngineKind::kParallel,
+                                           .num_threads = 3,
+                                           .partition_chunk = 64}}));
 }
 
 TEST(EngineEquivalenceExtra, LookupKindDoesNotChangeResults) {
   // The paper's claim that the representation is a pure performance choice.
   const auto yet_table = synthetic_yet(200, 60.0);
   const auto direct =
-      core::run_sequential(synthetic_portfolio(1, 3, elt::LookupKind::kDirectAccess), yet_table);
+      run_seq(synthetic_portfolio(1, 3, elt::LookupKind::kDirectAccess), yet_table);
   for (const auto kind : {elt::LookupKind::kSortedVector, elt::LookupKind::kRobinHood,
                           elt::LookupKind::kCuckoo}) {
-    expect_identical(direct, core::run_sequential(synthetic_portfolio(1, 3, kind), yet_table));
+    expect_identical(direct, run_seq(synthetic_portfolio(1, 3, kind), yet_table));
   }
 }
 
-// --- Instrumented engine -------------------------------------------------------
+// --- Phase breakdown (collect_phases) ------------------------------------------
 
-TEST(InstrumentedEngine, AccessCountsMatchPrediction) {
+TEST(PhaseBreakdown, AccessCountsMatchPrediction) {
   const Portfolio portfolio = synthetic_portfolio(2, 5);
   const auto yet_table = synthetic_yet(100, 30.0);
 
-  const auto result = core::run_instrumented(portfolio, yet_table);
+  const core::AccessCounts accesses = *run_seq_phases(portfolio, yet_table).accesses;
   const auto predicted = core::predict_access_counts(portfolio, yet_table);
 
-  EXPECT_EQ(result.accesses.events_fetched, predicted.events_fetched);
-  EXPECT_EQ(result.accesses.elt_lookups, predicted.elt_lookups);
-  EXPECT_EQ(result.accesses.financial_applications, predicted.financial_applications);
-  EXPECT_EQ(result.accesses.layer_term_applications, predicted.layer_term_applications);
+  EXPECT_EQ(accesses.events_fetched, predicted.events_fetched);
+  EXPECT_EQ(accesses.elt_lookups, predicted.elt_lookups);
+  EXPECT_EQ(accesses.financial_applications, predicted.financial_applications);
+  EXPECT_EQ(accesses.layer_term_applications, predicted.layer_term_applications);
 }
 
-TEST(InstrumentedEngine, PhaseTimesArePositiveAndSumToTotal) {
+TEST(PhaseBreakdown, PhaseTimesArePositiveAndSumToTotal) {
   const Portfolio portfolio = synthetic_portfolio(1, 8);
   const auto yet_table = synthetic_yet(400, 100.0);
-  const auto result = core::run_instrumented(portfolio, yet_table);
+  const core::PhaseBreakdown phases = *run_seq_phases(portfolio, yet_table).phases;
 
-  EXPECT_GT(result.phases.lookup_seconds, 0.0);
-  EXPECT_GT(result.phases.total_seconds(), 0.0);
-  const double fraction_sum = result.phases.fetch_fraction() + result.phases.lookup_fraction() +
-                              result.phases.financial_fraction() +
-                              result.phases.layer_fraction();
+  EXPECT_GT(phases.lookup_seconds, 0.0);
+  EXPECT_GT(phases.total_seconds(), 0.0);
+  const double fraction_sum = phases.fetch_fraction() + phases.lookup_fraction() +
+                              phases.financial_fraction() + phases.layer_fraction();
   EXPECT_NEAR(fraction_sum, 1.0, 1e-9);
 }
 
-TEST(InstrumentedEngine, EmptyBreakdownFractionsAreZeroNotNan) {
+TEST(PhaseBreakdown, EmptyBreakdownFractionsAreZeroNotNan) {
   // An untimed (or zero-duration) breakdown must report 0 fractions, not
   // NaN from 0/0.
   const core::PhaseBreakdown empty{};
@@ -368,12 +394,6 @@ TEST(YearLossTable, LayerViewsAreContiguousAndWritable) {
   view[2] = 9.0;
   EXPECT_DOUBLE_EQ(ylt.at(0, 2), 9.0);
   EXPECT_EQ(view.size(), 4u);
-}
-
-TEST(ChunkedEngine, RejectsZeroChunk) {
-  const Portfolio portfolio = synthetic_portfolio(1, 1);
-  EXPECT_THROW(core::run_chunked(portfolio, synthetic_yet(10, 5.0), {0, 1}),
-               std::invalid_argument);
 }
 
 }  // namespace

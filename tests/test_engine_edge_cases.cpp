@@ -5,8 +5,7 @@
 
 #include <cmath>
 
-#include "core/engine.hpp"
-#include "core/openmp_engine.hpp"
+#include "core/analysis.hpp"
 #include "elt/synthetic.hpp"
 #include "financial/trial_accumulator.hpp"
 #include "rng/stream.hpp"
@@ -15,6 +14,13 @@
 namespace {
 
 using namespace are;
+using core::EngineKind;
+
+/// The sequential reference engine (scalar lanes).
+core::YearLossTable run_seq(const core::Portfolio& portfolio,
+                            const yet::YearEventTable& yet_table) {
+  return core::run({portfolio, yet_table, {.engine = EngineKind::kSequential}});
+}
 
 core::Portfolio one_layer_portfolio(const financial::LayerTerms& terms,
                                     std::size_t universe = 1'000) {
@@ -39,9 +45,12 @@ TEST(EngineEdge, AllTrialsEmpty) {
   const yet::YearEventTable yet_table({}, {}, {0, 0, 0, 0});
   const auto portfolio = one_layer_portfolio({});
   for (const auto& ylt :
-       {core::run_sequential(portfolio, yet_table), core::run_parallel(portfolio, yet_table, {2}),
-        core::run_chunked(portfolio, yet_table, {4, 1}),
-        core::run_openmp(portfolio, yet_table, 2)}) {
+       {run_seq(portfolio, yet_table),
+        core::run({portfolio, yet_table, {.engine = EngineKind::kParallel, .num_threads = 2}}),
+        core::run({portfolio, yet_table,
+                   {.engine = EngineKind::kParallel, .num_threads = 1, .chunk_size = 4}}),
+        core::run({portfolio, yet_table, {.engine = EngineKind::kOpenMp, .num_threads = 2}}),
+        core::run({portfolio, yet_table, {.engine = EngineKind::kFused, .num_threads = 2}})}) {
     ASSERT_EQ(ylt.num_trials(), 3u);
     for (std::size_t trial = 0; trial < 3; ++trial) {
       EXPECT_DOUBLE_EQ(ylt.at(0, trial), 0.0);
@@ -57,8 +66,12 @@ TEST(EngineEdge, SingleTrialSingleEvent) {
   layer.id = 1;
   layer.elts.push_back({elt::make_lookup(elt::LookupKind::kDirectAccess, table, 10), {}});
   portfolio.layers.push_back(std::move(layer));
-  EXPECT_DOUBLE_EQ(core::run_sequential(portfolio, yet_table).at(0, 0), 123.0);
-  EXPECT_DOUBLE_EQ(core::run_chunked(portfolio, yet_table, {16, 1}).at(0, 0), 123.0);
+  EXPECT_DOUBLE_EQ(run_seq(portfolio, yet_table).at(0, 0), 123.0);
+  EXPECT_DOUBLE_EQ(core::run({portfolio, yet_table,
+                              {.engine = EngineKind::kParallel, .num_threads = 1,
+                               .chunk_size = 16}})
+                       .at(0, 0),
+                   123.0);
 }
 
 TEST(EngineEdge, OneGiantTrialAmongTiny) {
@@ -78,14 +91,14 @@ TEST(EngineEdge, OneGiantTrialAmongTiny) {
   const yet::YearEventTable yet_table(std::move(events), std::move(times), std::move(offsets));
   const auto portfolio = one_layer_portfolio({});
 
-  const auto sequential = core::run_sequential(portfolio, yet_table);
+  const auto sequential = run_seq(portfolio, yet_table);
   for (const auto partition : {parallel::Partition::kStatic, parallel::Partition::kDynamic,
                                parallel::Partition::kGuided}) {
-    core::ParallelOptions options;
-    options.num_threads = 4;
-    options.partition = partition;
-    options.chunk = 2;
-    const auto parallel_ylt = core::run_parallel(portfolio, yet_table, options);
+    const auto parallel_ylt = core::run({portfolio, yet_table,
+                                         {.engine = EngineKind::kParallel,
+                                          .num_threads = 4,
+                                          .partition = partition,
+                                          .partition_chunk = 2}});
     for (std::size_t trial = 0; trial < 16; ++trial) {
       ASSERT_EQ(parallel_ylt.at(0, trial), sequential.at(0, trial));
     }
@@ -101,7 +114,7 @@ TEST(EngineEdge, ZeroOccurrenceLimitZeroesEverything) {
   yet::YetConfig config;
   config.num_trials = 20;
   config.events_per_trial = 50.0;
-  const auto ylt = core::run_sequential(portfolio, yet::generate_uniform_yet(config, 1'000));
+  const auto ylt = run_seq(portfolio, yet::generate_uniform_yet(config, 1'000));
   for (std::size_t trial = 0; trial < 20; ++trial) {
     EXPECT_DOUBLE_EQ(ylt.at(0, trial), 0.0);
   }
@@ -113,7 +126,7 @@ TEST(EngineEdge, ZeroAggregateLimitZeroesEverything) {
   yet::YetConfig config;
   config.num_trials = 20;
   config.events_per_trial = 50.0;
-  const auto ylt = core::run_sequential(portfolio, yet::generate_uniform_yet(config, 1'000));
+  const auto ylt = run_seq(portfolio, yet::generate_uniform_yet(config, 1'000));
   for (std::size_t trial = 0; trial < 20; ++trial) {
     EXPECT_DOUBLE_EQ(ylt.at(0, trial), 0.0);
   }
@@ -124,7 +137,7 @@ TEST(EngineEdge, AstronomicalRetentionZeroesEverything) {
   yet::YetConfig config;
   config.num_trials = 10;
   config.events_per_trial = 30.0;
-  const auto ylt = core::run_sequential(portfolio, yet::generate_uniform_yet(config, 1'000));
+  const auto ylt = run_seq(portfolio, yet::generate_uniform_yet(config, 1'000));
   for (std::size_t trial = 0; trial < 10; ++trial) {
     EXPECT_DOUBLE_EQ(ylt.at(0, trial), 0.0);
   }
@@ -180,7 +193,7 @@ class EngineInvariants : public ::testing::TestWithParam<std::uint64_t> {
 
 TEST_P(EngineInvariants, TrialLossesWithinAggregateBand) {
   const Setup setup = random_setup(GetParam());
-  const auto ylt = core::run_sequential(setup.portfolio, setup.yet_table);
+  const auto ylt = run_seq(setup.portfolio, setup.yet_table);
   for (std::size_t trial = 0; trial < ylt.num_trials(); ++trial) {
     const double loss = ylt.at(0, trial);
     ASSERT_TRUE(std::isfinite(loss));
@@ -193,7 +206,7 @@ TEST_P(EngineInvariants, TrialLossEqualsAggregateBandOfOccurrenceSum) {
   // Cross-implementation identity: the engine's per-trial recurrence must
   // equal EoL_aggregate(sum of occurrence-net losses) computed directly.
   const Setup setup = random_setup(GetParam());
-  const auto ylt = core::run_sequential(setup.portfolio, setup.yet_table);
+  const auto ylt = run_seq(setup.portfolio, setup.yet_table);
   const core::Layer& layer = setup.portfolio.layers[0];
 
   for (std::size_t trial = 0; trial < setup.yet_table.num_trials(); ++trial) {
@@ -212,10 +225,15 @@ TEST_P(EngineInvariants, TrialLossEqualsAggregateBandOfOccurrenceSum) {
 
 TEST_P(EngineInvariants, AllEnginesAgreeOnRandomSetups) {
   const Setup setup = random_setup(GetParam());
-  const auto sequential = core::run_sequential(setup.portfolio, setup.yet_table);
-  const auto parallel_ylt = core::run_parallel(setup.portfolio, setup.yet_table, {3});
-  const auto chunked = core::run_chunked(setup.portfolio, setup.yet_table, {5, 1});
-  const auto omp = core::run_openmp(setup.portfolio, setup.yet_table, 2);
+  const auto sequential = run_seq(setup.portfolio, setup.yet_table);
+  const auto parallel_ylt = core::run(
+      {setup.portfolio, setup.yet_table, {.engine = EngineKind::kParallel, .num_threads = 3}});
+  const auto chunked = core::run({setup.portfolio, setup.yet_table,
+                                  {.engine = EngineKind::kParallel,
+                                   .num_threads = 1,
+                                   .chunk_size = 5}});
+  const auto omp = core::run(
+      {setup.portfolio, setup.yet_table, {.engine = EngineKind::kOpenMp, .num_threads = 2}});
   for (std::size_t trial = 0; trial < sequential.num_trials(); ++trial) {
     ASSERT_EQ(sequential.at(0, trial), parallel_ylt.at(0, trial));
     ASSERT_EQ(sequential.at(0, trial), chunked.at(0, trial));
@@ -227,11 +245,11 @@ TEST_P(EngineInvariants, ScalingAllEltSharesScalesPreTermLosses) {
   // With no layer terms, the YLT is linear in the ELT share.
   Setup setup = random_setup(GetParam());
   setup.portfolio.layers[0].terms = financial::LayerTerms{};
-  const auto base = core::run_sequential(setup.portfolio, setup.yet_table);
+  const auto base = run_seq(setup.portfolio, setup.yet_table);
 
   auto scaled = setup.portfolio;
   for (auto& layer_elt : scaled.layers[0].elts) layer_elt.terms.share *= 0.5;
-  const auto halved = core::run_sequential(scaled, setup.yet_table);
+  const auto halved = run_seq(scaled, setup.yet_table);
   for (std::size_t trial = 0; trial < base.num_trials(); ++trial) {
     ASSERT_NEAR(halved.at(0, trial), 0.5 * base.at(0, trial),
                 1e-9 * (1.0 + base.at(0, trial)));
@@ -249,7 +267,7 @@ TEST(EngineEdge, UnlimitedEverythingEqualsPlainSum) {
   config.num_trials = 30;
   config.events_per_trial = 25.0;
   const auto yet_table = yet::generate_uniform_yet(config, 1'000);
-  const auto ylt = core::run_sequential(portfolio, yet_table);
+  const auto ylt = run_seq(portfolio, yet_table);
   const auto& layer = portfolio.layers[0];
   for (std::size_t trial = 0; trial < 30; ++trial) {
     double sum = 0.0;

@@ -1,7 +1,7 @@
 // Tests for post-event response analytics and pricing sensitivities.
 #include <gtest/gtest.h>
 
-#include "core/engine.hpp"
+#include "core/analysis.hpp"
 #include "elt/lookup.hpp"
 #include "metrics/event_response.hpp"
 #include "pricing/sensitivity.hpp"
@@ -85,7 +85,7 @@ TEST(EventResponse, TrialsContaining) {
 TEST(EventResponse, ConditionalExpectedLoss) {
   const auto portfolio = tiny_portfolio();
   const auto yet_table = tiny_yet();
-  const auto ylt = core::run_sequential(portfolio, yet_table);
+  const auto ylt = core::run({portfolio, yet_table, {.engine = core::EngineKind::kSequential}});
   // Trials with event 1: trial 0 (loss 150+300=450) and trial 2 (600).
   const double conditional = metrics::conditional_expected_loss(ylt, 0, yet_table, 1);
   EXPECT_DOUBLE_EQ(conditional, 525.0);
@@ -155,7 +155,8 @@ TEST_F(SensitivityTest, MatchesManualFiniteDifference) {
   auto down = p;
   down.layers[0].terms.occurrence_retention = 90.0;
   const auto premium = [&](const core::Portfolio& candidate) {
-    const auto ylt = core::run_sequential(candidate, tiny_yet());
+    const auto ylt =
+        core::run({candidate, tiny_yet(), {.engine = core::EngineKind::kSequential}});
     return pricing::price_layer(ylt.layer_losses(0), candidate.layers[0].terms,
                                 options.assumptions)
         .technical_premium;

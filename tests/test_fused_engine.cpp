@@ -1,8 +1,8 @@
-// Tests for the fused trial-tiled engine: bit-identical equivalence with
-// run_sequential across every lookup representation x tile size x thread
-// count x scheduling policy, determinism under dynamic scheduling, the
-// windowed semantics, pool reuse through the unified API, and the batch
-// lookup_many overrides against scalar lookup for every table type.
+// Tests for the fused engine (the kernel's cost-aware schedule): bit-
+// identical equivalence with seq across every lookup representation x tile
+// size x thread count x scheduling policy, determinism under dynamic
+// scheduling, pool reuse through the unified API, and the batch lookup_many
+// overrides against scalar lookup for every table type.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -12,7 +12,7 @@
 
 #include "core/analysis.hpp"
 #include "core/engine_registry.hpp"
-#include "core/fused_engine.hpp"
+#include "core/trial_kernel.hpp"
 #include "elt/synthetic.hpp"
 #include "parallel/thread_pool.hpp"
 #include "yet/generator.hpp"
@@ -20,7 +20,8 @@
 namespace {
 
 using namespace are;
-using core::FusedOptions;
+using core::AnalysisConfig;
+using core::EngineKind;
 using core::Portfolio;
 using core::YearLossTable;
 
@@ -64,6 +65,17 @@ yet::YearEventTable skewed_yet(std::uint64_t trials, double events) {
   return yet::generate_uniform_yet(config, kUniverse);
 }
 
+YearLossTable run_seq(const Portfolio& portfolio, const yet::YearEventTable& yet_table) {
+  return core::run({portfolio, yet_table, {.engine = EngineKind::kSequential}});
+}
+
+/// The fused engine with the given knobs.
+YearLossTable run_tiles(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
+                        AnalysisConfig config) {
+  config.engine = EngineKind::kFused;
+  return core::run({portfolio, yet_table, config});
+}
+
 void expect_identical(const YearLossTable& a, const YearLossTable& b) {
   ASSERT_EQ(a.num_layers(), b.num_layers());
   ASSERT_EQ(a.num_trials(), b.num_trials());
@@ -84,18 +96,17 @@ TEST_P(FusedEquivalence, BitIdenticalToSequential) {
   const auto [kind, tile] = GetParam();
   const Portfolio portfolio = synthetic_portfolio(2, 3, kind);
   const auto yet_table = skewed_yet(401, 50.0);  // prime trial count: ragged tiles
-  const auto sequential = core::run_sequential(portfolio, yet_table);
+  const auto sequential = run_seq(portfolio, yet_table);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
     for (const auto partition : {parallel::Partition::kStatic, parallel::Partition::kDynamic,
                                  parallel::Partition::kGuided}) {
-      FusedOptions options;
-      options.tile_trials = tile;
-      options.num_threads = threads;
-      options.partition = partition;
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " partition=" + std::to_string(static_cast<int>(partition)));
-      expect_identical(sequential, core::run_fused(portfolio, yet_table, options));
+      expect_identical(sequential,
+                       run_tiles(portfolio, yet_table,
+                                 {.num_threads = threads, .partition = partition,
+                                  .tile_trials = tile}));
     }
   }
 }
@@ -132,8 +143,8 @@ TEST(FusedEngine, MixedLookupKindsAcrossElts) {
   portfolio.layers.push_back(std::move(layer));
 
   const auto yet_table = skewed_yet(300, 40.0);
-  expect_identical(core::run_sequential(portfolio, yet_table),
-                   core::run_fused(portfolio, yet_table, {32, 3}));
+  expect_identical(run_seq(portfolio, yet_table),
+                   run_tiles(portfolio, yet_table, {.num_threads = 3, .tile_trials = 32}));
 }
 
 // --- Determinism under dynamic scheduling -------------------------------------
@@ -142,13 +153,12 @@ TEST(FusedEngine, DynamicSchedulingIsDeterministic) {
   const Portfolio portfolio = synthetic_portfolio(2, 4);
   const auto yet_table = skewed_yet(500, 60.0);
 
-  FusedOptions options;
-  options.tile_trials = 16;
-  options.num_threads = 0;  // hardware concurrency
-  options.partition = parallel::Partition::kDynamic;
+  const AnalysisConfig config{.num_threads = 0,  // hardware concurrency
+                              .partition = parallel::Partition::kDynamic,
+                              .tile_trials = 16};
 
-  const auto first = core::run_fused(portfolio, yet_table, options);
-  const auto second = core::run_fused(portfolio, yet_table, options);
+  const auto first = run_tiles(portfolio, yet_table, config);
+  const auto second = run_tiles(portfolio, yet_table, config);
   for (std::size_t layer = 0; layer < first.num_layers(); ++layer) {
     const auto a = first.layer_losses(layer);
     const auto b = second.layer_losses(layer);
@@ -157,42 +167,16 @@ TEST(FusedEngine, DynamicSchedulingIsDeterministic) {
   }
 }
 
-// --- Windowed semantics -------------------------------------------------------
-
-TEST(FusedEngine, WindowMatchesWindowedEngine) {
-  const Portfolio portfolio = synthetic_portfolio(2, 3);
-  const auto yet_table = skewed_yet(300, 50.0);
-  const core::CoverageWindow window{0.25f, 0.75f};
-
-  FusedOptions options;
-  options.tile_trials = 32;
-  options.num_threads = 4;
-  options.window = window;
-  expect_identical(core::run_windowed(portfolio, yet_table, window),
-                   core::run_fused(portfolio, yet_table, options));
-}
-
-TEST(FusedEngine, FullYearWindowMatchesSequential) {
-  const Portfolio portfolio = synthetic_portfolio(1, 3);
-  const auto yet_table = skewed_yet(200, 40.0);
-  FusedOptions options;
-  options.window = core::CoverageWindow{0.0f, 1.0f};
-  expect_identical(core::run_sequential(portfolio, yet_table),
-                   core::run_fused(portfolio, yet_table, options));
-}
-
 // --- Unified API integration --------------------------------------------------
 
 TEST(FusedEngine, ReachableThroughRegistryWithPoolReuse) {
   const auto& descriptor = core::EngineRegistry::global().require("fused");
   EXPECT_EQ(descriptor.kind, core::EngineKind::kFused);
-  EXPECT_TRUE(descriptor.supports_windowing);
   EXPECT_TRUE(descriptor.supports_pool_reuse);
-  EXPECT_TRUE(descriptor.bit_identical_to_sequential);
 
   const Portfolio portfolio = synthetic_portfolio(1, 3);
   const auto yet_table = skewed_yet(200, 40.0);
-  const auto sequential = core::run_sequential(portfolio, yet_table);
+  const auto sequential = run_seq(portfolio, yet_table);
 
   parallel::ThreadPool pool(3);
   core::AnalysisConfig config;
@@ -211,8 +195,8 @@ TEST(FusedEngine, ZeroTileSelectsHeuristicAndStaysBitIdentical) {
   const std::size_t tile = core::default_tile_trials(portfolio, yet_table);
   EXPECT_GE(tile, 16u);
   EXPECT_LE(tile, 4096u);
-  expect_identical(core::run_sequential(portfolio, yet_table),
-                   core::run_fused(portfolio, yet_table, {0, 1}));
+  expect_identical(run_seq(portfolio, yet_table),
+                   run_tiles(portfolio, yet_table, {.num_threads = 1, .tile_trials = 0}));
 
   core::AnalysisConfig config;
   config.tile_trials = 0;  // valid now: selects the heuristic
@@ -234,7 +218,7 @@ TEST(FusedEngine, TileHeuristicShrinksWithDenserTrials) {
 TEST(FusedEngine, CollectPhasesFillsBreakdownAndKeepsBytes) {
   const Portfolio portfolio = synthetic_portfolio(2, 3);
   const auto yet_table = skewed_yet(300, 50.0);
-  const auto sequential = core::run_sequential(portfolio, yet_table);
+  const auto sequential = run_seq(portfolio, yet_table);
 
   core::InstrumentationSink sink;
   core::AnalysisConfig config;
@@ -263,33 +247,10 @@ TEST(FusedEngine, CollectPhasesFillsBreakdownAndKeepsBytes) {
   EXPECT_EQ(quiet.engine_used, core::EngineKind::kFused);
 }
 
-TEST(FusedEngine, CollectPhasesWorksOnEveryKernelEngine) {
-  const Portfolio portfolio = synthetic_portfolio(1, 1);
-  const auto yet_table = skewed_yet(50, 10.0);
-  // Instrumentation is a kernel feature now: even the threaded engines
-  // fill the Fig-6b breakdown when asked.
-  core::InstrumentationSink sink;
-  core::AnalysisConfig config;
-  config.engine = core::EngineKind::kParallel;
-  config.num_threads = 2;
-  config.instrumentation = &sink;
-  config.collect_phases = true;
-  const auto instrumented = core::run({portfolio, yet_table, config});
-  ASSERT_TRUE(sink.phases.has_value());
-  EXPECT_GT(sink.phases->total_seconds(), 0.0);
-  expect_identical(core::run_sequential(portfolio, yet_table), instrumented);
-
-  // collect_phases with nowhere to deliver the breakdown is an error,
-  // not a silent no-op.
-  config.engine = core::EngineKind::kFused;
-  config.instrumentation = nullptr;
-  EXPECT_THROW(core::run({portfolio, yet_table, config}), std::invalid_argument);
-}
-
 TEST(FusedEngine, EmptyYetYieldsZeroTrials) {
   const Portfolio portfolio = synthetic_portfolio(1, 1);
   const yet::YearEventTable empty;
-  const auto ylt = core::run_fused(portfolio, empty, {64, 2});
+  const auto ylt = run_tiles(portfolio, empty, {.num_threads = 2, .tile_trials = 64});
   EXPECT_EQ(ylt.num_trials(), 0u);
 }
 

@@ -20,6 +20,12 @@ namespace {
 
 using namespace are;
 
+/// The sequential reference engine.
+core::YearLossTable run_seq(const core::Portfolio& portfolio,
+                            const yet::YearEventTable& yet_table) {
+  return core::run({portfolio, yet_table, {.engine = core::EngineKind::kSequential}});
+}
+
 class FullPipeline : public ::testing::Test {
  protected:
   static constexpr std::size_t kCatalogEvents = 4'000;
@@ -104,13 +110,13 @@ TEST_F(FullPipeline, EndToEndProducesFiniteNonTrivialYlt) {
 
 TEST_F(FullPipeline, AllEnginesAgreeOnRealData) {
   const auto portfolio = make_portfolio();
-  const auto sequential = core::run_sequential(portfolio, yet_);
+  const auto sequential = run_seq(portfolio, yet_);
   const auto parallel = core::run({portfolio, yet_,
                                    {.engine = core::EngineKind::kParallel,
                                     .num_threads = 4,
                                     .partition_chunk = 64}});
   const auto chunked = core::run({portfolio, yet_,
-                                  {.engine = core::EngineKind::kChunked,
+                                  {.engine = core::EngineKind::kParallel,
                                    .num_threads = 2,
                                    .chunk_size = 4}});
   for (std::size_t trial = 0; trial < yet_.num_trials(); ++trial) {
@@ -120,7 +126,7 @@ TEST_F(FullPipeline, AllEnginesAgreeOnRealData) {
 }
 
 TEST_F(FullPipeline, RiskMetricsAreOrderedSensibly) {
-  const auto ylt = core::run_sequential(make_portfolio(), yet_);
+  const auto ylt = run_seq(make_portfolio(), yet_);
   const metrics::EpCurve curve(ylt.layer_losses(0));
 
   EXPECT_LE(curve.probable_maximum_loss(10.0), curve.probable_maximum_loss(100.0));
@@ -131,7 +137,7 @@ TEST_F(FullPipeline, RiskMetricsAreOrderedSensibly) {
 
 TEST_F(FullPipeline, OepBelowAepEverywhere) {
   const auto portfolio = make_portfolio();
-  const auto ylt = core::run_sequential(portfolio, yet_);
+  const auto ylt = run_seq(portfolio, yet_);
   const auto maxima = metrics::max_occurrence_losses(portfolio.layers[0], yet_);
   // Max single occurrence (pre-aggregate-terms) can exceed the
   // aggregate-capped trial loss only via the aggregate retention; with our
@@ -143,7 +149,7 @@ TEST_F(FullPipeline, OepBelowAepEverywhere) {
 
 TEST_F(FullPipeline, PricingProducesCoherentQuote) {
   const auto portfolio = make_portfolio();
-  const auto ylt = core::run_sequential(portfolio, yet_);
+  const auto ylt = run_seq(portfolio, yet_);
   const auto quote = pricing::price_layer(ylt.layer_losses(0), portfolio.layers[0].terms);
   EXPECT_GT(quote.expected_loss, 0.0);
   EXPECT_GE(quote.technical_premium, quote.expected_loss);
@@ -154,7 +160,7 @@ TEST_F(FullPipeline, PricingProducesCoherentQuote) {
 TEST_F(FullPipeline, SerializationRoundTripPreservesAnalysis) {
   // Persist the ELTs and YET, reload, re-run: identical YLT.
   const auto portfolio = make_portfolio();
-  const auto reference = core::run_sequential(portfolio, yet_);
+  const auto reference = run_seq(portfolio, yet_);
 
   std::stringstream yet_stream;
   io::write_yet_binary(yet_stream, yet_);
@@ -175,7 +181,7 @@ TEST_F(FullPipeline, SerializationRoundTripPreservesAnalysis) {
   }
   restored_portfolio.layers.push_back(std::move(layer));
 
-  const auto rerun = core::run_sequential(restored_portfolio, yet_restored);
+  const auto rerun = run_seq(restored_portfolio, yet_restored);
   for (std::size_t trial = 0; trial < reference.num_trials(); ++trial) {
     ASSERT_EQ(reference.at(0, trial), rerun.at(0, trial));
   }
@@ -185,9 +191,9 @@ TEST_F(FullPipeline, TighterTermsNeverIncreaseLoss) {
   // Monotonicity across the whole pipeline: shrinking the occurrence limit
   // cannot increase any trial loss.
   auto portfolio = make_portfolio();
-  const auto base = core::run_sequential(portfolio, yet_);
+  const auto base = run_seq(portfolio, yet_);
   portfolio.layers[0].terms.occurrence_limit = 10e6;  // was 50e6
-  const auto tighter = core::run_sequential(portfolio, yet_);
+  const auto tighter = run_seq(portfolio, yet_);
   for (std::size_t trial = 0; trial < base.num_trials(); ++trial) {
     ASSERT_LE(tighter.at(0, trial), base.at(0, trial) + 1e-9);
   }
@@ -195,9 +201,9 @@ TEST_F(FullPipeline, TighterTermsNeverIncreaseLoss) {
 
 TEST_F(FullPipeline, HigherRetentionNeverIncreasesLoss) {
   auto portfolio = make_portfolio();
-  const auto base = core::run_sequential(portfolio, yet_);
+  const auto base = run_seq(portfolio, yet_);
   portfolio.layers[0].terms.occurrence_retention = 120e6;  // was 100e6
-  const auto higher = core::run_sequential(portfolio, yet_);
+  const auto higher = run_seq(portfolio, yet_);
   for (std::size_t trial = 0; trial < base.num_trials(); ++trial) {
     ASSERT_LE(higher.at(0, trial), base.at(0, trial) + 1e-9);
   }
@@ -207,7 +213,7 @@ TEST_F(FullPipeline, MoreTrialsConvergeExpectedLoss) {
   // Monte Carlo sanity: EL from the first 1000 trials should be close to
   // EL from all 2000 (same substreams, so this is a pure convergence test).
   const auto portfolio = make_portfolio();
-  const auto ylt = core::run_sequential(portfolio, yet_);
+  const auto ylt = run_seq(portfolio, yet_);
   const auto losses = ylt.layer_losses(0);
   double first_half = 0.0, all = 0.0;
   for (std::size_t trial = 0; trial < losses.size(); ++trial) {

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "core/engine.hpp"
+#include "core/analysis.hpp"
 #include "elt/lookup.hpp"
 #include "metrics/ep_curve.hpp"
 #include "metrics/occurrence.hpp"
@@ -250,7 +250,7 @@ TEST(Occurrence, OepBoundedByAep) {
                                       {0, 4, 6});
   core::Portfolio portfolio;
   portfolio.layers.push_back(layer);
-  const auto ylt = core::run_sequential(portfolio, yet_table);
+  const auto ylt = core::run({portfolio, yet_table, {.engine = core::EngineKind::kSequential}});
   const auto maxima = metrics::max_occurrence_losses(layer, yet_table);
   for (std::size_t trial = 0; trial < yet_table.num_trials(); ++trial) {
     EXPECT_LE(maxima[trial], ylt.at(0, trial));

@@ -14,8 +14,12 @@
 //   - concurrent core::run() hammering one borrowed pool + shared tables;
 //   - the line protocol (handle_line) and a full AF_UNIX round trip.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -116,7 +120,7 @@ TEST_F(Service, GroundUpReplayIsBitIdenticalAcrossEnginesAndSinks) {
   const auto portfolio = make_portfolio();
   const auto yet_table = make_yet();
 
-  for (const char* engine : {"seq", "parallel", "simd", "fused"}) {
+  for (const char* engine : {"seq", "parallel", "openmp", "fused"}) {
     core::GroundUpLossCache cache(portfolio.layers.size(), yet_table.total_events());
     {
       core::AnalysisConfig config;
@@ -167,8 +171,11 @@ TEST_F(Service, ReplaySkipsLookupAndFinancialPhasesEntirely) {
     // Instrumented capture: the instrumented block path routes direct
     // layers through lookup_many, so the lookup counters tick (the fast
     // path's raw gathers intentionally bypass them).
+    core::InstrumentationSink capture_sink;
     core::AnalysisConfig config;
-    config.engine_name = "instrumented";
+    config.engine_name = "seq";
+    config.collect_phases = true;
+    config.instrumentation = &capture_sink;
     config.ground_up_capture = &cache;
     (void)core::run({portfolio, yet_table, config});
   }
@@ -180,7 +187,7 @@ TEST_F(Service, ReplaySkipsLookupAndFinancialPhasesEntirely) {
   obs::TelemetryRegistry::global().reset();
   core::InstrumentationSink sink;
   core::AnalysisConfig config;
-  config.engine_name = "instrumented";
+  config.engine_name = "seq";
   config.collect_phases = true;
   config.instrumentation = &sink;
   config.ground_up_replay = &cache;
@@ -516,6 +523,18 @@ TEST_F(Service, HandleLineSpeaksTheProtocol) {
   EXPECT_NE(server.handle_line("QUOTE").find("requires portfolio"), std::string::npos);
   EXPECT_NE(server.handle_line("QUOTE portfolio=missing").find("\"status\":\"error\""),
             std::string::npos);
+  // Numeric fields are consumed whole: no trailing text, no sign wrap
+  // (deadline-ms=-1 must not become a 2^64-1 ms deadline).
+  for (const char* bad : {"QUOTE portfolio=book layer=1x", "QUOTE portfolio=book layer=-1",
+                          "QUOTE portfolio=book deadline-ms=-1",
+                          "QUOTE portfolio=book deadline-ms=10ms",
+                          "QUOTE portfolio=book window=0.25:0.75abc",
+                          "QUOTE portfolio=book window=0.25",
+                          "QUOTE portfolio=book occ-retention=",
+                          "UPDATE portfolio=book layer=2x agg-limit=9000000"}) {
+    const std::string response = server.handle_line(bad);
+    EXPECT_NE(response.find("\"status\":\"error\""), std::string::npos) << bad << ": " << response;
+  }
 
   const std::string cold = server.handle_line("QUOTE portfolio=book");
   EXPECT_NE(cold.find("\"status\":\"ok\""), std::string::npos);
@@ -558,6 +577,59 @@ TEST_F(Service, SocketRoundTrip) {
             std::string::npos);
   serving.join();
   EXPECT_FALSE(std::filesystem::exists(socket_path));
+}
+
+TEST_F(Service, ClientThatDisconnectsEarlyDoesNotKillTheServer) {
+  auto service_ptr = make_service();
+  const std::string socket_path =
+      (std::filesystem::temp_directory_path() / "are_test_service_early.sock").string();
+  const std::string pong = "{\"status\":\"ok\",\"pong\":true}";
+  std::filesystem::remove(socket_path);  // a killed earlier run leaves its socket file
+  service::Server server(*service_ptr, {.socket_path = socket_path});
+  struct Serving {  // stops and joins the server on every exit path
+    service::Server& server;
+    std::thread thread;
+    ~Serving() {
+      server.request_stop();
+      thread.join();
+    }
+  } serving{server, std::thread([&server] { server.serve(); })};
+  const auto ping = [&socket_path] {
+    try {
+      return service::Server::round_trip(socket_path, "PING");
+    } catch (const std::exception&) {
+      return std::string();
+    }
+  };
+  std::string answer;
+  for (int attempt = 0; attempt < 500 && answer.empty(); ++attempt) {
+    answer = ping();
+    if (answer.empty()) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(answer, pong) << "server never came up";
+
+  // 20000 PINGs, then close without reading a byte: the server's responses
+  // hit a closed peer. Before send(MSG_NOSIGNAL) that write raised SIGPIPE
+  // and killed this whole process.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
+  const bool connected = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0;
+  const int connect_error = connected ? 0 : errno;
+  std::string pings;
+  for (int i = 0; i < 20'000; ++i) pings += "PING\n";
+  for (std::size_t sent = 0; connected && sent < pings.size();) {
+    const ssize_t n = ::send(fd, pings.data() + sent, pings.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;  // the server may already have dropped us
+    sent += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  ASSERT_TRUE(connected) << std::strerror(connect_error);
+
+  // The server is still up and answers a new connection.
+  EXPECT_EQ(ping(), pong);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the sharded out-of-core YLT (src/shard/): sharded-vs-
-// materialized bit-identity across sink-capable engines x shard sizes
+// materialized bit-identity across engines x shard sizes
 // (including shard size 1 and one shard spanning every trial), forced
 // spill-and-restore under a tiny memory budget, spill round-trip fidelity
 // at the store and io levels, the YltSink contract, and shard-wise
@@ -14,9 +14,7 @@
 #include <vector>
 
 #include "core/analysis.hpp"
-#include "core/engine.hpp"
 #include "core/engine_registry.hpp"
-#include "core/fused_engine.hpp"
 #include "elt/synthetic.hpp"
 #include "io/binary.hpp"
 #include "io/csv.hpp"
@@ -73,6 +71,10 @@ yet::YearEventTable skewed_yet(std::uint64_t trials, double events) {
   return yet::generate_uniform_yet(config, kUniverse);
 }
 
+YearLossTable run_seq(const Portfolio& portfolio, const yet::YearEventTable& yet_table) {
+  return core::run({portfolio, yet_table, {.engine = core::EngineKind::kSequential}});
+}
+
 void expect_identical(const YearLossTable& a, const YearLossTable& b) {
   ASSERT_EQ(a.num_layers(), b.num_layers());
   ASSERT_EQ(a.num_trials(), b.num_trials());
@@ -105,7 +107,7 @@ TEST_P(ShardedEquivalence, MaterializeMatchesSequential) {
   const auto [engine, shard_trials] = GetParam();
   const Portfolio portfolio = synthetic_portfolio(2, 3);
   const auto yet_table = skewed_yet(401, 50.0);  // prime trial count: ragged last shard
-  const auto sequential = core::run_sequential(portfolio, yet_table);
+  const auto sequential = run_seq(portfolio, yet_table);
 
   auto sharded =
       shard::run_sharded({portfolio, yet_table, sharded_config(engine, shard_trials)});
@@ -116,9 +118,7 @@ TEST_P(ShardedEquivalence, MaterializeMatchesSequential) {
 INSTANTIATE_TEST_SUITE_P(
     EnginesAndShardSizes, ShardedEquivalence,
     ::testing::Combine(::testing::Values(std::string("seq"), std::string("parallel"),
-                                         std::string("chunked"), std::string("openmp"),
-                                         std::string("simd"), std::string("instrumented"),
-                                         std::string("fused")),
+                                         std::string("openmp"), std::string("fused")),
                        // shard size 1, a prime, a tile-straddling size, and
                        // one shard spanning every trial
                        ::testing::Values(1, 7, 64, 1000)),
@@ -134,7 +134,7 @@ TEST(ShardedYlt, CsvStreamMatchesMaterializedWriter) {
   std::ostringstream streamed;
   io::write_ylt_csv(streamed, sharded);
 
-  const auto materialized = core::run_sequential(portfolio, yet_table);
+  const auto materialized = run_seq(portfolio, yet_table);
   std::ostringstream direct;
   io::write_ylt_csv(direct, materialized);
   EXPECT_EQ(streamed.str(), direct.str());
@@ -145,7 +145,7 @@ TEST(ShardedYlt, CsvStreamMatchesMaterializedWriter) {
 TEST(ShardedYlt, TinyBudgetForcesSpillAndRestoresExactBytes) {
   const Portfolio portfolio = synthetic_portfolio(2, 3);
   const auto yet_table = skewed_yet(500, 40.0);
-  const auto sequential = core::run_sequential(portfolio, yet_table);
+  const auto sequential = run_seq(portfolio, yet_table);
 
   // 2 layers x 25 trials x 8 B = 400 B per shard; budget of one shard
   // forces every other shard out during both the write and the read pass.
@@ -167,9 +167,9 @@ TEST(ShardedYlt, ThreadedEnginesForcedSpillStaysBitIdentical) {
   // sequential bytes.
   const Portfolio portfolio = synthetic_portfolio(2, 3);
   const auto yet_table = skewed_yet(400, 40.0);
-  const auto sequential = core::run_sequential(portfolio, yet_table);
+  const auto sequential = run_seq(portfolio, yet_table);
 
-  for (const std::string engine : {"parallel", "openmp", "simd"}) {
+  for (const std::string engine : {"parallel", "openmp", "fused"}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
       SCOPED_TRACE(engine + "_threads" + std::to_string(threads));
       // 2 layers x 25 trials x 8 B = 400 B per shard; a one-shard budget
@@ -188,7 +188,7 @@ TEST(ShardedYlt, ThreadedEnginesForcedSpillStaysBitIdentical) {
 TEST(ShardedYlt, MultiThreadedFusedSpillingIsDeterministic) {
   const Portfolio portfolio = synthetic_portfolio(2, 3);
   const auto yet_table = skewed_yet(400, 50.0);
-  const auto sequential = core::run_sequential(portfolio, yet_table);
+  const auto sequential = run_seq(portfolio, yet_table);
 
   auto config = sharded_config("fused", 16, /*budget_bytes=*/1024);
   config.num_threads = 0;  // hardware concurrency
@@ -318,13 +318,13 @@ TEST(ShardBinary, RoundTripAndCorruptionDetection) {
 TEST(YltSink, SequentialToMaterializedSinkMatchesSequential) {
   const Portfolio portfolio = synthetic_portfolio(2, 2);
   const auto yet_table = skewed_yet(200, 40.0);
-  const auto sequential = core::run_sequential(portfolio, yet_table);
+  const auto sequential = run_seq(portfolio, yet_table);
 
   std::vector<std::uint32_t> ids;
   for (const auto& layer : portfolio.layers) ids.push_back(layer.id);
   YearLossTable ylt(ids, yet_table.num_trials());
   core::MaterializedYltSink sink(ylt);
-  core::run_sequential_to_sink(portfolio, yet_table, sink);
+  core::run_to_sink({portfolio, yet_table, {.engine = core::EngineKind::kSequential}}, sink);
   expect_identical(sequential, ylt);
 }
 
@@ -339,32 +339,12 @@ TEST(YltSink, ShardedSinkRejectsBlocksCrossingShards) {
   EXPECT_THROW(sink.emit(0, 95, {block.data(), 10}), std::out_of_range);  // past the end
 }
 
-TEST(YltSink, RunRejectsShardedOutputAndSinklessEngines) {
+TEST(YltSink, RunRejectsShardedOutputAndZeroShardTrials) {
   const Portfolio portfolio = synthetic_portfolio(1, 1);
   const auto yet_table = skewed_yet(10, 5.0);
 
   // run() serves materialized output only.
   EXPECT_THROW(core::run({portfolio, yet_table, sharded_config("seq", 4)}),
-               std::invalid_argument);
-
-  // Every kernel-backed builtin carries a run_to_sink adapter now.
-  const auto& registry = core::EngineRegistry::global();
-  for (const char* name :
-       {"seq", "parallel", "chunked", "openmp", "simd", "windowed", "instrumented", "fused"}) {
-    EXPECT_TRUE(registry.require(name).supports_sharded_output()) << name;
-  }
-
-  // A custom engine without a run_to_sink adapter still rejects sharded
-  // execution.
-  core::EngineDescriptor sinkless;
-  sinkless.kind = core::EngineKind::kSequential;
-  sinkless.name = "sinkless";
-  sinkless.summary = "test double without a sink adapter";
-  sinkless.run = [](const core::AnalysisRequest& request) {
-    return core::run_sequential(request.portfolio, request.yet_table);
-  };
-  core::EngineRegistry::global().register_engine(sinkless);
-  EXPECT_THROW(shard::run_sharded({portfolio, yet_table, sharded_config("sinkless", 4)}),
                std::invalid_argument);
 
   // shard_trials == 0 is rejected by config validation.
@@ -377,7 +357,7 @@ TEST(YltSink, RunRejectsShardedOutputAndSinklessEngines) {
 TEST(ShardedReduce, EpAalTvarMatchInMemoryMetrics) {
   const Portfolio portfolio = synthetic_portfolio(2, 3);
   const auto yet_table = skewed_yet(400, 50.0);
-  const auto materialized = core::run_sequential(portfolio, yet_table);
+  const auto materialized = run_seq(portfolio, yet_table);
 
   // A budget of ~2 shards keeps the reduction genuinely out-of-core.
   auto sharded = shard::run_sharded(

@@ -247,7 +247,7 @@ TEST(SimdDispatchIdentity, EveryRuntimeOverrideIsByteIdentical) {
       }();
       if (!runnable) continue;
       ScopedSimdEnv env(std::string(simd::name_of(extension)).c_str());
-      for (const char* engine : {"simd", "fused"}) {
+      for (const char* engine : {"parallel", "fused"}) {
         SCOPED_TRACE(std::string(engine) + " under ARE_SIMD_EXT=" + std::string(simd::name_of(extension)));
         core::AnalysisConfig config;
         config.engine_name = engine;

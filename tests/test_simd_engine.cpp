@@ -1,20 +1,19 @@
-// Tests for the SIMD batch-execution subsystem: the vec.hpp lane
-// abstraction, the TrialBatch structure-of-arrays transpose, and
-// bit-identical equivalence of run_simd against run_sequential across
-// lookup representations, lane widths, thread counts, and the financial
-// edge cases (empty ELTs, unlimited limits, share == 1.0, trial counts not
-// divisible by the lane width).
+// Tests for the SIMD lane types: the vec.hpp lane abstraction, kAuto's
+// resolution, and bit-identical equivalence of every runnable lane type
+// (AnalysisConfig::simd_extension) against scalar seq across lookup
+// representations, thread counts, and the financial edge cases (empty
+// ELTs, unlimited limits, share == 1.0, trial counts not divisible by the
+// lane width).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "core/engine.hpp"
-#include "core/simd_engine.hpp"
+#include "catalog/types.hpp"
+#include "core/analysis.hpp"
 #include "elt/synthetic.hpp"
 #include "simd/dispatch.hpp"
-#include "simd/trial_batch.hpp"
 #include "simd/vec.hpp"
 #include "yet/generator.hpp"
 
@@ -100,6 +99,19 @@ yet::YearEventTable synthetic_yet(std::uint64_t trials, double events) {
   return yet::generate_uniform_yet(config, kUniverse);
 }
 
+YearLossTable run_seq(const Portfolio& portfolio, const yet::YearEventTable& yet_table) {
+  return core::run({portfolio, yet_table, {.engine = core::EngineKind::kSequential}});
+}
+
+/// The parallel engine at one lane type.
+YearLossTable run_lanes(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
+                        SimdExtension extension, std::size_t threads = 1) {
+  return core::run({portfolio, yet_table,
+                    {.engine = core::EngineKind::kParallel,
+                     .num_threads = threads,
+                     .simd_extension = extension}});
+}
+
 void expect_identical(const YearLossTable& a, const YearLossTable& b) {
   ASSERT_EQ(a.num_layers(), b.num_layers());
   ASSERT_EQ(a.num_trials(), b.num_trials());
@@ -139,11 +151,11 @@ void check_vec_ops() {
   for (std::size_t i = 0; i < kW; ++i) EXPECT_EQ(out[i], 3.25);
 
   // Guarded gather: in-universe ids load, out-of-universe (including the
-  // TrialBatch pad sentinel) produce 0.0.
+  // invalid-event sentinel) produce 0.0.
   double table[8] = {10, 11, 12, 13, 14, 15, 16, 17};
   std::uint32_t idx[kW];
   for (std::size_t i = 0; i < kW; ++i) {
-    idx[i] = i % 2 == 0 ? static_cast<std::uint32_t>(i) : simd::TrialBatch::kPadEvent;
+    idx[i] = i % 2 == 0 ? static_cast<std::uint32_t>(i) : catalog::kInvalidEvent;
   }
   V::store(out, V::gather_guarded(table, idx, 8));
   for (std::size_t i = 0; i < kW; ++i) {
@@ -180,9 +192,7 @@ TEST(SimdVec, UnavailableExtensionThrows) {
        {SimdExtension::kSse2, SimdExtension::kAvx2, SimdExtension::kAvx512,
         SimdExtension::kNeon}) {
     if (core::simd_extension_available(extension)) continue;
-    SimdOptions options;
-    options.extension = extension;
-    EXPECT_THROW(core::run_simd(tiny_portfolio(financial::LayerTerms{}), tiny_yet(), options),
+    EXPECT_THROW(run_lanes(tiny_portfolio(financial::LayerTerms{}), tiny_yet(), extension),
                  std::invalid_argument);
     EXPECT_THROW(core::simd_lane_width(extension), std::invalid_argument);
   }
@@ -212,52 +222,6 @@ TEST(SimdVec, AutoNarrowsForMemoryBoundPortfolios) {
   }
 }
 
-// --- TrialBatch transpose -----------------------------------------------------
-
-TEST(TrialBatch, TransposesRaggedTrialsLaneMajor) {
-  const auto yet_table = tiny_yet();
-  simd::TrialBatch batch(4);
-  batch.load(yet_table, 0, 4);
-  EXPECT_EQ(batch.width(), 4u);
-  EXPECT_EQ(batch.active(), 4u);
-  EXPECT_EQ(batch.depth(), 3u);  // longest trial has 3 events
-
-  // row j, lane t = event j of trial t; ragged slots padded.
-  const auto pad = simd::TrialBatch::kPadEvent;
-  const yet::EventId expected[3][4] = {
-      {0, 2, pad, 0},
-      {1, pad, pad, 0},
-      {pad, pad, pad, 3},
-  };
-  for (std::size_t j = 0; j < 3; ++j) {
-    for (std::size_t lane = 0; lane < 4; ++lane) {
-      EXPECT_EQ(batch.row(j)[lane], expected[j][lane]) << "row " << j << " lane " << lane;
-    }
-  }
-}
-
-TEST(TrialBatch, PartialGroupPadsInactiveLanes) {
-  const auto yet_table = tiny_yet();
-  simd::TrialBatch batch(4);
-  batch.load(yet_table, 3, 1);  // only trial 3 active
-  EXPECT_EQ(batch.active(), 1u);
-  EXPECT_EQ(batch.depth(), 3u);
-  for (std::size_t j = 0; j < 3; ++j) {
-    for (std::size_t lane = 1; lane < 4; ++lane) {
-      EXPECT_EQ(batch.row(j)[lane], simd::TrialBatch::kPadEvent);
-    }
-  }
-  EXPECT_EQ(batch.row(0)[0], 0u);
-  EXPECT_EQ(batch.row(2)[0], 3u);
-}
-
-TEST(TrialBatch, EmptyTrialsGiveZeroDepth) {
-  const auto yet_table = tiny_yet();
-  simd::TrialBatch batch(8);
-  batch.load(yet_table, 2, 1);  // trial 2 is empty
-  EXPECT_EQ(batch.depth(), 0u);
-}
-
 // --- Hand-computed correctness ------------------------------------------------
 
 TEST(SimdEngine, HandComputedCombinedTerms) {
@@ -268,9 +232,7 @@ TEST(SimdEngine, HandComputedCombinedTerms) {
   terms.aggregate_limit = 120.0;
   // Same expectations as the sequential engine's hand-computed case.
   for (SimdExtension extension : available_extensions()) {
-    SimdOptions options;
-    options.extension = extension;
-    const auto ylt = core::run_simd(tiny_portfolio(terms), tiny_yet(), options);
+    const auto ylt = run_lanes(tiny_portfolio(terms), tiny_yet(), extension);
     EXPECT_DOUBLE_EQ(ylt.at(0, 0), 0.0) << to_string(extension);
     EXPECT_DOUBLE_EQ(ylt.at(0, 1), 90.0) << to_string(extension);
     EXPECT_DOUBLE_EQ(ylt.at(0, 2), 0.0) << to_string(extension);
@@ -278,7 +240,7 @@ TEST(SimdEngine, HandComputedCombinedTerms) {
   }
 }
 
-// --- Bit-identical equivalence vs run_sequential ------------------------------
+// --- Bit-identical equivalence vs scalar seq -----------------------------------
 
 TEST(SimdEngine, MatchesSequentialOnEveryLookupKind) {
   const auto yet_table = synthetic_yet(257, 40.0);  // not divisible by any lane width
@@ -286,12 +248,10 @@ TEST(SimdEngine, MatchesSequentialOnEveryLookupKind) {
        {elt::LookupKind::kDirectAccess, elt::LookupKind::kSortedVector,
         elt::LookupKind::kRobinHood, elt::LookupKind::kCuckoo, elt::LookupKind::kPagedDirect}) {
     const auto portfolio = synthetic_portfolio(2, 3, kind);
-    const auto reference = core::run_sequential(portfolio, yet_table);
+    const auto reference = run_seq(portfolio, yet_table);
     for (SimdExtension extension : available_extensions()) {
-      SimdOptions options;
-      options.extension = extension;
       SCOPED_TRACE(std::string(to_string(kind)) + "/" + std::string(to_string(extension)));
-      expect_identical(core::run_simd(portfolio, yet_table, options), reference);
+      expect_identical(run_lanes(portfolio, yet_table, extension), reference);
     }
   }
 }
@@ -301,12 +261,10 @@ TEST(SimdEngine, LaneWidthIndependentOnRaggedTrialCounts) {
   for (const std::uint64_t trials : {1u, 2u, 3u, 5u, 8u, 13u, 64u, 67u}) {
     const auto yet_table = synthetic_yet(trials, 25.0);
     const auto portfolio = synthetic_portfolio(1, 2);
-    const auto reference = core::run_sequential(portfolio, yet_table);
+    const auto reference = run_seq(portfolio, yet_table);
     for (SimdExtension extension : available_extensions()) {
-      SimdOptions options;
-      options.extension = extension;
       SCOPED_TRACE(std::to_string(trials) + " trials / " + std::string(to_string(extension)));
-      expect_identical(core::run_simd(portfolio, yet_table, options), reference);
+      expect_identical(run_lanes(portfolio, yet_table, extension), reference);
     }
   }
 }
@@ -331,11 +289,9 @@ TEST(SimdEngine, MatchesSequentialWithEmptyElt) {
   portfolio.layers.push_back(std::move(layer));
 
   const auto yet_table = synthetic_yet(101, 30.0);
-  const auto reference = core::run_sequential(portfolio, yet_table);
+  const auto reference = run_seq(portfolio, yet_table);
   for (SimdExtension extension : available_extensions()) {
-    SimdOptions options;
-    options.extension = extension;
-    expect_identical(core::run_simd(portfolio, yet_table, options), reference);
+    expect_identical(run_lanes(portfolio, yet_table, extension), reference);
   }
 }
 
@@ -354,11 +310,9 @@ TEST(SimdEngine, MatchesSequentialWithUnlimitedLimitsAndFullShare) {
     }
   }
   const auto yet_table = synthetic_yet(97, 35.0);
-  const auto reference = core::run_sequential(portfolio, yet_table);
+  const auto reference = run_seq(portfolio, yet_table);
   for (SimdExtension extension : available_extensions()) {
-    SimdOptions options;
-    options.extension = extension;
-    expect_identical(core::run_simd(portfolio, yet_table, options), reference);
+    expect_identical(run_lanes(portfolio, yet_table, extension), reference);
   }
 }
 
@@ -367,21 +321,11 @@ TEST(SimdEngine, ThreadCompositionIsBitIdentical) {
   // batches, which must not change any trial's result.
   const auto yet_table = synthetic_yet(211, 30.0);
   const auto portfolio = synthetic_portfolio(2, 2);
-  const auto reference = core::run_sequential(portfolio, yet_table);
+  const auto reference = run_seq(portfolio, yet_table);
   for (const std::size_t threads : {1u, 2u, 3u, 7u}) {
-    SimdOptions options;
-    options.num_threads = threads;
     SCOPED_TRACE(threads);
-    expect_identical(core::run_simd(portfolio, yet_table, options), reference);
+    expect_identical(run_lanes(portfolio, yet_table, SimdExtension::kAuto, threads), reference);
   }
-}
-
-TEST(SimdEngine, MatchesOtherEngines) {
-  const auto yet_table = synthetic_yet(128, 40.0);
-  const auto portfolio = synthetic_portfolio(2, 3);
-  const auto simd_ylt = core::run_simd(portfolio, yet_table);
-  expect_identical(simd_ylt, core::run_parallel(portfolio, yet_table));
-  expect_identical(simd_ylt, core::run_chunked(portfolio, yet_table));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "args.hpp"
+#include "core/coverage_window.hpp"
 #include "core/status.hpp"
 #include "inputs.hpp"
 
@@ -73,11 +74,20 @@ TEST(Args, RequireThrowsWhenMissingOrEmpty) {
 }
 
 TEST(Args, NumericValidation) {
-  const Args args = make_args({"--bad", "xyz", "--negative", "-5"});
+  const Args args = make_args({"--bad", "xyz", "--negative", "-5", "--memory-budget-mb", "0.5",
+                               "--threads", "2x", "--occ-limit", "1e6k", "--window",
+                               "0.25:0.75abc"});
   EXPECT_THROW(args.get_u64("bad", 0), std::runtime_error);
   EXPECT_THROW(args.get_u64("negative", 0), std::runtime_error);
   EXPECT_THROW(args.get_double("bad", 0.0), std::runtime_error);
   EXPECT_DOUBLE_EQ(args.get_double("negative", 0.0), -5.0);
+  // Trailing text is an error, never a truncated number: 0.5 MB read as 0
+  // would be an unlimited spill budget, 2x would run two threads.
+  EXPECT_THROW(args.get_u64("memory-budget-mb", 0), std::runtime_error);
+  EXPECT_THROW(args.get_u64("threads", 0), std::runtime_error);
+  EXPECT_THROW(args.get_double("occ-limit", 0.0), std::runtime_error);
+  // --window goes through the same parser as the service's window= field.
+  EXPECT_THROW(core::CoverageWindow::parse(args.require("window")), std::invalid_argument);
 }
 
 TEST(Args, ScientificNotationDoubles) {

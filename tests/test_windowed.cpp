@@ -1,6 +1,10 @@
-// Tests for the coverage-window engine (driven through the unified
-// core::run front door) and the severity-stress decorator.
+// Tests for the coverage window (the AnalysisConfig::window knob, driven
+// through the unified core::run front door and its "FROM:TO" parser) and
+// the severity-stress decorator.
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <vector>
 
 #include "core/analysis.hpp"
 #include "elt/scaled_lookup.hpp"
@@ -13,14 +17,27 @@ namespace {
 using namespace are;
 using core::CoverageWindow;
 
-/// The windowed engine through the front door: kWindowed + config window.
-core::YearLossTable run_windowed_api(const core::Portfolio& portfolio,
-                                     const yet::YearEventTable& yet_table,
-                                     const CoverageWindow& window) {
-  core::AnalysisConfig config;
-  config.engine = core::EngineKind::kWindowed;
+/// seq through the front door, with an optional coverage window.
+core::YearLossTable run_seq(const core::Portfolio& portfolio,
+                            const yet::YearEventTable& yet_table,
+                            std::optional<CoverageWindow> window = std::nullopt) {
+  core::AnalysisConfig config{.engine = core::EngineKind::kSequential};
   config.window = window;
   return core::run({portfolio, yet_table, config});
+}
+
+/// Per-trial count of in-window occurrences (a hurricane-season window
+/// should capture most hurricane occurrences and few winter-storm ones).
+std::vector<std::uint64_t> occurrences_in_window(const yet::YearEventTable& yet_table,
+                                                 const CoverageWindow& window) {
+  window.validate();
+  std::vector<std::uint64_t> counts(yet_table.num_trials(), 0);
+  for (std::size_t trial = 0; trial < yet_table.num_trials(); ++trial) {
+    for (const float time : yet_table.trial_times(trial)) {
+      if (window.covers(time)) ++counts[trial];
+    }
+  }
+  return counts;
 }
 
 core::Portfolio test_portfolio(std::size_t elts = 3) {
@@ -67,54 +84,64 @@ TEST(CoverageWindow, CoversAndValidates) {
   EXPECT_THROW((CoverageWindow{0.0f, 1.5f}).validate(), std::invalid_argument);
 }
 
-TEST(WindowedEngine, FullYearMatchesSequentialBitExact) {
+TEST(CoverageWindow, ParsesFromToAndRejectsTrailingText) {
+  const CoverageWindow window = CoverageWindow::parse("0.25:0.75");
+  EXPECT_EQ(window.from, 0.25f);
+  EXPECT_EQ(window.to, 0.75f);
+  for (const char* bad : {"0.25:0.75abc", "0.25x:0.75", "0.25", ":0.75", "0.25:", "a:b",
+                          "0.75:0.25", "0:1.5"}) {
+    EXPECT_THROW(CoverageWindow::parse(bad), std::invalid_argument) << bad;
+  }
+}
+
+TEST(Window, FullYearMatchesNoWindowBitExact) {
   const auto portfolio = test_portfolio();
   const auto yet_table = test_yet();
-  const auto reference = core::run_sequential(portfolio, yet_table);
-  const auto windowed = run_windowed_api(portfolio, yet_table, {0.0f, 1.0f});
+  const auto reference = run_seq(portfolio, yet_table);
+  const auto windowed = run_seq(portfolio, yet_table, CoverageWindow{0.0f, 1.0f});
   for (std::size_t trial = 0; trial < yet_table.num_trials(); ++trial) {
     ASSERT_EQ(windowed.at(0, trial), reference.at(0, trial)) << trial;
   }
 }
 
-TEST(WindowedEngine, WindowNeverIncreasesLoss) {
+TEST(Window, WindowNeverIncreasesLoss) {
   const auto portfolio = test_portfolio();
   const auto yet_table = test_yet();
-  const auto full = core::run_sequential(portfolio, yet_table);
-  const auto half = run_windowed_api(portfolio, yet_table, {0.0f, 0.5f});
+  const auto full = run_seq(portfolio, yet_table);
+  const auto half = run_seq(portfolio, yet_table, CoverageWindow{0.0f, 0.5f});
   for (std::size_t trial = 0; trial < yet_table.num_trials(); ++trial) {
     ASSERT_LE(half.at(0, trial), full.at(0, trial) + 1e-9);
   }
 }
 
-TEST(WindowedEngine, ComplementaryWindowsCoverAllOccurrences) {
+TEST(Window, ComplementaryWindowsCoverAllOccurrences) {
   const auto yet_table = test_yet();
-  const auto first = core::occurrences_in_window(yet_table, {0.0f, 0.5f});
-  const auto second = core::occurrences_in_window(yet_table, {0.5f, 1.0f});
+  const auto first = occurrences_in_window(yet_table, {0.0f, 0.5f});
+  const auto second = occurrences_in_window(yet_table, {0.5f, 1.0f});
   for (std::size_t trial = 0; trial < yet_table.num_trials(); ++trial) {
     EXPECT_EQ(first[trial] + second[trial], yet_table.trial_size(trial));
   }
 }
 
-TEST(WindowedEngine, ComplementaryWindowLossesSumWithoutAggregateTerms) {
+TEST(Window, ComplementaryWindowLossesSumWithoutAggregateTerms) {
   // Without aggregate terms (pure per-occurrence), losses are additive
   // across disjoint windows.
   auto portfolio = test_portfolio();
   portfolio.layers[0].terms = financial::LayerTerms::cat_xl(100e3, financial::kUnlimited);
   const auto yet_table = test_yet();
 
-  const auto full = core::run_sequential(portfolio, yet_table);
-  const auto first = run_windowed_api(portfolio, yet_table, {0.0f, 0.5f});
-  const auto second = run_windowed_api(portfolio, yet_table, {0.5f, 1.0f});
+  const auto full = run_seq(portfolio, yet_table);
+  const auto first = run_seq(portfolio, yet_table, CoverageWindow{0.0f, 0.5f});
+  const auto second = run_seq(portfolio, yet_table, CoverageWindow{0.5f, 1.0f});
   for (std::size_t trial = 0; trial < yet_table.num_trials(); ++trial) {
     EXPECT_NEAR(first.at(0, trial) + second.at(0, trial), full.at(0, trial),
                 1e-9 * (1.0 + full.at(0, trial)));
   }
 }
 
-TEST(WindowedEngine, NarrowWindowCapturesFewOccurrences) {
+TEST(Window, NarrowWindowCapturesFewOccurrences) {
   const auto yet_table = test_yet();
-  const auto narrow = core::occurrences_in_window(yet_table, {0.4f, 0.45f});
+  const auto narrow = occurrences_in_window(yet_table, {0.4f, 0.45f});
   std::uint64_t total = 0;
   for (const auto count : narrow) total += count;
   // Uniform timestamps: ~5% of all occurrences.
@@ -123,9 +150,9 @@ TEST(WindowedEngine, NarrowWindowCapturesFewOccurrences) {
   EXPECT_NEAR(fraction, 0.05, 0.01);
 }
 
-TEST(WindowedEngine, RejectsInvalidWindow) {
+TEST(Window, RejectsInvalidWindow) {
   const auto portfolio = test_portfolio();
-  EXPECT_THROW(run_windowed_api(portfolio, test_yet(10), {0.7f, 0.3f}),
+  EXPECT_THROW(run_seq(portfolio, test_yet(10), CoverageWindow{0.7f, 0.3f}),
                std::invalid_argument);
 }
 
@@ -193,8 +220,8 @@ TEST(ScaledLookup, StressAttachesRemoteLayers) {
   stressed_portfolio.layers[0].elts[0].lookup = std::make_shared<elt::ScaledLookup>(base, 1.5);
 
   const auto yet_table = test_yet(500);
-  const auto base_ylt = core::run_sequential(base_portfolio, yet_table);
-  const auto stressed_ylt = core::run_sequential(stressed_portfolio, yet_table);
+  const auto base_ylt = run_seq(base_portfolio, yet_table);
+  const auto stressed_ylt = run_seq(stressed_portfolio, yet_table);
 
   const double base_total = metrics::summarize(base_ylt.layer_losses(0)).mean();
   const double stressed_total = metrics::summarize(stressed_ylt.layer_losses(0)).mean();

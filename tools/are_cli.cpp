@@ -11,9 +11,9 @@
 //   are_cli price     --yet years.yet --elt a.elt ... [terms...]     (quote to stdout)
 //   are_cli info      --yet years.yet | --elt book.elt ...           (describe files)
 //   are_cli simd-info [--runnable]   (runtime SIMD dispatch facts for this host)
-//   are_cli list-engines [--names] [--bit-identical]   (dump the engine registry)
-//   are_cli list-engines --sinks   (smoke-run every sink-capable engine under a
-//                                   forced-spill budget, byte-diffing vs seq)
+//   are_cli list-engines [--names]   (dump the engine table)
+//   are_cli list-engines --sinks   (smoke-run every engine under a forced-spill
+//                                   budget, byte-diffing vs seq)
 //   are_cli serve     --yet years.yet --elt a.elt ... [terms...] --socket are.sock
 //                     (resident analysis service on an AF_UNIX socket; loads the
 //                     inputs once, then answers QUOTE/UPDATE lines with admission
@@ -26,28 +26,27 @@
 //                     quantiles, inflight vs budget, cache, shard, faults)
 //
 // Layer terms: --occ-retention --occ-limit --agg-retention --agg-limit
-// Engine:      --engine NAME (any name in `are_cli list-engines`)
-//              --threads N --chunk N (chunked engine's events per chunk)
-//              --partition static|dynamic|guided --partition-chunk N
-//              (parallel engine's trials per dynamic/guided work item;
-//              for the fused engine, --partition picks the tile scheduler)
-//              --tile N (fused engine's trials per tile; 0 = footprint heuristic)
-//              --simd-ext auto|scalar|sse2|avx2|avx512|neon
-//              --window FROM:TO (windowed/fused engines; fractions of the year)
-//              --phases (Fig-6b phase breakdown; instrumented/fused engines)
+// Engine:      --engine seq|parallel|openmp|fused (the kernel's four schedules)
+//              --threads N --partition static|dynamic|guided --partition-chunk N
+//              (parallel's trials per dynamic/guided work item; for fused,
+//              --partition picks the block scheduler)
+// Knobs (every engine): --chunk N (events staged per chunk; 0 = whole block)
+//              --tile N (trials per kernel block; 0 = footprint heuristic)
+//              --simd-ext auto|scalar|sse2|avx2|avx512|neon (seq: auto = scalar)
+//              --window FROM:TO (fractions of the year)
+//              --phases (Fig-6b phase breakdown)
 //              --lookup direct|sorted|robinhood|cuckoo
 // Output:      --output materialized|sharded — sharded stores the YLT in
 //              trial-range shards that spill to disk under a memory budget
-//              (out-of-core; engines with the 'sharded' capability), with
-//              --shard-trials N --spill-dir PATH --memory-budget-mb M
+//              (out-of-core), with --shard-trials N --spill-dir PATH
+//              --memory-budget-mb M
 // Telemetry:   --telemetry json|csv|prom|trace [--telemetry-out PATH]
 //              (runtime counters / Chrome-trace spans from src/obs/, exported
 //              after the command finishes; default destination stderr)
 //              --verbose (human summaries rendered from the telemetry registry)
 //
 // Engine selection goes through core::run(AnalysisRequest) and the
-// EngineRegistry, so a backend registered there is immediately reachable
-// here by name — this file has no per-engine dispatch ladder.
+// EngineRegistry by name — this file has no per-engine dispatch ladder.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -67,7 +66,6 @@
 #include "catmodel/cat_model.hpp"
 #include "core/analysis.hpp"
 #include "core/engine_registry.hpp"
-#include "core/openmp_engine.hpp"
 #include "fault/fault_injection.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics_server.hpp"
@@ -107,9 +105,9 @@ commands:
   simd-info          runtime SIMD dispatch facts: cpuid-detected, compiled-in,
                      and chosen extensions (--runnable: one runnable extension
                      per line, machine-readable — what CI override loops use)
-  list-engines       dump the engine registry            (--names --bit-identical)
-                     --sinks: smoke-run every sink-capable engine (forced spill,
-                     sharded CSV byte-diffed against the sequential reference)
+  list-engines       dump the engine table               (--names: one name per line)
+                     --sinks: smoke-run every engine (forced spill, sharded
+                     CSV byte-diffed against the sequential reference)
   serve              resident analysis service           (--yet F --elt F... --socket PATH)
                      --portfolio NAME (book id, default 'book') --threads N
                      --max-request-cost N --max-inflight-cost N --queue-limit N
@@ -137,12 +135,15 @@ commands:
 
 common options:
   layer terms   --occ-retention X --occ-limit X --agg-retention X --agg-limit X
-  engine        --engine NAME (see list-engines) --threads N --chunk N
+  engine        --engine seq|parallel|openmp|fused (default parallel; fused for
+                --output sharded) --threads N
                 --partition static|dynamic|guided --partition-chunk N
-                --tile N (trials per tile, for --engine fused; 0 = auto heuristic)
-  simd          --simd-ext auto|scalar|sse2|avx2|avx512|neon (lane type for --engine simd)
-  window        --window FROM:TO  (fractions of the year, for --engine windowed|fused)
-  phases        --phases  (Fig-6b phase breakdown to stderr; instrumented/fused)
+  knobs         (every engine) --chunk N (events staged per chunk; 0 = whole block)
+                --tile N (trials per kernel block; 0 = auto heuristic)
+                --simd-ext auto|scalar|sse2|avx2|avx512|neon (lane type; seq
+                runs scalar under auto)
+                --window FROM:TO  (fractions of the year)
+                --phases  (Fig-6b phase breakdown to stderr)
   lookup        --lookup direct|sorted|robinhood|cuckoo
   output        --output materialized|sharded  (sharded = out-of-core YLT)
                 --shard-trials N --spill-dir PATH --memory-budget-mb M (0 = unlimited)
@@ -184,21 +185,6 @@ core::Portfolio build_portfolio(const Args& args, std::size_t catalog_size) {
   return tools::build_portfolio(tools::elt_paths(args), kind, catalog_size, terms, share);
 }
 
-core::CoverageWindow parse_window(const std::string& spec) {
-  const auto colon = spec.find(':');
-  core::CoverageWindow window;
-  try {
-    if (colon == std::string::npos) throw std::invalid_argument("");
-    window.from = std::stof(spec.substr(0, colon));
-    window.to = std::stof(spec.substr(colon + 1));
-  } catch (const std::exception&) {
-    throw std::runtime_error("--window expects FROM:TO (fractions of the year, e.g. 0.25:0.75), "
-                             "got '" + spec + "'");
-  }
-  window.validate();
-  return window;
-}
-
 parallel::Partition parse_partition(const Args& args) {
   const std::string name = args.get("partition", "static");
   if (name == "static") return parallel::Partition::kStatic;
@@ -212,24 +198,24 @@ parallel::Partition parse_partition(const Args& args) {
 /// prints.
 core::AnalysisConfig parse_engine_config(const Args& args) {
   core::AnalysisConfig config;
-  // Sharded output needs a sink-capable engine, so its default is fused
-  // (the engine that writes tiles straight into shards); --engine still
+  // Sharded output defaults to fused (its costed schedule keeps blocks
+  // balanced by events while they stream into shards); --engine still
   // overrides either default.
   const bool sharded = args.get("output", "materialized") == "sharded";
   const auto& engine =
       core::EngineRegistry::global().require(args.get("engine", sharded ? "fused" : "parallel"));
   config.engine = engine.kind;
-  config.engine_name = engine.name;  // exact descriptor, even for custom-named engines
+  config.engine_name = engine.name;
   config.num_threads = static_cast<std::size_t>(args.get_u64("threads", 0));
   config.partition = parse_partition(args);
   config.partition_chunk = static_cast<std::size_t>(args.get_u64("partition-chunk", 256));
-  config.chunk_size = static_cast<std::size_t>(args.get_u64("chunk", 4));
+  config.chunk_size = static_cast<std::size_t>(args.get_u64("chunk", 0));  // 0 = whole block
   config.tile_trials = static_cast<std::size_t>(args.get_u64("tile", 0));  // 0 = heuristic
   const std::string ext = args.get("simd-ext", "auto");
   const auto extension = core::simd_extension_from_string(ext);
   if (!extension) throw std::runtime_error("unknown --simd-ext '" + ext + "'");
   config.simd_extension = *extension;
-  if (args.has("window")) config.window = parse_window(args.require("window"));
+  if (args.has("window")) config.window = core::CoverageWindow::parse(args.require("window"));
   config.collect_phases = args.has("phases");
 
   const std::string output = args.get("output", "materialized");
@@ -300,8 +286,8 @@ void export_telemetry(const TelemetryCli& telemetry) {
 }
 
 /// Post-run execution facts (stderr, so CSV/report stdout stays clean):
-/// the Fig-6b phase breakdown for the instrumented engine, the resolved
-/// lane type for simd, and whether openmp actually ran OpenMP or fell back.
+/// the Fig-6b phase breakdown under --phases, the resolved lane type, and
+/// whether openmp actually ran OpenMP or fell back.
 void report_execution(const core::InstrumentationSink& sink) {
   if (sink.openmp_used && !*sink.openmp_used) {
     std::cerr << "note: OpenMP not compiled in; bit-identical thread-pool fallback ran\n";
@@ -339,9 +325,8 @@ void report_execution(const core::InstrumentationSink& sink) {
   }
 }
 
-core::YearLossTable run_engine(const Args& args, const core::Portfolio& portfolio,
+core::YearLossTable run_engine(core::AnalysisConfig config, const core::Portfolio& portfolio,
                                const yet::YearEventTable& yet_table) {
-  core::AnalysisConfig config = parse_engine_config(args);
   core::InstrumentationSink sink;
   config.instrumentation = &sink;
   auto ylt = core::run({portfolio, yet_table, std::move(config)});
@@ -369,18 +354,15 @@ void report_sharding(const shard::ShardedYearLossTable& ylt, const TelemetryCli&
 /// Sharded execution path shared by run/report: engine -> out-of-core YLT.
 /// Callers print report_sharding() after consuming the table, so the
 /// spill/fault counters include the read-back pass too.
-shard::ShardedYearLossTable run_engine_sharded(const Args& args,
+shard::ShardedYearLossTable run_engine_sharded(core::AnalysisConfig config,
                                                const core::Portfolio& portfolio,
                                                const yet::YearEventTable& yet_table) {
-  core::AnalysisConfig config = parse_engine_config(args);
   core::InstrumentationSink sink;
   config.instrumentation = &sink;
   auto ylt = shard::run_sharded({portfolio, yet_table, std::move(config)});
   report_execution(sink);
   return ylt;
 }
-
-bool sharded_output(const Args& args) { return args.get("output", "materialized") == "sharded"; }
 
 std::size_t universe_of(const yet::YearEventTable& yet_table, const Args& args) {
   // The catalog universe is whatever the user says, defaulting to one past
@@ -469,6 +451,7 @@ int cmd_gen_yet(const Args& args) {
 
 int cmd_run(const Args& args) {
   const TelemetryCli telemetry = parse_telemetry(args);
+  const core::AnalysisConfig config = parse_engine_config(args);  // flags fail before loading
   const auto yet_table = load_yet(args.require("yet"));
   const auto portfolio = build_portfolio(args, universe_of(yet_table, args));
   const std::string out_path = args.require("out");
@@ -481,11 +464,11 @@ int cmd_run(const Args& args) {
     return out;
   };
 
-  if (sharded_output(args)) {
+  if (config.output == core::OutputMode::kSharded) {
     // Out-of-core: the full trials x layers table never exists in memory;
     // the CSV streams out one pinned shard at a time, byte-identical to
     // the materialized writer.
-    auto ylt = run_engine_sharded(args, portfolio, yet_table);
+    auto ylt = run_engine_sharded(config, portfolio, yet_table);
     auto out = open_out();
     io::write_ylt_csv(out, ylt);
     report_sharding(ylt, telemetry);
@@ -494,7 +477,7 @@ int cmd_run(const Args& args) {
               << ylt.num_shards() << " shards)\n";
     return 0;
   }
-  const auto ylt = run_engine(args, portfolio, yet_table);
+  const auto ylt = run_engine(config, portfolio, yet_table);
   auto out = open_out();
   io::write_ylt_csv(out, ylt);
   export_telemetry(telemetry);
@@ -504,24 +487,25 @@ int cmd_run(const Args& args) {
 
 int cmd_report(const Args& args) {
   const TelemetryCli telemetry = parse_telemetry(args);
+  const core::AnalysisConfig config = parse_engine_config(args);
   const auto yet_table = load_yet(args.require("yet"));
   const auto portfolio = build_portfolio(args, universe_of(yet_table, args));
 
   metrics::EpCurve curve;
   std::uint64_t trials = 0;
   double standard_error = 0.0;
-  if (sharded_output(args)) {
+  if (config.output == core::OutputMode::kSharded) {
     // Shard-wise streaming reduction: sorted runs + k-way merge for the
     // exact EP curve, RunningStats for the standard error — bit-identical
     // to the materialized metrics below.
-    auto ylt = run_engine_sharded(args, portfolio, yet_table);
+    auto ylt = run_engine_sharded(config, portfolio, yet_table);
     trials = ylt.num_trials();
     curve = metrics::ep_curve_sharded(ylt, 0);
     const metrics::RunningStats stats = metrics::stats_sharded(ylt, 0);
     standard_error = stats.stddev() / std::sqrt(static_cast<double>(stats.count()));
     report_sharding(ylt, telemetry);
   } else {
-    const auto ylt = run_engine(args, portfolio, yet_table);
+    const auto ylt = run_engine(config, portfolio, yet_table);
     trials = ylt.num_trials();
     curve = metrics::EpCurve(ylt.layer_losses(0));
     standard_error = metrics::mean_standard_error(ylt.layer_losses(0));
@@ -538,9 +522,10 @@ int cmd_report(const Args& args) {
 
 int cmd_price(const Args& args) {
   const TelemetryCli telemetry = parse_telemetry(args);
+  const core::AnalysisConfig config = parse_engine_config(args);
   const auto yet_table = load_yet(args.require("yet"));
   const auto portfolio = build_portfolio(args, universe_of(yet_table, args));
-  const auto ylt = run_engine(args, portfolio, yet_table);
+  const auto ylt = run_engine(config, portfolio, yet_table);
 
   pricing::PricingAssumptions assumptions;
   assumptions.stddev_loading = args.get_double("stddev-loading", assumptions.stddev_loading);
@@ -553,12 +538,11 @@ int cmd_price(const Args& args) {
   return 0;
 }
 
-/// `list-engines --sinks`: runs every sink-capable engine on a small
-/// synthetic workload with a deliberately tiny memory budget (shards must
-/// spill and fault back) and byte-diffs its sharded CSV against the
-/// sequential reference — the in-process version of CI's sharded smoke
-/// leg, one command instead of a shell loop. Returns nonzero on the first
-/// mismatch.
+/// `list-engines --sinks`: runs every engine on a small synthetic workload
+/// with a deliberately tiny memory budget (shards must spill and fault
+/// back) and byte-diffs its sharded CSV against the sequential reference —
+/// the in-process version of CI's sharded smoke leg, one command instead of
+/// a shell loop. Returns nonzero on the first mismatch.
 int smoke_sink_engines() {
   elt::SyntheticEltConfig elt_config;
   elt_config.catalog_size = 20'000;
@@ -588,7 +572,6 @@ int smoke_sink_engines() {
 
   bool all_passed = true;
   for (const auto& engine : core::EngineRegistry::global().descriptors()) {
-    if (!engine.supports_sharded_output() || !engine.available_in_this_build) continue;
     core::AnalysisConfig config;
     config.engine = engine.kind;
     config.engine_name = engine.name;
@@ -603,9 +586,7 @@ int smoke_sink_engines() {
 
     const bool identical = streamed.str() == reference.str();
     const bool spilled = stats.spills > 0;
-    // windowed runs full-year here (no window given), so even its CSV must
-    // match seq byte-for-byte.
-    std::printf("%-13s %s  (%llu spills, %llu faults)\n", engine.name.c_str(),
+    std::printf("%-9s %s  (%llu spills, %llu faults)\n", engine.name.c_str(),
                 identical && spilled ? "PASS" : "FAIL",
                 static_cast<unsigned long long>(stats.spills),
                 static_cast<unsigned long long>(stats.faults));
@@ -625,33 +606,23 @@ int smoke_sink_engines() {
 
 int cmd_list_engines(const Args& args) {
   const auto& registry = core::EngineRegistry::global();
-  const bool names_only = args.has("names");
-  const bool only_bit_identical = args.has("bit-identical");
   if (args.has("sinks")) return smoke_sink_engines();
 
-  if (names_only) {
-    // Machine-readable: one canonical name per line, restricted to engines
-    // this build can actually run (what CI smoke-loops over).
-    for (const auto& engine : registry.descriptors()) {
-      if (!engine.available_in_this_build) continue;
-      if (only_bit_identical && !engine.bit_identical_to_sequential) continue;
-      std::cout << engine.name << "\n";
-    }
+  if (args.has("names")) {
+    // Machine-readable: one canonical name per line (what CI loops over).
+    for (const auto& engine : registry.descriptors()) std::cout << engine.name << "\n";
     return 0;
   }
 
-  std::printf("%-13s %-9s %-13s %-7s %-6s %-5s %-8s %s\n", "engine", "available",
-              "bit-identical", "window", "instr", "pool", "sharded", "summary");
+  // Every engine honours every knob (--chunk, --tile, --simd-ext, --window,
+  // --phases, --output sharded) and is bit-identical to scalar seq with the
+  // same window; only pool reuse differs.
+  std::printf("%-9s %-5s %s\n", "engine", "pool", "summary");
   for (const auto& engine : registry.descriptors()) {
-    if (only_bit_identical && !engine.bit_identical_to_sequential) continue;
-    const auto yn = [](bool value) { return value ? "yes" : "no"; };
-    std::printf("%-13s %-9s %-13s %-7s %-6s %-5s %-8s %s\n", engine.name.c_str(),
-                yn(engine.available_in_this_build), yn(engine.bit_identical_to_sequential),
-                yn(engine.supports_windowing), yn(engine.supports_instrumentation),
-                yn(engine.supports_pool_reuse), yn(engine.supports_sharded_output()),
+    std::printf("%-9s %-5s %s\n", engine.name.c_str(), engine.supports_pool_reuse ? "yes" : "no",
                 engine.summary.c_str());
     if (!engine.availability_note.empty()) {
-      std::printf("%-13s   %s\n", "", engine.availability_note.c_str());
+      std::printf("%-9s %s\n", "", engine.availability_note.c_str());
     }
   }
   return 0;

@@ -3,8 +3,11 @@
 // Minimal dependency-free argument parser for the are_cli tool:
 // --key=value / --key value / --flag, with typed access and error
 // reporting. A repeated key keeps every value in command-line order; the
-// single-value getters read the last one.
+// single-value getters read the last one. Numeric getters consume the
+// whole value: `--threads 2x` and `--memory-budget-mb 0.5` are errors, not
+// 2 and 0.
 
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -71,25 +74,31 @@ class Args {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
     const std::string& value = it->second.back();
+    std::size_t consumed = 0;
+    double parsed = 0.0;
     try {
-      return std::stod(value);
+      parsed = std::stod(value, &consumed);
     } catch (const std::exception&) {
+      consumed = 0;
+    }
+    if (consumed == 0 || consumed != value.size()) {
       throw std::runtime_error("option --" + key + " expects a number, got '" + value + "'");
     }
+    return parsed;
   }
 
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
   static std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-    try {
-      const long long parsed = std::stoll(value);
-      if (parsed < 0) throw std::runtime_error("");
-      return static_cast<std::uint64_t>(parsed);
-    } catch (const std::exception&) {
+    std::uint64_t parsed = 0;
+    const char* end = value.data() + value.size();
+    const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+    if (error != std::errc{} || stop != end) {
       throw std::runtime_error("option --" + key + " expects a non-negative integer, got '" +
                                value + "'");
     }
+    return parsed;
   }
 
   std::map<std::string, std::vector<std::string>> values_;
