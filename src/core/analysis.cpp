@@ -49,11 +49,6 @@ const EngineDescriptor& resolve_engine(const AnalysisConfig& config) {
                                 "' cannot reuse a borrowed thread pool (clear "
                                 "AnalysisConfig::pool)");
   }
-  if (config.collect_phases && config.instrumentation == nullptr) {
-    throw std::invalid_argument(
-        "AnalysisConfig::collect_phases needs an InstrumentationSink to deliver the breakdown "
-        "(set AnalysisConfig::instrumentation)");
-  }
   return engine;
 }
 
@@ -74,7 +69,6 @@ ResolvedExecution resolve_execution(const AnalysisRequest& request, EngineKind k
   resolved.config.window = config.window;
   resolved.config.event_chunk = config.chunk_size;
   resolved.config.block_trials = config.tile_trials;
-  resolved.config.instrument = config.collect_phases;
   resolved.config.ground_up_capture = config.ground_up_capture;
   resolved.config.ground_up_replay = config.ground_up_replay;
   resolved.config.cancel = config.cancel;
@@ -106,7 +100,7 @@ ResolvedExecution resolve_execution(const AnalysisRequest& request, EngineKind k
 }
 
 /// Shared execution path of both front doors: resolves the kernel config +
-/// launch, records the per-run facts, runs, and delivers the breakdown.
+/// launch, records the per-run facts, and runs.
 void execute(const AnalysisRequest& request, EngineKind kind, YearLossTable* ylt,
              YltSink* sink) {
   const ResolvedExecution resolved = resolve_execution(request, kind);
@@ -122,16 +116,8 @@ void execute(const AnalysisRequest& request, EngineKind kind, YearLossTable* ylt
     facts->simd_extension_used = resolved.config.extension;
     facts->simd_resolution_note = resolved.simd_note;
   }
-  // collect_phases implies a sink (resolve_engine checked it).
-  PhaseBreakdown phases;
-  AccessCounts accesses;
-  const bool deliver = resolved.config.instrument;
   run_trial_kernel(request.portfolio, request.yet_table, resolved.config, resolved.launch, ylt,
-                   sink, deliver ? &phases : nullptr, deliver ? &accesses : nullptr);
-  if (deliver) {
-    facts->phases = phases;
-    facts->accesses = accesses;
-  }
+                   sink);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 // schedules. Callers build an AnalysisRequest (portfolio + YET +
 // AnalysisConfig) and call run() or run_to_sink(). The schedule is
 // EngineKind; everything else the kernel varies — lane type, event chunk,
-// block size, coverage window, phase timing — is a knob of AnalysisConfig
+// block size, coverage window — is a knob of AnalysisConfig
 // that every engine honours, so an engine x knob sweep is a loop over
 // configs and every point of it is bit-identical to scalar seq with the
 // same window.
@@ -40,10 +40,11 @@ enum class EngineKind {
 /// registry descriptor's name.
 std::string_view to_string(EngineKind kind) noexcept;
 
-/// Per-run facts written back through AnalysisConfig::instrumentation.
-/// Every engine records which engine actually executed and its resolution
-/// (did OpenMP really run? which SIMD lane type ran?); a collect_phases run
-/// also fills the phase/access breakdown.
+/// Per-run facts written back through AnalysisConfig::instrumentation:
+/// which engine actually executed and its resolution (did OpenMP really
+/// run? which SIMD lane type ran?). Phase timing and access counts are not
+/// here: they are the `kernel.phase.*_ns` and `elt.*.lookups` counters of a
+/// telemetered run (AnalysisConfig::telemetry).
 struct InstrumentationSink {
   /// The engine that executed the request.
   std::optional<EngineKind> engine_used;
@@ -63,10 +64,6 @@ struct InstrumentationSink {
   /// that triggered it, or seq's scalar reference. Mirrors
   /// core::resolve_simd_extension_ex().note; --verbose prints it.
   std::optional<std::string> simd_resolution_note;
-
-  /// Fig-6b phase attribution and memory-access counters (collect_phases).
-  std::optional<PhaseBreakdown> phases;
-  std::optional<AccessCounts> accesses;
 };
 
 /// Where the output YLT lives. kMaterialized is the classic in-memory
@@ -110,8 +107,7 @@ struct ShardingOptions {
 /// Composable execution configuration. One struct covers every engine, and
 /// every engine honours every kernel knob below; run() rejects what it
 /// cannot honour — a borrowed pool on an engine that owns its threads, an
-/// extension this host cannot run, collect_phases without a sink — and
-/// never silently ignores a field.
+/// extension this host cannot run — and never silently ignores a field.
 struct AnalysisConfig {
   EngineKind engine = EngineKind::kParallel;
 
@@ -149,22 +145,18 @@ struct AnalysisConfig {
   /// Coverage window within the contractual year. Absent = full year.
   std::optional<CoverageWindow> window;
 
-  /// When set, the engine records execution facts here, and a
-  /// collect_phases run the phase breakdown. Borrowed, not owned.
+  /// When set, the engine records execution facts here. Borrowed, not
+  /// owned.
   InstrumentationSink* instrumentation = nullptr;
-
-  /// Request the Fig-6b phase breakdown; requires a non-null
-  /// `instrumentation` sink to receive it. The kernel switches to its
-  /// timer-instrumented (slower, bit-identical) block path only when this
-  /// is set, so the default hot path stays untimed.
-  bool collect_phases = false;
 
   /// Output placement. run() serves kMaterialized only; kSharded runs go
   /// through shard::run_sharded (or run_to_sink with your own sink).
   OutputMode output = OutputMode::kMaterialized;
   ShardingOptions sharding;
 
-  /// Runtime counters/spans for this run (see TelemetryOptions).
+  /// Runtime counters/spans for this run (see TelemetryOptions). With
+  /// counters on, the kernel also laps its block loop into the Fig-6b
+  /// `kernel.phase.*_ns` counters.
   TelemetryOptions telemetry;
 
   /// Borrowed thread pool, reused across runs (the real-time pricing path);

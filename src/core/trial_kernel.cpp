@@ -121,29 +121,11 @@ void TrialBlockKernel::run_range(std::uint64_t first, std::uint64_t last,
 
 std::size_t TrialBlockKernel::block_trials() const noexcept { return impl_->block_trials; }
 
-void TrialBlockKernel::collect(const TrialKernelScratch& scratch, PhaseBreakdown* phases,
-                               AccessCounts* accesses) noexcept {
-  if (phases != nullptr) {
-    phases->fetch_seconds += scratch.phases.fetch_seconds;
-    phases->lookup_seconds += scratch.phases.lookup_seconds;
-    phases->financial_seconds += scratch.phases.financial_seconds;
-    phases->layer_seconds += scratch.phases.layer_seconds;
-    phases->output_seconds += scratch.phases.output_seconds;
-  }
-  if (accesses != nullptr) {
-    accesses->events_fetched += scratch.accesses.events_fetched;
-    accesses->elt_lookups += scratch.accesses.elt_lookups;
-    accesses->financial_applications += scratch.accesses.financial_applications;
-    accesses->layer_term_applications += scratch.accesses.layer_term_applications;
-  }
-}
-
 // --- The driver entry point ---------------------------------------------------
 
 void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
                       const TrialKernelConfig& config, const KernelLaunch& launch,
-                      YearLossTable* ylt, YltSink* sink, PhaseBreakdown* phases,
-                      AccessCounts* accesses) {
+                      YearLossTable* ylt, YltSink* sink) {
   // The kernel polls a driver-internal token chained to the caller's: a
   // worker that fails (spill error, alloc, deadline) cancels it, and every
   // other worker stops at its next block boundary instead of grinding out
@@ -153,8 +135,6 @@ void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet
   TrialKernelConfig kernel_config = config;
   kernel_config.cancel = &abort;
   const TrialBlockKernel kernel(portfolio, yet_table, kernel_config, ylt, sink);
-  if (phases != nullptr) *phases = {};
-  if (accesses != nullptr) *accesses = {};
   const std::uint64_t num_trials = yet_table.num_trials();
   if (num_trials == 0) return;
 
@@ -181,7 +161,6 @@ void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet
     case KernelLaunch::Schedule::kSerial: {
       TrialKernelScratch scratch;
       kernel.run_range(0, num_trials, scratch);
-      TrialBlockKernel::collect(scratch, phases, accesses);
       break;
     }
     case KernelLaunch::Schedule::kPool:
@@ -220,9 +199,6 @@ void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet
                                       body, launch.partition);
       }
       if (failure) std::rethrow_exception(failure);
-      scratches.for_each([&](const TrialKernelScratch& scratch) {
-        TrialBlockKernel::collect(scratch, phases, accesses);
-      });
       break;
     }
     case KernelLaunch::Schedule::kOpenMp: {
@@ -252,28 +228,11 @@ void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet
             abort.cancel();
           }
         }
-#pragma omp critical(are_trial_kernel_collect)
-        TrialBlockKernel::collect(scratch, phases, accesses);
       }
       if (failure) std::rethrow_exception(failure);
 #endif
       break;
     }
-  }
-
-  // Feed the collected per-phase wall times into the registry so an
-  // instrumented run's Fig-6b attribution is visible to exporters and the
-  // service's per-request telemetry diffs.
-  if (obs::enabled() && config.instrument && phases != nullptr) {
-    obs::TelemetryRegistry& registry = obs::TelemetryRegistry::global();
-    const auto ns = [](double seconds) {
-      return static_cast<std::uint64_t>(seconds * 1e9);
-    };
-    registry.counter("kernel.phase.fetch_ns").add(ns(phases->fetch_seconds));
-    registry.counter("kernel.phase.lookup_ns").add(ns(phases->lookup_seconds));
-    registry.counter("kernel.phase.financial_ns").add(ns(phases->financial_seconds));
-    registry.counter("kernel.phase.layer_ns").add(ns(phases->layer_seconds));
-    registry.counter("kernel.phase.output_ns").add(ns(phases->output_seconds));
   }
 }
 

@@ -11,7 +11,8 @@
 //   - scalar and simd::VecD term paths (one templated body; the lane type is
 //     a runtime choice, resolved once at kernel construction),
 //   - an optional CoverageWindow,
-//   - optional per-phase timers + access counters (the Fig-6b breakdown),
+//   - the Fig-6b phase laps and access counts, recorded into the obs
+//     registry whenever telemetry is on (kernel.phase.*_ns),
 //   - optional event-chunked staging (the paper's Fig-5a GPU chunk knob),
 //   - delivery either straight into a YearLossTable or into a YltSink
 //     (finished blocks never cross sink.block_trials() boundaries, so a
@@ -112,12 +113,6 @@ struct TrialKernelConfig {
   /// 0 = stage the whole block at once. Never changes the output bytes.
   std::size_t event_chunk = 0;
 
-  /// Run the timer-instrumented block path: the same arithmetic (identical
-  /// bytes) with the block's YET slice explicitly staged (timed as the
-  /// fetch phase), per-phase timers around the lookup/financial/layer
-  /// sweeps, and the paper's access counts accumulated per scratch.
-  bool instrument = false;
-
   /// Capture: every block additionally copies its combined per-event losses
   /// (post-financial-terms, pre-occurrence-terms) into this cache. Workers
   /// write disjoint event ranges of the pre-sized buffer, so concurrent
@@ -152,11 +147,7 @@ struct TrialKernelConfig {
 struct TrialKernelScratch {
   std::vector<double> raw;       // one ELT's batch lookups for the block
   std::vector<double> combined;  // per-event combined loss, then net of occurrence terms
-  std::vector<double> block_losses;         // sink mode: layers x block trials, emitted per block
-  std::vector<yet::EventId> staged_events;  // instrumented mode: the block's staged YET slice
-  std::vector<float> staged_times;
-  PhaseBreakdown phases;    // instrumented mode: this worker's share
-  AccessCounts accesses;    // instrumented mode: this worker's share
+  std::vector<double> block_losses;  // sink mode: layers x block trials, emitted per block
 };
 
 /// The kernel: immutable per-run execution state (per-layer direct views,
@@ -192,12 +183,6 @@ class TrialBlockKernel {
   /// override honored; see simd/dispatch.hpp). Never kAuto.
   SimdExtension extension() const noexcept { return extension_; }
 
-  /// Adds an instrumented scratch's phase timers and access counts into the
-  /// given accumulators (either may be null) — the post-run merge step for
-  /// parallel drivers.
-  static void collect(const TrialKernelScratch& scratch, PhaseBreakdown* phases,
-                      AccessCounts* accesses) noexcept;
-
   /// Lane-width erasure (public so the .cpp's extension-templated bodies
   /// can derive from it; opaque to callers).
   struct Impl;
@@ -231,15 +216,11 @@ struct KernelLaunch {
   std::size_t chunk = 256;
 };
 
-/// The one driver entry point: builds the kernel, schedules it per
-/// `launch`, and (for instrumented configs) merges every worker's phase
-/// timers and access counts into `phases` / `accesses` (assigned, not
-/// accumulated; may be null). Exactly one of `ylt` / `sink` must be
-/// non-null.
+/// The one entry point that runs the kernel: builds it and schedules it per
+/// `launch`. Exactly one of `ylt` / `sink` must be non-null.
 void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
                       const TrialKernelConfig& config, const KernelLaunch& launch,
-                      YearLossTable* ylt, YltSink* sink, PhaseBreakdown* phases = nullptr,
-                      AccessCounts* accesses = nullptr);
+                      YearLossTable* ylt, YltSink* sink);
 
 /// The block-size heuristic behind TrialKernelConfig::block_trials == 0:
 /// sizes the block so its staged per-event working set (~20 B per event

@@ -53,10 +53,69 @@ namespace {
 
 using KernelBodyClock = std::chrono::steady_clock;
 
-inline double kernel_seconds_between(KernelBodyClock::time_point a,
-                                     KernelBodyClock::time_point b) noexcept {
-  return std::chrono::duration<double>(b - a).count();
+/// The per-range counters, resolved once per translation unit: registry
+/// handles live as long as the process, so a flush is a handful of relaxed
+/// adds rather than a registry lookup per name (the ELT tables' idiom).
+struct KernelCounters {
+  obs::Histogram& block_ns;
+  obs::Counter& blocks;
+  obs::Counter& trials;
+  obs::Counter& events;
+  obs::Counter& replayed_events;
+  obs::Counter& captured_events;
+  obs::Counter& direct_lookups;
+  obs::Counter& fetch_ns;
+  obs::Counter& combine_ns;
+  obs::Counter& lookup_ns;
+  obs::Counter& financial_ns;
+  obs::Counter& layer_ns;
+  obs::Counter& output_ns;
+};
+
+inline const KernelCounters& kernel_counters() {
+  obs::TelemetryRegistry& registry = obs::TelemetryRegistry::global();
+  static const KernelCounters counters{
+      registry.histogram("kernel.block_ns"),
+      registry.counter("kernel.blocks"),
+      registry.counter("kernel.trials"),
+      registry.counter("kernel.events"),
+      registry.counter("kernel.ground_up.replayed_events"),
+      registry.counter("kernel.ground_up.captured_events"),
+      registry.counter("elt.direct_access.lookups"),
+      registry.counter("kernel.phase.fetch_ns"),
+      registry.counter("kernel.phase.combine_ns"),
+      registry.counter("kernel.phase.lookup_ns"),
+      registry.counter("kernel.phase.financial_ns"),
+      registry.counter("kernel.phase.layer_ns"),
+      registry.counter("kernel.phase.output_ns"),
+  };
+  return counters;
 }
+
+/// The Fig-6b split of one run_range, timed on the production loop itself.
+/// run_block starts the clock and takes one lap after each step it
+/// performs, charging the time since the previous lap to that step's
+/// phase, so the phases partition the block: their sum is kernel.block_ns
+/// less the timer's own entry and exit.
+struct PhaseLaps {
+  std::uint64_t fetch_ns = 0;      // replay: the cached-loss copy
+  std::uint64_t combine_ns = 0;    // direct tables: gathers, per-ELT financial terms fused in
+  std::uint64_t lookup_ns = 0;     // other tables: lookup_many
+  std::uint64_t financial_ns = 0;  // other tables: the per-ELT financial fold
+  std::uint64_t layer_ns = 0;      // occurrence terms + the aggregate recurrence
+  std::uint64_t output_ns = 0;     // capture copy + sink emission
+  /// Direct-table gathers, which bypass lookup_many and its counter.
+  std::uint64_t direct_lookups = 0;
+  KernelBodyClock::time_point mark;
+
+  void start() noexcept { mark = KernelBodyClock::now(); }
+  void lap(std::uint64_t& phase_ns) noexcept {
+    const KernelBodyClock::time_point now = KernelBodyClock::now();
+    phase_ns += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - mark).count());
+    mark = now;
+  }
+};
 
 /// Immutable per-layer execution state hoisted out of the block loop: the
 /// direct-table view (when eligible), the ELT/layer terms broadcast into
@@ -111,8 +170,7 @@ void combine_elts_direct(const LayerPlan<V>& plan, const yet::EventId* events, s
 }
 
 /// One ELT's staged raw losses folded into the combined buffer with the
-/// vectorized financial terms; shared by the generic and the instrumented
-/// paths (identical arithmetic, hence identical bytes).
+/// vectorized financial terms.
 template <typename V>
 void fold_raw_losses(const LayerPlan<V>& plan, std::size_t e, const double* raw,
                      std::size_t count, double* combined) noexcept {
@@ -136,10 +194,12 @@ void fold_raw_losses(const LayerPlan<V>& plan, std::size_t e, const double* raw,
 
 /// Generic path: one lookup_many batch call per ELT (the prefetching
 /// overrides in src/elt/), then the vectorized financial terms over the
-/// staged raw losses.
+/// staged raw losses — lapped as the lookup and financial phases when
+/// timing.
 template <typename V>
 void combine_elts_generic(const LayerPlan<V>& plan, const yet::EventId* events,
-                          std::size_t count, double* combined, std::vector<double>& raw) {
+                          std::size_t count, double* combined, std::vector<double>& raw,
+                          PhaseLaps* laps) {
   raw.resize(count);
   const std::vector<LayerElt>& elts = plan.layer->elts;
   for (std::size_t e = 0; e < elts.size(); ++e) {
@@ -147,7 +207,9 @@ void combine_elts_generic(const LayerPlan<V>& plan, const yet::EventId* events,
       obs::Span span("elt.lookup_many", "elt");
       elts[e].lookup->lookup_many(events, count, raw.data());
     }
+    if (laps != nullptr) laps->lap(laps->lookup_ns);
     fold_raw_losses(plan, e, raw.data(), count, combined);
+    if (laps != nullptr) laps->lap(laps->financial_ns);
   }
 }
 
@@ -195,7 +257,6 @@ class KernelImpl final : public TrialBlockKernel::Impl {
              const TrialKernelConfig& config, YearLossTable* ylt, YltSink* sink)
       : yet_(&yet_table),
         event_chunk_(config.event_chunk),
-        instrument_(config.instrument),
         capture_(config.ground_up_capture),
         replay_(config.ground_up_replay),
         cancel_(config.cancel),
@@ -227,30 +288,31 @@ class KernelImpl final : public TrialBlockKernel::Impl {
     const yet::EventId* all_events = yet_->events().data();
 
     // Telemetry is flushed once per run_range call (= one task / launch
-    // slice), never per block or per event: the flag is sampled here and
-    // the hot loop below is untouched when disabled.
-    const bool telemetry = obs::enabled();
-    obs::Histogram* block_hist =
-        telemetry ? &obs::TelemetryRegistry::global().histogram("kernel.block_ns") : nullptr;
+    // slice), never per block or per event: the flag is sampled here, and
+    // when it is off the hot loop below only tests a null `laps`.
+    const KernelCounters* counters = obs::enabled() ? &kernel_counters() : nullptr;
+    PhaseLaps phase_laps;
+    PhaseLaps* laps = counters != nullptr ? &phase_laps : nullptr;
     std::uint64_t blocks = 0;
 
     // Completed work is flushed whether the range finishes or is cancelled
     // mid-way — the per-block counters must never claim trials that did not
     // run.
     const auto flush_telemetry = [&](std::uint64_t up_to) {
-      if (!telemetry || blocks == 0) return;
-      obs::TelemetryRegistry& registry = obs::TelemetryRegistry::global();
-      registry.counter("kernel.blocks").add(blocks);
-      registry.counter("kernel.trials").add(up_to - first);
-      registry.counter("kernel.events").add(offsets[up_to] - offsets[first]);
-      if (replay_ != nullptr) {
-        registry.counter("kernel.ground_up.replayed_events")
-            .add(offsets[up_to] - offsets[first]);
-      }
-      if (capture_ != nullptr) {
-        registry.counter("kernel.ground_up.captured_events")
-            .add(offsets[up_to] - offsets[first]);
-      }
+      if (counters == nullptr || blocks == 0) return;
+      const std::uint64_t events = offsets[up_to] - offsets[first];
+      counters->blocks.add(blocks);
+      counters->trials.add(up_to - first);
+      counters->events.add(events);
+      if (replay_ != nullptr) counters->replayed_events.add(events);
+      if (capture_ != nullptr) counters->captured_events.add(events);
+      counters->direct_lookups.add(phase_laps.direct_lookups);
+      counters->fetch_ns.add(phase_laps.fetch_ns);
+      counters->combine_ns.add(phase_laps.combine_ns);
+      counters->lookup_ns.add(phase_laps.lookup_ns);
+      counters->financial_ns.add(phase_laps.financial_ns);
+      counters->layer_ns.add(phase_laps.layer_ns);
+      counters->output_ns.add(phase_laps.output_ns);
     };
 
     for (std::uint64_t t0 = first, t1 = first; t0 < last; t0 = t1) {
@@ -292,8 +354,8 @@ class KernelImpl final : public TrialBlockKernel::Impl {
       }
 
       {
-        obs::ScopedTimer block_timer(block_hist);
-        run_block(t0, t1, scratch);
+        obs::ScopedTimer block_timer(counters != nullptr ? &counters->block_ns : nullptr);
+        run_block(t0, t1, scratch, laps);
       }
       ++blocks;
     }
@@ -302,7 +364,11 @@ class KernelImpl final : public TrialBlockKernel::Impl {
   }
 
  private:
-  void run_block(std::uint64_t t0, std::uint64_t t1, TrialKernelScratch& scratch) const {
+  /// One block of trials for every layer. With `laps` (telemetry on) the
+  /// clock starts here and laps after each step, per chunk when chunked.
+  void run_block(std::uint64_t t0, std::uint64_t t1, TrialKernelScratch& scratch,
+                 PhaseLaps* laps) const {
+    if (laps != nullptr) laps->start();
     const std::span<const std::uint64_t> offsets = yet_->offsets();
     const std::uint64_t ev0 = offsets[t0];
     const std::size_t count = static_cast<std::size_t>(offsets[t1] - ev0);
@@ -313,142 +379,64 @@ class KernelImpl final : public TrialBlockKernel::Impl {
     scratch.combined.resize(count);
     if (sink_ != nullptr) scratch.block_losses.resize(plans_.size() * num_block_trials);
 
-    if (instrument_) {
-      run_block_instrumented(t0, t1, ev0, count, events, times, offsets, scratch);
-    } else {
-      const std::size_t chunk = event_chunk_ != 0 ? event_chunk_ : count;
-      for (std::size_t layer_index = 0; layer_index < plans_.size(); ++layer_index) {
-        const LayerPlan<V>& plan = plans_[layer_index];
-        double* combined = scratch.combined.data();
-        if (replay_ != nullptr) {
-          // Delta execution: the combined pre-occurrence losses were
-          // captured by an earlier full run; copy them in and skip the
-          // fetch/lookup/financial phases entirely. The copied doubles are
-          // the very values the full run computed, and occurrence terms are
-          // elementwise (min/max/sub, no cross-lane or cross-chunk state),
-          // so the bytes below match a cold run exactly.
-          const double* cached =
-              replay_->layer_values(layer_index) + static_cast<std::size_t>(ev0);
-          std::copy(cached, cached + count, combined);
-          apply_occurrence_terms<V>(plan, combined, count);
-        } else {
-          // Phase 1+2: batch ELT lookups + financial terms across ELTs, then
-          // occurrence terms — staged in event_chunk-bounded spans (the whole
-          // block when unconstrained).
-          for (std::size_t c0 = 0; c0 < count; c0 += chunk) {
-            const std::size_t n = std::min(chunk, count - c0);
-            if (!plan.direct.empty()) {
-              combine_elts_direct<V>(plan, events + c0, n, combined + c0);
-            } else {
-              combine_elts_generic<V>(plan, events + c0, n, combined + c0, scratch.raw);
+    const std::size_t chunk = event_chunk_ != 0 ? event_chunk_ : count;
+    for (std::size_t layer_index = 0; layer_index < plans_.size(); ++layer_index) {
+      const LayerPlan<V>& plan = plans_[layer_index];
+      double* combined = scratch.combined.data();
+      if (replay_ != nullptr) {
+        // Delta execution: the combined pre-occurrence losses were captured
+        // by an earlier full run; copy them in and skip the
+        // fetch/lookup/financial phases entirely. The copied doubles are the
+        // very values the full run computed, and occurrence terms are
+        // elementwise (min/max/sub, no cross-lane or cross-chunk state), so
+        // the bytes below match a cold run exactly.
+        const double* cached =
+            replay_->layer_values(layer_index) + static_cast<std::size_t>(ev0);
+        std::copy(cached, cached + count, combined);
+        if (laps != nullptr) laps->lap(laps->fetch_ns);
+        apply_occurrence_terms<V>(plan, combined, count);
+      } else {
+        // Phase 1+2: batch ELT lookups + financial terms across ELTs, then
+        // occurrence terms — staged in event_chunk-bounded spans (the whole
+        // block when unconstrained).
+        for (std::size_t c0 = 0; c0 < count; c0 += chunk) {
+          const std::size_t n = std::min(chunk, count - c0);
+          if (!plan.direct.empty()) {
+            combine_elts_direct<V>(plan, events + c0, n, combined + c0);
+            if (laps != nullptr) {
+              laps->direct_lookups += plan.direct.size() * n;
+              laps->lap(laps->combine_ns);
             }
-            if (capture_ != nullptr) {
-              // Capture between combine and the in-place occurrence terms:
-              // this chunk's slice is final combined losses right here.
-              // Concurrent blocks write disjoint [ev0, ev0+count) ranges.
-              std::copy(combined + c0, combined + c0 + n,
-                        capture_->layer_values(layer_index) +
-                            static_cast<std::size_t>(ev0) + c0);
-            }
-            apply_occurrence_terms<V>(plan, combined + c0, n);
+          } else {
+            combine_elts_generic<V>(plan, events + c0, n, combined + c0, scratch.raw, laps);
           }
+          if (capture_ != nullptr) {
+            // Capture between combine and the in-place occurrence terms:
+            // this chunk's slice is final combined losses right here.
+            // Concurrent blocks write disjoint [ev0, ev0+count) ranges.
+            std::copy(combined + c0, combined + c0 + n,
+                      capture_->layer_values(layer_index) + static_cast<std::size_t>(ev0) + c0);
+            if (laps != nullptr) laps->lap(laps->output_ns);
+          }
+          apply_occurrence_terms<V>(plan, combined + c0, n);
+          if (laps != nullptr) laps->lap(laps->layer_ns);
         }
-        double* row = sink_ != nullptr
-                          ? scratch.block_losses.data() + layer_index * num_block_trials
-                          : plan.losses.data() + t0;
-        aggregate_trials(plan.layer->terms, combined, times, window_, offsets, t0, t1, ev0, row);
       }
+      double* row = sink_ != nullptr ? scratch.block_losses.data() + layer_index * num_block_trials
+                                     : plan.losses.data() + t0;
+      aggregate_trials(plan.layer->terms, combined, times, window_, offsets, t0, t1, ev0, row);
+      if (laps != nullptr) laps->lap(laps->layer_ns);
     }
 
     if (sink_ != nullptr) {
-      // The output phase: sink emission (a memcpy for a materialized sink,
-      // a shard pin + scatter — possibly faulting — for a sharded one) was
-      // previously unattributed on instrumented runs.
-      const auto emit_start = instrument_ ? KernelBodyClock::now() : KernelBodyClock::time_point{};
+      // Sink emission: a memcpy for a materialized sink, a shard pin +
+      // scatter — possibly faulting — for a sharded one.
       for (std::size_t layer_index = 0; layer_index < plans_.size(); ++layer_index) {
         sink_->emit(layer_index, t0,
                     {scratch.block_losses.data() + layer_index * num_block_trials,
                      num_block_trials});
       }
-      if (instrument_) {
-        scratch.phases.output_seconds +=
-            kernel_seconds_between(emit_start, KernelBodyClock::now());
-      }
-    }
-  }
-
-  /// Instrumented block: the same arithmetic as the fast path (the YLT
-  /// bytes do not change — direct layers route through their lookup_many
-  /// overrides, which read the same table cells the gathers do) with the
-  /// block's YET slice explicitly staged once (timed as the fetch phase)
-  /// and per-phase timers around the batched lookup / financial / layer
-  /// sweeps. Access counters follow the paper's algorithmic counts (one
-  /// event fetch per layer per event, as the un-fused algorithm performs
-  /// them), matching predict_access_counts.
-  void run_block_instrumented(std::uint64_t t0, std::uint64_t t1, std::uint64_t ev0,
-                              std::size_t count, const yet::EventId* events, const float* times,
-                              std::span<const std::uint64_t> offsets,
-                              TrialKernelScratch& scratch) const {
-    PhaseBreakdown& phases = scratch.phases;
-
-    auto stamp = KernelBodyClock::now();
-    // A replay block never reads the event ids (combined losses come from
-    // the ground-up cache) — only the timestamps the aggregate recurrence
-    // filters on. Its fetch phase is the staging of those plus, per layer
-    // below, the cached-loss copy; lookup/financial stay exactly zero.
-    if (replay_ == nullptr) scratch.staged_events.assign(events, events + count);
-    scratch.staged_times.assign(times, times + count);
-    auto now = KernelBodyClock::now();
-    phases.fetch_seconds += kernel_seconds_between(stamp, now);
-    stamp = now;
-
-    double* combined = scratch.combined.data();
-    if (replay_ == nullptr) scratch.raw.resize(count);
-    const std::size_t num_block_trials = static_cast<std::size_t>(t1 - t0);
-
-    for (std::size_t layer_index = 0; layer_index < plans_.size(); ++layer_index) {
-      const LayerPlan<V>& plan = plans_[layer_index];
-      const std::vector<LayerElt>& elts = plan.layer->elts;
-      scratch.accesses.events_fetched += count;
-      if (replay_ != nullptr) {
-        stamp = KernelBodyClock::now();
-        const double* cached =
-            replay_->layer_values(layer_index) + static_cast<std::size_t>(ev0);
-        std::copy(cached, cached + count, combined);
-        phases.fetch_seconds += kernel_seconds_between(stamp, KernelBodyClock::now());
-      } else {
-        for (std::size_t e = 0; e < elts.size(); ++e) {
-          stamp = KernelBodyClock::now();
-          {
-            obs::Span span("elt.lookup_many", "elt");
-            elts[e].lookup->lookup_many(scratch.staged_events.data(), count, scratch.raw.data());
-          }
-          now = KernelBodyClock::now();
-          phases.lookup_seconds += kernel_seconds_between(stamp, now);
-          fold_raw_losses<V>(plan, e, scratch.raw.data(), count, combined);
-          phases.financial_seconds += kernel_seconds_between(now, KernelBodyClock::now());
-        }
-        scratch.accesses.elt_lookups += elts.size() * count;
-        scratch.accesses.financial_applications += elts.size() * count;
-        if (capture_ != nullptr) {
-          // The combined buffer is final pre-occurrence right here; the
-          // capture copy is data placement, so it lands in the output phase.
-          stamp = KernelBodyClock::now();
-          std::copy(combined, combined + count,
-                    capture_->layer_values(layer_index) + static_cast<std::size_t>(ev0));
-          phases.output_seconds += kernel_seconds_between(stamp, KernelBodyClock::now());
-        }
-      }
-
-      stamp = KernelBodyClock::now();
-      apply_occurrence_terms<V>(plan, combined, count);
-      double* row = sink_ != nullptr
-                        ? scratch.block_losses.data() + layer_index * num_block_trials
-                        : plan.losses.data() + t0;
-      aggregate_trials(plan.layer->terms, combined, scratch.staged_times.data(), window_,
-                       offsets, t0, t1, ev0, row);
-      phases.layer_seconds += kernel_seconds_between(stamp, KernelBodyClock::now());
-      scratch.accesses.layer_term_applications += 2 * count;  // occurrence + aggregate
+      if (laps != nullptr) laps->lap(laps->output_ns);
     }
   }
 
@@ -457,7 +445,6 @@ class KernelImpl final : public TrialBlockKernel::Impl {
   CoverageWindow window_storage_;
   const CoverageWindow* window_ = nullptr;  // null = full year
   std::size_t event_chunk_;
-  bool instrument_;
   GroundUpLossCache* capture_;        // null = no capture
   const GroundUpLossCache* replay_;   // null = full run
   const CancelToken* cancel_;         // null = never cancelled

@@ -90,6 +90,26 @@ std::int64_t Snapshot::gauge_value(std::string_view name) const noexcept {
   return 0;
 }
 
+std::uint64_t Snapshot::counter_sum(std::string_view prefix,
+                                    std::string_view suffix) const noexcept {
+  std::uint64_t sum = 0;
+  for (const CounterSample& c : counters) {
+    const std::string_view name = c.name;
+    if (name.size() >= prefix.size() + suffix.size() && name.starts_with(prefix) &&
+        name.ends_with(suffix)) {
+      sum += c.value;
+    }
+  }
+  return sum;
+}
+
+std::uint64_t Snapshot::histogram_sum_ns(std::string_view name) const noexcept {
+  for (const HistogramSample& h : histograms) {
+    if (h.name == name) return h.sum_ns;
+  }
+  return 0;
+}
+
 Snapshot Snapshot::diff(const Snapshot& earlier) const {
   Snapshot delta;
   delta.counters.reserve(counters.size());

@@ -181,6 +181,11 @@ struct Snapshot {
   /// Counter value by exact name; 0 when absent (tests and admission logic).
   std::uint64_t counter_value(std::string_view name) const noexcept;
   std::int64_t gauge_value(std::string_view name) const noexcept;
+  /// Sum of every counter named `prefix`...`suffix` — ("elt.", ".lookups")
+  /// totals the lookups of every table kind.
+  std::uint64_t counter_sum(std::string_view prefix, std::string_view suffix) const noexcept;
+  /// A histogram's total recorded nanoseconds; 0 when absent.
+  std::uint64_t histogram_sum_ns(std::string_view name) const noexcept;
 
   /// The change since `earlier` — the per-request reporting primitive of
   /// the resident service, where the registry otherwise accumulates for the

@@ -57,12 +57,10 @@ RequestLogEntry make_log_entry(const QuoteRequest& request, const QuoteResponse&
   entry.wall_ns = static_cast<std::uint64_t>(response.wall_seconds * 1e9);
   if (response.telemetry.has_value()) {
     const obs::Snapshot& diff = *response.telemetry;
+    entry.elt_lookups = diff.counter_sum("elt.", ".lookups");
     for (const auto& counter : diff.counters) {
       const std::string& name = counter.name;
-      if (name.size() > 4 && name.compare(0, 4, "elt.") == 0 &&
-          name.compare(name.size() - 8, 8, ".lookups") == 0) {
-        entry.elt_lookups += counter.value;
-      } else if (name == "shard.bytes_spilled") {
+      if (name == "shard.bytes_spilled") {
         entry.bytes_spilled = counter.value;
       } else if (counter.value != 0 && name.size() > kFaultPrefix.size() &&
                  name.compare(0, kFaultPrefix.size(), kFaultPrefix) == 0) {

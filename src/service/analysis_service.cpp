@@ -119,7 +119,6 @@ std::uint64_t AnalysisService::fingerprint_of(std::string_view portfolio_id,
   if (request.window.has_value()) {
     fp.mix_double(request.window->from).mix_double(request.window->to);
   }
-  fp.mix(request.collect_phases ? 1u : 0u);
   fp.mix(request.sharded ? 1u : 0u);
   for (const core::Layer& layer : effective.layers) {
     fp.mix(layer.id);
@@ -254,11 +253,6 @@ QuoteResponse AnalysisService::quote(const QuoteRequest& request) {
   if (descriptor.supports_pool_reuse) config.pool = &session_.pool();
   config.ground_up_replay = replay.get();
   config.ground_up_capture = capture.get();
-  core::InstrumentationSink sink;
-  if (request.collect_phases) {
-    config.instrumentation = &sink;
-    config.collect_phases = true;
-  }
 
   // Per-request deadline: the kernel polls the token between trial blocks,
   // so an expired quote stops within one block of the deadline.
@@ -312,7 +306,6 @@ QuoteResponse AnalysisService::quote(const QuoteRequest& request) {
     outcome->quotes.push_back(pricing::price_layer(
         outcome->ylt.layer_losses(i), portfolio->layers[i].terms, config_.assumptions));
   }
-  if (sink.phases.has_value()) outcome->phases = sink.phases;
 
   response.source = replay != nullptr ? QuoteSource::kDelta : QuoteSource::kCold;
   registry

@@ -10,7 +10,7 @@
 // A quote resolves in one of four ways, in order:
 //
 //   cached — the fingerprint (portfolio id + generation, effective terms,
-//            engine, trial count, window, phases flag) hits the result
+//            engine, trial count, window, sharded flag) hits the result
 //            cache: no admission, no engine, the shared outcome is returned
 //            as-is. Bit-identical to the run that populated it by identity.
 //   rejected — the broker refuses admission (structured reason: request
@@ -86,8 +86,6 @@ struct QuoteRequest {
   /// Engine registry name; empty = ServiceConfig::default_engine.
   std::string engine;
   std::optional<core::CoverageWindow> window;
-  /// Fill QuoteOutcome::phases (Fig-6b attribution for this request).
-  bool collect_phases = false;
   /// false bypasses the result cache (lookup and insert) — forces execution.
   bool use_cache = true;
   /// false forbids ground-up replay *and* capture — forces the cold path.

@@ -17,12 +17,10 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/engine.hpp"
 #include "core/year_loss_table.hpp"
 #include "pricing/pricing.hpp"
 
@@ -33,9 +31,6 @@ namespace are::service {
 struct QuoteOutcome {
   core::YearLossTable ylt;
   std::vector<pricing::Quote> quotes;  // one per layer, portfolio order
-  /// Fig-6b attribution when the request asked for phases (a delta run
-  /// reports lookup_seconds == 0 here — the acceptance signal).
-  std::optional<core::PhaseBreakdown> phases;
 };
 
 /// FNV-1a 64 accumulator over the request identity. Doubles are mixed as

@@ -30,6 +30,11 @@ namespace are::service {
 
 namespace {
 
+/// Longest request line a connection buffers, newline excluded. A longer
+/// line is answered invalid-argument (without echoing it) and its
+/// connection closed, so no client can grow a buffer without bound.
+constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
+
 // ---- protocol parsing -----------------------------------------------------
 
 /// key=value tokens after the verb. Values may not contain spaces (paths
@@ -151,10 +156,6 @@ std::string error_json(const core::Status& status) {
          ",\"message\":\"" + json_escape(status.message()) + "\"}";
 }
 
-std::string error_json(const std::string& message) {
-  return error_json(core::Status{core::StatusCode::kInternal, message});
-}
-
 std::string admission_json(const AdmissionDecision& decision) {
   std::ostringstream out;
   out << "{\"outcome\":\"" << to_string(decision.outcome) << "\""
@@ -208,14 +209,6 @@ std::string response_json(const QuoteResponse& response) {
           << ",\"rate_on_line\":" << json_double(quote.rate_on_line) << "}";
     }
     out << ']';
-    if (response.outcome->phases.has_value()) {
-      const core::PhaseBreakdown& phases = *response.outcome->phases;
-      out << ",\"phases\":{\"fetch_seconds\":" << json_double(phases.fetch_seconds)
-          << ",\"lookup_seconds\":" << json_double(phases.lookup_seconds)
-          << ",\"financial_seconds\":" << json_double(phases.financial_seconds)
-          << ",\"layer_seconds\":" << json_double(phases.layer_seconds)
-          << ",\"output_seconds\":" << json_double(phases.output_seconds) << "}";
-    }
   }
   if (response.telemetry.has_value()) {
     out << ",\"telemetry\":" << obs::snapshot_json_object(*response.telemetry);
@@ -306,7 +299,6 @@ std::string Server::handle_quote(const std::string& line) {
   if (const auto it = fields.find("window"); it != fields.end()) {
     request.window = core::CoverageWindow::parse(it->second);
   }
-  request.collect_phases = parse_flag(fields, "phases", false);
   request.use_cache = parse_flag(fields, "cache", true);
   request.use_delta = parse_flag(fields, "delta", true);
   request.sharded = parse_flag(fields, "sharded", false);
@@ -366,7 +358,9 @@ std::string Server::handle_line(const std::string& line) {
     std::istringstream in(line);
     std::string verb;
     in >> verb;
-    if (verb.empty()) return error_json("empty request");
+    if (verb.empty()) {
+      return error_json({core::StatusCode::kInvalidArgument, "empty request"});
+    }
     if (verb == "PING") return "{\"status\":\"ok\",\"pong\":true}";
     if (verb == "SHUTDOWN") {
       // Wake broker queue waiters first (they answer their clients with a
@@ -378,9 +372,11 @@ std::string Server::handle_line(const std::string& line) {
     }
     if (verb == "QUOTE") return handle_quote(line);
     if (verb == "UPDATE") return handle_update(line);
-    return error_json("unknown verb '" + verb + "'");
-  } catch (const std::exception& error) {
-    return error_json(error.what());
+    return error_json({core::StatusCode::kInvalidArgument, "unknown verb '" + verb + "'"});
+  } catch (...) {
+    // Malformed requests throw std::invalid_argument (invalid-argument on
+    // the wire); only an unclassified failure is reported as internal.
+    return error_json(core::status_from_current_exception());
   }
 }
 
@@ -410,17 +406,29 @@ int Server::serve() {
     }
     connections.emplace_back([this, conn, &conns_mutex, &open_conns] {
       std::string pending;
+      std::size_t scanned = 0;  // bytes of `pending` already searched for '\n'
       char buf[4096];
       for (bool peer_open = true; peer_open;) {
         const ssize_t n = ::read(conn, buf, sizeof buf);
         if (n < 0 && errno == EINTR) continue;
         if (n <= 0) break;
         pending.append(buf, static_cast<std::size_t>(n));
+        std::size_t line_start = 0;
         std::size_t newline;
-        while (peer_open && (newline = pending.find('\n')) != std::string::npos) {
-          const std::string request = pending.substr(0, newline);
-          pending.erase(0, newline + 1);
-          peer_open = write_all(conn, handle_line(request) + "\n");
+        while (peer_open && (newline = pending.find('\n', scanned)) != std::string::npos &&
+               newline - line_start <= kMaxRequestLineBytes) {
+          peer_open = write_all(
+              conn, handle_line(pending.substr(line_start, newline - line_start)) + "\n");
+          line_start = scanned = newline + 1;
+        }
+        pending.erase(0, line_start);
+        scanned = pending.size();
+        if (peer_open && pending.size() > kMaxRequestLineBytes) {
+          write_all(conn, error_json({core::StatusCode::kInvalidArgument,
+                                      "request line exceeds " +
+                                          std::to_string(kMaxRequestLineBytes) + " bytes"}) +
+                              "\n");
+          break;
         }
         if (stop_requested()) break;
       }

@@ -10,8 +10,7 @@
 //   PING
 //   QUOTE portfolio=<id> [layer=<id>] [occ-retention=] [occ-limit=]
 //         [agg-retention=] [agg-limit=] [engine=<name>] [window=<from:to>]
-//         [phases=1] [cache=0] [delta=0] [csv=<path>] [deadline-ms=<n>]
-//         [sharded=1]
+//         [cache=0] [delta=0] [csv=<path>] [deadline-ms=<n>] [sharded=1]
 //   UPDATE portfolio=<id> layer=<id> [occ-retention=] [occ-limit=]
 //         [agg-retention=] [agg-limit=]
 //   SHUTDOWN
@@ -19,10 +18,13 @@
 // Responses carry "status":"ok" | "rejected" | "error"; the non-ok forms
 // add the structured failure triple "code" (core::StatusCode wire name),
 // "retryable", and "message" — see README "Failure model". Bit-identity
-// guarantees apply to "ok" responses only. deadline-ms bounds the quote's
-// wall clock (cancelled between trial blocks → code "deadline-exceeded");
-// sharded=1 executes out-of-core under ServiceConfig::sharding, where
-// spill failure fails the quote ("spill-failure"), never the process.
+// guarantees apply to "ok" responses only. A malformed line (unknown verb,
+// bad field, unknown portfolio/layer/engine) is "invalid-argument"; so is a
+// line longer than 64 KiB, whose connection is then closed. deadline-ms
+// bounds the quote's wall clock (cancelled between trial blocks → code
+// "deadline-exceeded"); sharded=1 executes out-of-core under
+// ServiceConfig::sharding, where spill failure fails the quote
+// ("spill-failure"), never the process.
 //
 // QUOTE term keys build a per-request TermsOverride (the book is not
 // mutated); UPDATE mutates the book durably (terms-only, so the ground-up
@@ -54,7 +56,7 @@ class Server {
 
   /// Executes one protocol line and returns the JSON response (no trailing
   /// newline). Never throws: malformed requests and engine errors come
-  /// back as {"status":"error","message":...}.
+  /// back as {"status":"error","code":...,"message":...}.
   std::string handle_line(const std::string& line);
 
   /// Binds the socket and serves until a SHUTDOWN request or

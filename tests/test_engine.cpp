@@ -1,8 +1,8 @@
 // Tests for the core aggregate risk engine: correctness against
 // hand-computed cases, bit-identical equivalence of every engine across
-// lookup representations, parameterized sweeps over event-chunk sizes,
-// thread counts and partitions, the Fig-6b phase breakdown, and
-// access-count prediction.
+// lookup representations (telemetry on and off), parameterized sweeps over
+// event-chunk sizes, thread counts and partitions, and access-count
+// prediction.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -86,17 +86,6 @@ yet::YearEventTable synthetic_yet(std::uint64_t trials, double events) {
 /// The sequential reference engine (scalar lanes).
 YearLossTable run_seq(const Portfolio& portfolio, const yet::YearEventTable& yet_table) {
   return core::run({portfolio, yet_table, {.engine = core::EngineKind::kSequential}});
-}
-
-/// A seq run with the Fig-6b breakdown and access counters collected.
-core::InstrumentationSink run_seq_phases(const Portfolio& portfolio,
-                                         const yet::YearEventTable& yet_table) {
-  core::InstrumentationSink sink;
-  core::AnalysisConfig config{.engine = core::EngineKind::kSequential};
-  config.instrumentation = &sink;
-  config.collect_phases = true;
-  core::run({portfolio, yet_table, config});
-  return sink;
 }
 
 void expect_identical(const YearLossTable& a, const YearLossTable& b) {
@@ -216,13 +205,10 @@ TEST_P(EngineEquivalence, EveryEngineBitIdentical) {
     expect_identical(sequential,
                      core::run({portfolio, yet_table,
                                 {.engine = kind, .num_threads = 1, .chunk_size = 4}}));
-    // The timer-instrumented block path (lookup_many on every table kind).
-    core::InstrumentationSink sink;
-    core::AnalysisConfig phases{.engine = kind, .num_threads = 2};
-    phases.instrumentation = &sink;
-    phases.collect_phases = true;
-    expect_identical(sequential, core::run({portfolio, yet_table, phases}));
-    EXPECT_TRUE(sink.phases.has_value());
+    // Telemetry on: the block loop laps its phases and counts its lookups.
+    core::AnalysisConfig telemetered{.engine = kind, .num_threads = 2};
+    telemetered.telemetry.counters = true;
+    expect_identical(sequential, core::run({portfolio, yet_table, telemetered}));
   }
 }
 
@@ -311,43 +297,7 @@ TEST(EngineEquivalenceExtra, LookupKindDoesNotChangeResults) {
   }
 }
 
-// --- Phase breakdown (collect_phases) ------------------------------------------
-
-TEST(PhaseBreakdown, AccessCountsMatchPrediction) {
-  const Portfolio portfolio = synthetic_portfolio(2, 5);
-  const auto yet_table = synthetic_yet(100, 30.0);
-
-  const core::AccessCounts accesses = *run_seq_phases(portfolio, yet_table).accesses;
-  const auto predicted = core::predict_access_counts(portfolio, yet_table);
-
-  EXPECT_EQ(accesses.events_fetched, predicted.events_fetched);
-  EXPECT_EQ(accesses.elt_lookups, predicted.elt_lookups);
-  EXPECT_EQ(accesses.financial_applications, predicted.financial_applications);
-  EXPECT_EQ(accesses.layer_term_applications, predicted.layer_term_applications);
-}
-
-TEST(PhaseBreakdown, PhaseTimesArePositiveAndSumToTotal) {
-  const Portfolio portfolio = synthetic_portfolio(1, 8);
-  const auto yet_table = synthetic_yet(400, 100.0);
-  const core::PhaseBreakdown phases = *run_seq_phases(portfolio, yet_table).phases;
-
-  EXPECT_GT(phases.lookup_seconds, 0.0);
-  EXPECT_GT(phases.total_seconds(), 0.0);
-  const double fraction_sum = phases.fetch_fraction() + phases.lookup_fraction() +
-                              phases.financial_fraction() + phases.layer_fraction();
-  EXPECT_NEAR(fraction_sum, 1.0, 1e-9);
-}
-
-TEST(PhaseBreakdown, EmptyBreakdownFractionsAreZeroNotNan) {
-  // An untimed (or zero-duration) breakdown must report 0 fractions, not
-  // NaN from 0/0.
-  const core::PhaseBreakdown empty{};
-  EXPECT_EQ(empty.total_seconds(), 0.0);
-  EXPECT_EQ(empty.fetch_fraction(), 0.0);
-  EXPECT_EQ(empty.lookup_fraction(), 0.0);
-  EXPECT_EQ(empty.financial_fraction(), 0.0);
-  EXPECT_EQ(empty.layer_fraction(), 0.0);
-}
+// --- Access-count prediction ------------------------------------------------
 
 TEST(PredictAccessCounts, ScalesLinearlyInAllFourParameters) {
   // The asymptotic claim behind Fig 2: doubling any size parameter doubles

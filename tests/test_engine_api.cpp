@@ -279,7 +279,6 @@ TEST(EngineKnobSweep, EveryEngineRecordsItsLanesAndSeqStaysScalarUnderAuto) {
             ? SimdExtension::kScalar
             : core::resolve_simd_extension(portfolio, {2, SimdExtension::kAuto});
     EXPECT_EQ(*sink.simd_extension_used, expected);
-    EXPECT_FALSE(sink.phases.has_value());  // only collect_phases fills the breakdown
   }
 }
 
@@ -298,32 +297,6 @@ TEST(UnifiedRun, BorrowedPoolReusedAcrossRunsStaysBitIdentical) {
     expect_identical(reference, core::run({portfolio, yet_table, config}));
     expect_identical(reference, core::run({portfolio, yet_table, config}));  // pool still warm
   }
-}
-
-// --- Phase breakdown ------------------------------------------------------------
-
-TEST(UnifiedRun, CollectPhasesFillsPhasesAndAccessCounts) {
-  const auto portfolio = test_portfolio();
-  const auto yet_table = test_yet(100, 30.0);
-
-  core::InstrumentationSink sink;
-  AnalysisConfig config;
-  config.engine = EngineKind::kSequential;
-  config.instrumentation = &sink;
-  config.collect_phases = true;
-  expect_identical(run_seq(portfolio, yet_table), core::run({portfolio, yet_table, config}));
-
-  ASSERT_TRUE(sink.phases.has_value());
-  EXPECT_GT(sink.phases->total_seconds(), 0.0);
-  ASSERT_TRUE(sink.accesses.has_value());
-  const auto predicted = core::predict_access_counts(portfolio, yet_table);
-  EXPECT_EQ(sink.accesses->elt_lookups, predicted.elt_lookups);
-  EXPECT_EQ(sink.accesses->events_fetched, predicted.events_fetched);
-
-  // collect_phases with nowhere to deliver the breakdown is an error, not
-  // a silent no-op.
-  config.instrumentation = nullptr;
-  EXPECT_THROW(core::run({portfolio, yet_table, config}), std::invalid_argument);
 }
 
 TEST(UnifiedRun, RunsWithoutSinkAndWithDefaults) {

@@ -213,40 +213,6 @@ TEST(FusedEngine, TileHeuristicShrinksWithDenserTrials) {
             core::default_tile_trials(portfolio, sparse));
 }
 
-// --- Per-phase instrumentation ------------------------------------------------
-
-TEST(FusedEngine, CollectPhasesFillsBreakdownAndKeepsBytes) {
-  const Portfolio portfolio = synthetic_portfolio(2, 3);
-  const auto yet_table = skewed_yet(300, 50.0);
-  const auto sequential = run_seq(portfolio, yet_table);
-
-  core::InstrumentationSink sink;
-  core::AnalysisConfig config;
-  config.engine = core::EngineKind::kFused;
-  config.tile_trials = 32;
-  config.num_threads = 3;
-  config.instrumentation = &sink;
-  config.collect_phases = true;
-  expect_identical(sequential, core::run({portfolio, yet_table, config}));
-
-  ASSERT_TRUE(sink.phases.has_value());
-  EXPECT_GT(sink.phases->total_seconds(), 0.0);
-  // Every batched phase ran: the staged fetch, the lookup_many batches,
-  // the vector financial fold, and the occurrence + aggregate sweep.
-  EXPECT_GT(sink.phases->lookup_seconds, 0.0);
-  EXPECT_GT(sink.phases->financial_seconds, 0.0);
-  EXPECT_GT(sink.phases->layer_seconds, 0.0);
-
-  // Without collect_phases the sink records the engine but no breakdown
-  // (the fused hot path stays untimed by default).
-  core::InstrumentationSink quiet;
-  config.collect_phases = false;
-  config.instrumentation = &quiet;
-  core::run({portfolio, yet_table, config});
-  EXPECT_FALSE(quiet.phases.has_value());
-  EXPECT_EQ(quiet.engine_used, core::EngineKind::kFused);
-}
-
 TEST(FusedEngine, EmptyYetYieldsZeroTrials) {
   const Portfolio portfolio = synthetic_portfolio(1, 1);
   const yet::YearEventTable empty;

@@ -321,6 +321,12 @@ TEST_F(ObsServer, AccessLogWritesOneJsonLinePerQuote) {
   }
   EXPECT_NE(lines[0].find("\"request_id\":\"q-000001\""), std::string::npos);
   EXPECT_NE(lines[0].find("\"source\":\"cold\""), std::string::npos);
+  // The cold run gathers from direct tables, and the kernel counts those
+  // lookups itself: every ELT (2 layers x 2) reads every YET occurrence.
+  EXPECT_NE(lines[0].find("\"elt_lookups\":" + std::to_string(4 * make_yet().total_events()) +
+                          ","),
+            std::string::npos)
+      << lines[0];
   EXPECT_NE(lines[0].find("\"status\":\"ok\""), std::string::npos);
   EXPECT_NE(lines[0].find("\"fault_fires\":{}"), std::string::npos);
   EXPECT_NE(lines[1].find("\"source\":\"cached\""), std::string::npos);

@@ -12,13 +12,17 @@
 //   - AnalysisService cold -> cached -> delta flow, durable updates,
 //     rejection, and concurrent quoting;
 //   - concurrent core::run() hammering one borrowed pool + shared tables;
-//   - the line protocol (handle_line) and a full AF_UNIX round trip.
+//   - the line protocol (handle_line): malformed lines answered
+//     invalid-argument, a full AF_UNIX round trip, a client that vanishes
+//     mid-stream, and a request line past the 64 KiB cap.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -167,43 +171,30 @@ TEST_F(Service, ReplaySkipsLookupAndFinancialPhasesEntirely) {
   core::GroundUpLossCache cache(portfolio.layers.size(), yet_table.total_events());
 
   obs::set_enabled(true);
-  {
-    // Instrumented capture: the instrumented block path routes direct
-    // layers through lookup_many, so the lookup counters tick (the fast
-    // path's raw gathers intentionally bypass them).
-    core::InstrumentationSink capture_sink;
-    core::AnalysisConfig config;
-    config.engine_name = "seq";
-    config.collect_phases = true;
-    config.instrumentation = &capture_sink;
-    config.ground_up_capture = &cache;
-    (void)core::run({portfolio, yet_table, config});
-  }
+  core::AnalysisConfig config;
+  config.engine_name = "seq";
+  config.ground_up_capture = &cache;
+  (void)core::run({portfolio, yet_table, config});
+  // The capture runs the direct-table gathers, whose lookups the kernel
+  // counts itself (they bypass lookup_many).
   const auto after_capture = obs::TelemetryRegistry::global().snapshot();
   EXPECT_GT(after_capture.counter_value("elt.direct_access.lookups"), 0u);
+  EXPECT_GT(after_capture.counter_value("kernel.phase.combine_ns"), 0u);
   EXPECT_EQ(after_capture.counter_value("kernel.ground_up.captured_events"),
             yet_table.total_events());
 
   obs::TelemetryRegistry::global().reset();
-  core::InstrumentationSink sink;
-  core::AnalysisConfig config;
-  config.engine_name = "seq";
-  config.collect_phases = true;
-  config.instrumentation = &sink;
+  config.ground_up_capture = nullptr;
   config.ground_up_replay = &cache;
   (void)core::run({portfolio, yet_table, config});
 
   const auto after_replay = obs::TelemetryRegistry::global().snapshot();
   EXPECT_EQ(after_replay.counter_value("elt.direct_access.lookups"), 0u);
+  EXPECT_EQ(after_replay.counter_value("kernel.phase.combine_ns"), 0u);
   EXPECT_EQ(after_replay.counter_value("kernel.phase.lookup_ns"), 0u);
   EXPECT_EQ(after_replay.counter_value("kernel.phase.financial_ns"), 0u);
   EXPECT_EQ(after_replay.counter_value("kernel.ground_up.replayed_events"),
             yet_table.total_events());
-  ASSERT_TRUE(sink.phases.has_value());
-  EXPECT_EQ(sink.phases->lookup_seconds, 0.0);
-  EXPECT_EQ(sink.phases->financial_seconds, 0.0);
-  ASSERT_TRUE(sink.accesses.has_value());
-  EXPECT_EQ(sink.accesses->elt_lookups, 0u);
 }
 
 TEST_F(Service, GroundUpCacheValidation) {
@@ -519,21 +510,22 @@ TEST_F(Service, HandleLineSpeaksTheProtocol) {
   service::Server server(analysis_service, {.socket_path = "unused.sock"});
 
   EXPECT_EQ(server.handle_line("PING"), "{\"status\":\"ok\",\"pong\":true}");
-  EXPECT_NE(server.handle_line("BOGUS").find("\"status\":\"error\""), std::string::npos);
   EXPECT_NE(server.handle_line("QUOTE").find("requires portfolio"), std::string::npos);
-  EXPECT_NE(server.handle_line("QUOTE portfolio=missing").find("\"status\":\"error\""),
-            std::string::npos);
-  // Numeric fields are consumed whole: no trailing text, no sign wrap
-  // (deadline-ms=-1 must not become a 2^64-1 ms deadline).
-  for (const char* bad : {"QUOTE portfolio=book layer=1x", "QUOTE portfolio=book layer=-1",
-                          "QUOTE portfolio=book deadline-ms=-1",
-                          "QUOTE portfolio=book deadline-ms=10ms",
-                          "QUOTE portfolio=book window=0.25:0.75abc",
-                          "QUOTE portfolio=book window=0.25",
-                          "QUOTE portfolio=book occ-retention=",
-                          "UPDATE portfolio=book layer=2x agg-limit=9000000"}) {
-    const std::string response = server.handle_line(bad);
-    EXPECT_NE(response.find("\"status\":\"error\""), std::string::npos) << bad << ": " << response;
+  // Malformed requests are the caller's to fix: invalid-argument, never
+  // internal (which means a bug). Numeric fields are consumed whole: no
+  // trailing text, no sign wrap (deadline-ms=-1 must not become a 2^64-1 ms
+  // deadline).
+  for (const char* malformed :
+       {"", "BOGUS", "QUOTE", "QUOTE portfolio=nosuch", "QUOTE portfolio=book engine=bogus",
+        "QUOTE portfolio=book deadline-ms=-1", "QUOTE portfolio=book layer=9 occ-limit=5",
+        "QUOTE portfolio=book layer=1x", "QUOTE portfolio=book layer=-1",
+        "QUOTE portfolio=book deadline-ms=10ms", "QUOTE portfolio=book window=0.25:0.75abc",
+        "QUOTE portfolio=book window=0.25", "QUOTE portfolio=book occ-retention=",
+        "UPDATE portfolio=book layer=2x agg-limit=9000000"}) {
+    const std::string response = server.handle_line(malformed);
+    EXPECT_NE(response.find("\"status\":\"error\",\"code\":\"invalid-argument\""),
+              std::string::npos)
+        << malformed << ": " << response;
   }
 
   const std::string cold = server.handle_line("QUOTE portfolio=book");
@@ -579,57 +571,112 @@ TEST_F(Service, SocketRoundTrip) {
   EXPECT_FALSE(std::filesystem::exists(socket_path));
 }
 
-TEST_F(Service, ClientThatDisconnectsEarlyDoesNotKillTheServer) {
-  auto service_ptr = make_service();
-  const std::string socket_path =
-      (std::filesystem::temp_directory_path() / "are_test_service_early.sock").string();
-  const std::string pong = "{\"status\":\"ok\",\"pong\":true}";
-  std::filesystem::remove(socket_path);  // a killed earlier run leaves its socket file
-  service::Server server(*service_ptr, {.socket_path = socket_path});
-  struct Serving {  // stops and joins the server on every exit path
-    service::Server& server;
-    std::thread thread;
-    ~Serving() {
-      server.request_stop();
-      thread.join();
-    }
-  } serving{server, std::thread([&server] { server.serve(); })};
-  const auto ping = [&socket_path] {
+/// serve() on its own thread, stopped and joined on every exit path.
+class LiveServer {
+ public:
+  LiveServer(service::AnalysisService& analysis_service, const std::string& socket_name)
+      : path_((std::filesystem::temp_directory_path() / socket_name).string()),
+        server_(analysis_service, {.socket_path = path_}) {
+    std::filesystem::remove(path_);  // a killed earlier run leaves its socket file
+    thread_ = std::thread([this] { server_.serve(); });
+  }
+  ~LiveServer() {
+    server_.request_stop();
+    thread_.join();
+  }
+
+  /// PING on a new connection; empty when nothing answers.
+  std::string ping() const {
     try {
-      return service::Server::round_trip(socket_path, "PING");
+      return service::Server::round_trip(path_, "PING");
     } catch (const std::exception&) {
       return std::string();
     }
-  };
-  std::string answer;
-  for (int attempt = 0; attempt < 500 && answer.empty(); ++attempt) {
-    answer = ping();
-    if (answer.empty()) std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  ASSERT_EQ(answer, pong) << "server never came up";
+  /// The first answer of a PING retried for up to 5 s while serve() binds.
+  std::string await_up() const {
+    std::string answer;
+    for (int attempt = 0; attempt < 500 && answer.empty(); ++attempt) {
+      answer = ping();
+      if (answer.empty()) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return answer;
+  }
+  /// A raw client connection (5 s receive timeout), or -1.
+  int connect() const {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path_.c_str(), sizeof(addr.sun_path) - 1);
+    const timeval timeout{5, 0};
+    if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout) != 0 ||
+        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
+      ::close(fd);
+      return -1;
+    }
+    return fd;
+  }
+
+ private:
+  std::string path_;
+  service::Server server_;
+  std::thread thread_;
+};
+
+/// Sends all of `data` (or until the server drops the connection).
+void send_until_closed(int fd, const std::string& data) {
+  for (std::size_t sent = 0; sent < data.size();) {
+    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+}
+
+constexpr const char* kPong = "{\"status\":\"ok\",\"pong\":true}";
+
+TEST_F(Service, ClientThatDisconnectsEarlyDoesNotKillTheServer) {
+  auto service_ptr = make_service();
+  const LiveServer live(*service_ptr, "are_test_service_early.sock");
+  ASSERT_EQ(live.await_up(), kPong) << "server never came up";
 
   // 20000 PINGs, then close without reading a byte: the server's responses
   // hit a closed peer. Before send(MSG_NOSIGNAL) that write raised SIGPIPE
   // and killed this whole process.
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
-  const bool connected = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0;
-  const int connect_error = connected ? 0 : errno;
+  const int fd = live.connect();
+  ASSERT_GE(fd, 0) << std::strerror(errno);
   std::string pings;
   for (int i = 0; i < 20'000; ++i) pings += "PING\n";
-  for (std::size_t sent = 0; connected && sent < pings.size();) {
-    const ssize_t n = ::send(fd, pings.data() + sent, pings.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) break;  // the server may already have dropped us
-    sent += static_cast<std::size_t>(n);
-  }
+  send_until_closed(fd, pings);
   ::close(fd);
-  ASSERT_TRUE(connected) << std::strerror(connect_error);
 
   // The server is still up and answers a new connection.
-  EXPECT_EQ(ping(), pong);
+  EXPECT_EQ(live.ping(), kPong);
+}
+
+TEST_F(Service, OversizedRequestLineIsRejectedAndItsConnectionClosed) {
+  auto service_ptr = make_service();
+  const LiveServer live(*service_ptr, "are_test_service_long.sock");
+  ASSERT_EQ(live.await_up(), kPong) << "server never came up";
+
+  // 1 MiB with no newline: answered once the buffered line passes 64 KiB,
+  // without the line echoed back, and the connection closed (read hits EOF
+  // or the reset instead of the 5 s timeout).
+  const int fd = live.connect();
+  ASSERT_GE(fd, 0) << std::strerror(errno);
+  send_until_closed(fd, std::string(std::size_t{1} << 20, 'x'));
+  std::string response;
+  char buf[4096];
+  for (ssize_t n; (n = ::read(fd, buf, sizeof buf)) > 0;) {
+    response.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_EQ(response,
+            "{\"status\":\"error\",\"code\":\"invalid-argument\",\"retryable\":false,"
+            "\"message\":\"request line exceeds 65536 bytes\"}\n");
+
+  // A new connection is served as usual.
+  EXPECT_EQ(live.ping(), kPong);
 }
 
 }  // namespace

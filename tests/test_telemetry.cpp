@@ -1,7 +1,8 @@
 // Tests for the runtime telemetry subsystem (src/obs/): exact counter
 // arithmetic checked against hand-built table layouts and a hand-built YET,
-// bit-identity of telemetry-on vs. telemetry-off output for every
-// engine x sink combination, Chrome-trace JSON well-formedness (balanced
+// the kernel's Fig-6b phase laps and lookup counts on every engine x table
+// kind x delta mode x sink, bit-identity of telemetry-on vs. telemetry-off
+// output for every engine x sink combination, Chrome-trace JSON well-formedness (balanced
 // B/E, per-thread monotonic timestamps), exporter formats, and registry /
 // shard-store thread-safety under concurrent hammering.
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
@@ -18,6 +20,7 @@
 #include "core/analysis.hpp"
 #include "core/engine.hpp"
 #include "core/engine_registry.hpp"
+#include "core/trial_kernel.hpp"
 #include "elt/cuckoo_table.hpp"
 #include "elt/direct_access_table.hpp"
 #include "elt/paged_direct_table.hpp"
@@ -325,54 +328,111 @@ TEST_F(Telemetry, KernelCountersMatchHandBuiltYet) {
   EXPECT_EQ(ylt.layer_losses(0)[5], 0.0);
 }
 
-TEST_F(Telemetry, PoolAndPhaseCountersPopulateOnInstrumentedRuns) {
-  const Portfolio portfolio = synthetic_portfolio(2, 2);
-  const auto yet_table = small_yet(300, 30.0);
+// --- Phase laps and access counts on the production block loop --------------
 
-  core::InstrumentationSink sink;
-  core::AnalysisConfig config;
-  config.engine = core::EngineKind::kFused;
-  config.num_threads = 2;
-  config.collect_phases = true;
-  config.instrumentation = &sink;
-  config.telemetry.counters = true;
-  (void)core::run({portfolio, yet_table, config});
+// Every engine x table kind x {cold, capture, replay} x {materialized,
+// sharded under a spilling budget}, with telemetry counters on: the bytes
+// are untelemetered scalar seq's, the lookup counters are the paper's
+// predicted access counts (none on replay), and each phase is charged
+// exactly where its path does the work, inside the kernel block time.
+TEST_F(Telemetry, PhaseLapsAndLookupCountsOnEveryProductionPath) {
+  enum class Mode { kCold, kCapture, kReplay };
+  const auto yet_table = small_yet(97, 24.0);  // prime: ragged blocks and shards
+  constexpr std::uint64_t kShardTrials = 16;
+  std::size_t points = 0;
+  for (const elt::LookupKind kind :
+       {elt::LookupKind::kDirectAccess, elt::LookupKind::kSortedVector,
+        elt::LookupKind::kRobinHood, elt::LookupKind::kCuckoo, elt::LookupKind::kPagedDirect}) {
+    const Portfolio portfolio = synthetic_portfolio(2, 2, kind);
+    const bool direct = portfolio.layers[0].all_direct_access();
+    const std::uint64_t predicted = core::predict_access_counts(portfolio, yet_table).elt_lookups;
+    core::AnalysisConfig seq_config;
+    seq_config.engine = core::EngineKind::kSequential;
+    const auto reference = core::run({portfolio, yet_table, seq_config});
+    core::GroundUpLossCache captured(portfolio.layers.size(), yet_table.total_events());
+    seq_config.ground_up_capture = &captured;
+    (void)core::run({portfolio, yet_table, seq_config});
 
-  const obs::Snapshot snapshot = TelemetryRegistry::global().snapshot();
-  EXPECT_GT(snapshot.counter_value("kernel.phase.lookup_ns"), 0u);
-  EXPECT_GT(snapshot.counter_value("parallel.costed_chunks"), 0u);
+    for (const auto& engine : core::EngineRegistry::global().descriptors()) {
+      for (const Mode mode : {Mode::kCold, Mode::kCapture, Mode::kReplay}) {
+        for (const bool sharded : {false, true}) {
+          SCOPED_TRACE(std::string(elt::to_string(kind)) + " " + engine.name + " mode " +
+                       std::to_string(static_cast<int>(mode)) +
+                       (sharded ? " sharded" : " materialized"));
+          TelemetryRegistry::global().reset();
+          core::GroundUpLossCache capture(portfolio.layers.size(), yet_table.total_events());
+          core::AnalysisConfig config;
+          config.engine_name = engine.name;
+          config.num_threads = 2;
+          config.telemetry.counters = true;
+          if (mode == Mode::kCapture) config.ground_up_capture = &capture;
+          if (mode == Mode::kReplay) config.ground_up_replay = &captured;
+          core::YearLossTable ylt;
+          if (sharded) {
+            config.output = core::OutputMode::kSharded;
+            config.sharding.shard_trials = kShardTrials;
+            config.sharding.memory_budget_bytes =
+                portfolio.layers.size() * kShardTrials * sizeof(double);
+            auto table = shard::run_sharded({portfolio, yet_table, config});
+            EXPECT_GT(table.stats().spills, 0u);
+            ylt = table.materialize();
+          } else {
+            ylt = core::run({portfolio, yet_table, config});
+          }
+          const obs::Snapshot snapshot = TelemetryRegistry::global().snapshot();
+          const auto phase_ns = [&snapshot](const char* phase) {
+            return snapshot.counter_value("kernel.phase." + std::string(phase) + "_ns");
+          };
 
-  // The registry's phase counters mirror the InstrumentationSink breakdown.
-  ASSERT_TRUE(sink.phases.has_value());
-  EXPECT_EQ(snapshot.counter_value("kernel.phase.lookup_ns"),
-            static_cast<std::uint64_t>(sink.phases->lookup_seconds * 1e9));
-  // Materialized runs have no sink-emit phase.
-  EXPECT_EQ(sink.phases->output_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(sink.phases->total_seconds(),
-                   sink.phases->fetch_seconds + sink.phases->lookup_seconds +
-                       sink.phases->financial_seconds + sink.phases->layer_seconds +
-                       sink.phases->output_seconds);
-}
+          for (std::size_t layer = 0; layer < portfolio.layers.size(); ++layer) {
+            ASSERT_EQ(0, std::memcmp(reference.layer_losses(layer).data(),
+                                     ylt.layer_losses(layer).data(),
+                                     yet_table.num_trials() * sizeof(double)))
+                << "layer " << layer;
+          }
+          if (mode == Mode::kCapture) {
+            EXPECT_EQ(0, std::memcmp(capture.layer_values(0), captured.layer_values(0),
+                                     capture.memory_bytes()));
+          }
+          EXPECT_EQ(snapshot.counter_sum("elt.", ".lookups"),
+                    mode == Mode::kReplay ? 0u : predicted);
+          EXPECT_EQ(snapshot.counter_value("kernel.events"), yet_table.total_events());
+          if (engine.kind == core::EngineKind::kFused) {
+            EXPECT_GT(snapshot.counter_value("parallel.costed_chunks"), 0u);
+          }
 
-TEST_F(Telemetry, OutputPhaseAppearsOnShardedInstrumentedRuns) {
-  const Portfolio portfolio = synthetic_portfolio(2, 2);
-  const auto yet_table = small_yet(200, 25.0);
-
-  core::InstrumentationSink sink;
-  core::AnalysisConfig config;
-  config.engine = core::EngineKind::kFused;
-  config.engine_name = "fused";
-  config.collect_phases = true;
-  config.instrumentation = &sink;
-  config.output = core::OutputMode::kSharded;
-  config.sharding.shard_trials = 64;
-  (void)shard::run_sharded({portfolio, yet_table, config});
-
-  ASSERT_TRUE(sink.phases.has_value());
-  EXPECT_GE(sink.phases->output_seconds, 0.0);
-  EXPECT_GT(sink.phases->output_seconds, 0.0);  // the emit loop is timed work
-  EXPECT_DOUBLE_EQ(sink.phases->output_fraction(),
-                   sink.phases->output_seconds / sink.phases->total_seconds());
+          if (mode == Mode::kReplay) {
+            EXPECT_GT(phase_ns("fetch"), 0u);
+            EXPECT_EQ(phase_ns("combine"), 0u);
+            EXPECT_EQ(phase_ns("lookup"), 0u);
+            EXPECT_EQ(phase_ns("financial"), 0u);
+          } else if (direct) {
+            // Event ids are read inside the gathers: no separate fetch.
+            EXPECT_EQ(phase_ns("fetch"), 0u);
+            EXPECT_GT(phase_ns("combine"), 0u);
+            EXPECT_EQ(phase_ns("lookup"), 0u);
+            EXPECT_EQ(phase_ns("financial"), 0u);
+          } else {
+            EXPECT_EQ(phase_ns("fetch"), 0u);
+            EXPECT_EQ(phase_ns("combine"), 0u);
+            EXPECT_GT(phase_ns("lookup"), 0u);
+            EXPECT_GT(phase_ns("financial"), 0u);
+          }
+          EXPECT_GT(phase_ns("layer"), 0u);
+          if (sharded || mode == Mode::kCapture) {
+            EXPECT_GT(phase_ns("output"), 0u);
+          } else {
+            EXPECT_EQ(phase_ns("output"), 0u);
+          }
+          const std::uint64_t phases = snapshot.counter_sum("kernel.phase.", "_ns");
+          EXPECT_GT(phases, 0u);
+          EXPECT_LE(phases, snapshot.histogram_sum_ns("kernel.block_ns"));
+          ++points;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(points, 5u * 4u * 3u * 2u);
 }
 
 // --- Bit-identity: telemetry on vs. off, every engine x sink ------------------

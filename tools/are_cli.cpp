@@ -34,7 +34,6 @@
 //              --tile N (trials per kernel block; 0 = footprint heuristic)
 //              --simd-ext auto|scalar|sse2|avx2|avx512|neon (seq: auto = scalar)
 //              --window FROM:TO (fractions of the year)
-//              --phases (Fig-6b phase breakdown)
 //              --lookup direct|sorted|robinhood|cuckoo
 // Output:      --output materialized|sharded — sharded stores the YLT in
 //              trial-range shards that spill to disk under a memory budget
@@ -44,6 +43,8 @@
 //              (runtime counters / Chrome-trace spans from src/obs/, exported
 //              after the command finishes; default destination stderr)
 //              --verbose (human summaries rendered from the telemetry registry)
+//              --phases (run|report|price: the Fig-6b phase table and access
+//              counts, rendered from the registry's kernel.phase.* counters)
 //
 // Engine selection goes through core::run(AnalysisRequest) and the
 // EngineRegistry by name — this file has no per-engine dispatch ladder.
@@ -59,6 +60,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "args.hpp"
@@ -127,7 +129,7 @@ commands:
                      --no-clear (append refreshes instead of redrawing)
   quote              client for a running serve          (--socket PATH [terms...])
                      --portfolio NAME --layer N --engine NAME --window FROM:TO
-                     --phases --csv PATH (server-side YLT CSV) --no-cache --no-delta
+                     --csv PATH (server-side YLT CSV) --no-cache --no-delta
                      --sharded (out-of-core quote) --deadline-ms N (bound wall clock)
                      --retries N --retry-base-ms M (exponential backoff + jitter on
                      retryable failures and connect errors)
@@ -143,7 +145,6 @@ common options:
                 --simd-ext auto|scalar|sse2|avx2|avx512|neon (lane type; seq
                 runs scalar under auto)
                 --window FROM:TO  (fractions of the year)
-                --phases  (Fig-6b phase breakdown to stderr)
   lookup        --lookup direct|sorted|robinhood|cuckoo
   output        --output materialized|sharded  (sharded = out-of-core YLT)
                 --shard-trials N --spill-dir PATH --memory-budget-mb M (0 = unlimited)
@@ -151,6 +152,9 @@ common options:
                 exported after the run; Chrome-trace JSON loads in chrome://tracing)
                 --telemetry-out PATH  (default: stderr)
                 --verbose  (human-readable summaries from the telemetry registry)
+                --phases  (run/report/price: Fig-6b phase table + access counts
+                to stderr, from the kernel.phase.* counters every telemetered
+                run records)
   faults        --fault SITE=SPEC[,SITE=SPEC...]  (arm fault-injection sites for
                 this process; SPEC = always|never|once|every:N|after:N|prob:P[:SEED];
                 the ARE_FAULT env var takes the same list — see README "Failure model")
@@ -216,7 +220,6 @@ core::AnalysisConfig parse_engine_config(const Args& args) {
   if (!extension) throw std::runtime_error("unknown --simd-ext '" + ext + "'");
   config.simd_extension = *extension;
   if (args.has("window")) config.window = core::CoverageWindow::parse(args.require("window"));
-  config.collect_phases = args.has("phases");
 
   const std::string output = args.get("output", "materialized");
   if (output == "sharded") {
@@ -241,11 +244,13 @@ struct TelemetryCli {
   std::string format;    // "json" | "csv" | "prom" | "trace"; empty = no export
   std::string out_path;  // empty = stderr
   bool verbose = false;
+  bool phases = false;   // --phases: print the Fig-6b table after the run
 };
 
 TelemetryCli parse_telemetry(const Args& args) {
   TelemetryCli telemetry;
   telemetry.verbose = args.has("verbose");
+  telemetry.phases = args.has("phases");
   if (args.has("telemetry")) {
     telemetry.format = args.require("telemetry");
     if (telemetry.format != "json" && telemetry.format != "csv" &&
@@ -255,14 +260,46 @@ TelemetryCli parse_telemetry(const Args& args) {
     }
   }
   telemetry.out_path = args.get("telemetry-out", "");
-  // --verbose summaries render from the registry, so it too turns the
-  // counters on.
-  if (!telemetry.format.empty() || telemetry.verbose) obs::set_enabled(true);
+  // --verbose summaries and the --phases table render from the registry,
+  // so they too turn the counters on.
+  if (!telemetry.format.empty() || telemetry.verbose || telemetry.phases) {
+    obs::set_enabled(true);
+  }
   if (telemetry.format == "trace") obs::set_trace_enabled(true);
   return telemetry;
 }
 
+/// The Fig-6b table (stderr): the kernel's per-phase laps and their shares,
+/// how much of the kernel block time they cover, and the access counts.
+/// Direct tables read event ids inside their gathers, so a cold run on them
+/// reports lookup and financial terms fused as `combine`, and zero fetch.
+void report_phases(const obs::Snapshot& snapshot) {
+  constexpr std::pair<const char*, const char*> kPhases[] = {
+      {"event fetch", "kernel.phase.fetch_ns"},  {"combine", "kernel.phase.combine_ns"},
+      {"ELT lookup", "kernel.phase.lookup_ns"},  {"financial terms", "kernel.phase.financial_ns"},
+      {"layer terms", "kernel.phase.layer_ns"},  {"output", "kernel.phase.output_ns"},
+  };
+  const std::uint64_t total_ns = snapshot.counter_sum("kernel.phase.", "_ns");
+  const auto row = [total_ns](const char* label, std::uint64_t ns) {
+    std::fprintf(stderr, "  %-15s %10.4f s  %5.1f%%\n", label, static_cast<double>(ns) / 1e9,
+                 total_ns != 0 ? 100.0 * static_cast<double>(ns) / static_cast<double>(total_ns)
+                               : 0.0);
+  };
+  std::cerr << "phase breakdown (Fig 6b):\n";
+  for (const auto& [label, name] : kPhases) row(label, snapshot.counter_value(name));
+  row("total", total_ns);
+  const std::uint64_t block_ns = snapshot.histogram_sum_ns("kernel.block_ns");
+  std::fprintf(stderr, "  phases cover %.2f%% of %.4f s of kernel blocks\n",
+               block_ns != 0 ? 100.0 * static_cast<double>(total_ns) / static_cast<double>(block_ns)
+                             : 0.0,
+               static_cast<double>(block_ns) / 1e9);
+  std::fprintf(stderr, "accesses: %llu events, %llu ELT lookups\n",
+               static_cast<unsigned long long>(snapshot.counter_value("kernel.events")),
+               static_cast<unsigned long long>(snapshot.counter_sum("elt.", ".lookups")));
+}
+
 void export_telemetry(const TelemetryCli& telemetry) {
+  if (telemetry.phases) report_phases(obs::TelemetryRegistry::global().snapshot());
   if (telemetry.format.empty()) return;
   std::ofstream file;
   std::ostream* out = &std::cerr;
@@ -285,9 +322,8 @@ void export_telemetry(const TelemetryCli& telemetry) {
   }
 }
 
-/// Post-run execution facts (stderr, so CSV/report stdout stays clean):
-/// the Fig-6b phase breakdown under --phases, the resolved lane type, and
-/// whether openmp actually ran OpenMP or fell back.
+/// Post-run execution facts (stderr, so CSV/report stdout stays clean): the
+/// resolved lane type, and whether openmp actually ran OpenMP or fell back.
 void report_execution(const core::InstrumentationSink& sink) {
   if (sink.openmp_used && !*sink.openmp_used) {
     std::cerr << "note: OpenMP not compiled in; bit-identical thread-pool fallback ran\n";
@@ -301,27 +337,6 @@ void report_execution(const core::InstrumentationSink& sink) {
       std::cerr << " (" << *sink.simd_resolution_note << ")";
     }
     std::cerr << "\n";
-  }
-  if (sink.phases) {
-    const core::PhaseBreakdown& phases = *sink.phases;
-    std::cerr << "phase breakdown (Fig 6b):\n";
-    const auto row = [](const char* name, double seconds, double fraction) {
-      std::fprintf(stderr, "  %-15s %10.4f s  %5.1f%%\n", name, seconds, 100.0 * fraction);
-    };
-    row("event fetch", phases.fetch_seconds, phases.fetch_fraction());
-    row("ELT lookup", phases.lookup_seconds, phases.lookup_fraction());
-    row("financial terms", phases.financial_seconds, phases.financial_fraction());
-    row("layer terms", phases.layer_seconds, phases.layer_fraction());
-    row("output", phases.output_seconds, phases.output_fraction());
-    row("total", phases.total_seconds(), 1.0);
-  }
-  if (sink.accesses) {
-    std::fprintf(stderr,
-                 "accesses: %llu events fetched, %llu ELT lookups, %llu financial, %llu layer\n",
-                 static_cast<unsigned long long>(sink.accesses->events_fetched),
-                 static_cast<unsigned long long>(sink.accesses->elt_lookups),
-                 static_cast<unsigned long long>(sink.accesses->financial_applications),
-                 static_cast<unsigned long long>(sink.accesses->layer_term_applications));
   }
 }
 
@@ -615,7 +630,7 @@ int cmd_list_engines(const Args& args) {
   }
 
   // Every engine honours every knob (--chunk, --tile, --simd-ext, --window,
-  // --phases, --output sharded) and is bit-identical to scalar seq with the
+  // --output sharded) and is bit-identical to scalar seq with the
   // same window; only pool reuse differs.
   std::printf("%-9s %-5s %s\n", "engine", "pool", "summary");
   for (const auto& engine : registry.descriptors()) {
@@ -714,7 +729,6 @@ int cmd_quote(const Args& args) {
   if (!args.has("ping") && !args.has("update") && !args.has("shutdown")) {
     if (args.has("engine")) line << " engine=" << args.require("engine");
     if (args.has("window")) line << " window=" << args.require("window");
-    if (args.has("phases")) line << " phases=1";
     if (args.has("no-cache")) line << " cache=0";
     if (args.has("no-delta")) line << " delta=0";
     if (args.has("csv")) line << " csv=" << args.require("csv");
