@@ -70,8 +70,7 @@ void bench_dispatch_overhead(bench::JsonReport& report) {
   const yet::YearEventTable yet_table =
       bench::make_yet(kCacheScale, kCacheScale.trials / 4, kCacheScale.events_per_trial);
 
-  // Pin what kAuto would resolve to on this workload (cache-resident, so no
-  // regime narrowing): the host's best runnable extension.
+  // Pin what kAuto resolves to: the host's best runnable extension.
   const core::SimdExtension pinned = core::best_simd_extension();
 
   core::AnalysisConfig pinned_config{.engine = core::EngineKind::kFused};

@@ -154,8 +154,8 @@ int main(int argc, char** argv) {
   bench::print_note(
       "SIMD lane types on the Fig 2a workload shape (1 layer x 15 "
       "direct-access ELTs). Two regimes: 'simd/' runs the standard catalog "
-      "(tables far exceed L2 -> memory-access bound, lanes roughly tie "
-      "scalar and kAuto narrows to sse2), 'simd_cached/' runs a "
+      "(tables far exceed L2 -> memory-access bound, so lanes gain less "
+      "over scalar), 'simd_cached/' runs a "
       "regional-peril catalog with L2-resident tables, where AVX2 exceeds "
       "the >= 2x-over-sequential acceptance target.");
   bench::print_note(

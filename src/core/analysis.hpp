@@ -55,13 +55,11 @@ struct InstrumentationSink {
 
   /// The extension that actually executed after kAuto resolution — for
   /// parallel/openmp/fused the runtime dispatch decision (cpuid ∩
-  /// compiled-in, ARE_SIMD_EXT override) plus the memory-bound narrowing
-  /// to SSE2; for seq, scalar.
+  /// compiled-in, ARE_SIMD_EXT override); for seq, scalar.
   std::optional<SimdExtension> simd_extension_used;
 
   /// WHY that extension ran — explicit request, the env override, the
-  /// cpuid / compiled-in cap, the cache-regime narrowing with the footprint
-  /// that triggered it, or seq's scalar reference. Mirrors
+  /// cpuid / compiled-in cap, or seq's scalar reference. Mirrors
   /// core::resolve_simd_extension_ex().note; --verbose prints it.
   std::optional<std::string> simd_resolution_note;
 };
@@ -135,8 +133,8 @@ struct AnalysisConfig {
   std::size_t tile_trials = 0;
 
   /// Lane type of the kernel's vectorized phases. kAuto resolves, for
-  /// parallel/openmp/fused, to the widest runnable extension with the
-  /// memory-bound narrowing (resolve_simd_extension_ex); seq stays scalar
+  /// parallel/openmp/fused, to the widest runnable extension
+  /// (resolve_simd_extension_ex); seq stays scalar
   /// under kAuto, because it is the reference every other run is compared
   /// with. Every engine honours an explicit extension and rejects one that
   /// is not runnable here.

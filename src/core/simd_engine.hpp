@@ -13,11 +13,10 @@ namespace are::core {
 /// vectorized phases (AnalysisConfig::simd_extension). kAuto is a
 /// true load-time decision since the per-extension kernel TUs landed (see
 /// simd/dispatch.hpp): the widest extension that is BOTH compiled into this
-/// binary AND reported by this host's cpuid (ARE_SIMD_EXT overrides),
-/// narrowing to SSE2 for portfolios whose direct tables far outgrow the
-/// cache (wide hardware gathers stop paying once every lookup misses).
-/// Narrower extensions remain selectable so equivalence tests can assert
-/// that results are lane-width independent.
+/// binary AND reported by this host's cpuid (ARE_SIMD_EXT overrides), for
+/// every portfolio — the widest lanes won at every direct-table footprint
+/// measured, cache-resident or not. Narrower extensions remain selectable
+/// so equivalence tests can assert that results are lane-width independent.
 enum class SimdExtension {
   kAuto = 0,
   kScalar,
@@ -39,16 +38,14 @@ std::optional<SimdExtension> simd_extension_from_string(std::string_view name) n
 /// same binary answers differently on different machines.
 bool simd_extension_available(SimdExtension extension) noexcept;
 
-/// The extension kAuto executes before cache-regime narrowing: the runtime
-/// dispatch decision (detected ∩ compiled, ARE_SIMD_EXT override honored).
+/// The extension kAuto executes: the runtime dispatch decision (detected ∩
+/// compiled, ARE_SIMD_EXT override honored).
 SimdExtension best_simd_extension() noexcept;
 
 /// Lane width (doubles per vector register) of the given extension — the
 /// kernel's vectorized term phases process this many events at once.
 /// Throws for extensions not runnable here. For kAuto this is
-/// best_simd_extension()'s width — the width a particular run actually
-/// uses can be narrower (kAuto is portfolio-dependent); resolve with
-/// resolve_simd_extension() first when reporting a real run.
+/// best_simd_extension()'s width.
 std::size_t simd_lane_width(SimdExtension extension);
 
 struct SimdOptions {
@@ -60,15 +57,14 @@ struct SimdOptions {
 };
 
 /// The extension a parallel, openmp or fused run executes for this
-/// portfolio and options: resolves kAuto (runtime dispatch + the footprint
-/// narrowing) and throws std::invalid_argument for extensions not runnable
-/// here.
+/// portfolio and options: resolves kAuto to best_simd_extension() and
+/// throws std::invalid_argument for extensions not runnable here. The
+/// answer does not depend on the portfolio.
 SimdExtension resolve_simd_extension(const Portfolio& portfolio, const SimdOptions& options);
 
 /// resolve_simd_extension plus WHY — the one-sentence rationale the
 /// instrumentation note and --verbose surface: explicit request, the
-/// ARE_SIMD_EXT override, the cpuid / compiled-in cap, or the cache-regime
-/// narrowing (with the footprint that triggered it).
+/// ARE_SIMD_EXT override, or the cpuid / compiled-in cap.
 struct SimdResolution {
   SimdExtension extension = SimdExtension::kScalar;
   std::string note;

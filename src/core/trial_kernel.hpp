@@ -94,9 +94,8 @@ class GroundUpLossCache {
 /// driver shares. Scheduling lives in KernelLaunch, not here.
 struct TrialKernelConfig {
   /// Resolved lane type for the vectorized term phases. kScalar runs the
-  /// same body one element at a time; kAuto resolves to the widest compiled
-  /// extension (drivers that want the memory-bound narrowing resolve with
-  /// resolve_simd_extension() first and pass the result).
+  /// same body one element at a time; kAuto resolves to the widest runnable
+  /// extension, as resolve_simd_extension() does.
   SimdExtension extension = SimdExtension::kScalar;
 
   /// Coverage window; absent or full-year = every occurrence counts.

@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "elt/cuckoo_table.hpp"
 #include "elt/direct_access_table.hpp"
@@ -31,6 +33,18 @@ std::size_t next_pow2(std::size_t n) {
   return n <= 1 ? 1 : std::bit_ceil(n);
 }
 
+struct DirectTableGauges {
+  obs::Gauge& bytes;
+  obs::Gauge& huge_page_bytes;
+};
+
+const DirectTableGauges& direct_table_gauges() {
+  obs::TelemetryRegistry& registry = obs::TelemetryRegistry::global();
+  static const DirectTableGauges gauges{registry.gauge("elt.direct_access.bytes"),
+                                        registry.gauge("elt.direct_access.huge_page_bytes")};
+  return gauges;
+}
+
 }  // namespace
 
 DirectAccessTable::DirectAccessTable(const EventLossTable& table, std::size_t catalog_size) {
@@ -40,6 +54,45 @@ DirectAccessTable::DirectAccessTable(const EventLossTable& table, std::size_t ca
     losses_[record.event] = record.loss;
     ++entries_;
   }
+  add_to_gauges();
+}
+
+DirectAccessTable::DirectAccessTable(const DirectAccessTable& other)
+    : losses_(other.losses_), entries_(other.entries_) {
+  add_to_gauges();
+}
+
+DirectAccessTable::DirectAccessTable(DirectAccessTable&& other) noexcept
+    : losses_(std::move(other.losses_)),
+      entries_(other.entries_),
+      gauged_(std::exchange(other.gauged_, {})) {}
+
+DirectAccessTable& DirectAccessTable::operator=(DirectAccessTable other) noexcept {
+  // The old table leaves in `other`, which takes its gauge share along.
+  std::swap(losses_, other.losses_);
+  std::swap(entries_, other.entries_);
+  std::swap(gauged_, other.gauged_);
+  return *this;
+}
+
+DirectAccessTable::~DirectAccessTable() {
+  if (gauged_.bytes == 0) return;
+  const DirectTableGauges& gauges = direct_table_gauges();
+  gauges.bytes.add(-static_cast<std::int64_t>(gauged_.bytes));
+  gauges.huge_page_bytes.add(-static_cast<std::int64_t>(gauged_.huge_page_bytes));
+}
+
+void DirectAccessTable::add_to_gauges() {
+  if (!obs::enabled()) return;
+  // The table's whole allocation: rounded up to 2 MiB pages when it has
+  // its own mapping. Only such a mapping can be read back from smaps.
+  gauged_.bytes = mem::allocated_bytes(losses_.capacity() * sizeof(double));
+  gauged_.huge_page_bytes = mem::uses_huge_pages(gauged_.bytes)
+                                ? mem::huge_page_bytes(losses_.data(), gauged_.bytes)
+                                : 0;
+  const DirectTableGauges& gauges = direct_table_gauges();
+  gauges.bytes.add(static_cast<std::int64_t>(gauged_.bytes));
+  gauges.huge_page_bytes.add(static_cast<std::int64_t>(gauged_.huge_page_bytes));
 }
 
 void DirectAccessTable::lookup_many(const EventId* events, std::size_t count,

@@ -28,6 +28,9 @@ using core::SimdOptions;
 using core::YearLossTable;
 
 constexpr std::size_t kUniverse = 20'000;
+/// 2.4 MB per direct table: past mem::kHugePageBytes, so these tables take
+/// the huge-page allocation path.
+constexpr std::size_t kHugeUniverse = 300'000;
 
 std::vector<SimdExtension> available_extensions() {
   std::vector<SimdExtension> extensions;
@@ -65,7 +68,7 @@ Portfolio tiny_portfolio(const financial::LayerTerms& terms,
 
 Portfolio synthetic_portfolio(std::size_t num_layers, std::size_t elts_per_layer,
                               elt::LookupKind kind = elt::LookupKind::kDirectAccess,
-                              double share = 0.9) {
+                              double share = 0.9, std::size_t universe = kUniverse) {
   Portfolio portfolio;
   for (std::size_t l = 0; l < num_layers; ++l) {
     Layer layer;
@@ -76,11 +79,11 @@ Portfolio synthetic_portfolio(std::size_t num_layers, std::size_t elts_per_layer
     layer.terms.aggregate_limit = 20e6;
     for (std::size_t e = 0; e < elts_per_layer; ++e) {
       elt::SyntheticEltConfig config;
-      config.catalog_size = kUniverse;
+      config.catalog_size = universe;
       config.entries = 2'000;
       config.elt_id = l * 100 + e;
       LayerElt layer_elt;
-      layer_elt.lookup = elt::make_lookup(kind, elt::make_synthetic_elt(config), kUniverse);
+      layer_elt.lookup = elt::make_lookup(kind, elt::make_synthetic_elt(config), universe);
       layer_elt.terms.occurrence_retention = 10e3;
       layer_elt.terms.share = share;
       layer.elts.push_back(std::move(layer_elt));
@@ -90,13 +93,14 @@ Portfolio synthetic_portfolio(std::size_t num_layers, std::size_t elts_per_layer
   return portfolio;
 }
 
-yet::YearEventTable synthetic_yet(std::uint64_t trials, double events) {
+yet::YearEventTable synthetic_yet(std::uint64_t trials, double events,
+                                  std::size_t universe = kUniverse) {
   yet::YetConfig config;
   config.num_trials = trials;
   config.events_per_trial = events;
   config.count_model = yet::CountModel::kPoisson;
   config.seed = 31;
-  return yet::generate_uniform_yet(config, kUniverse);
+  return yet::generate_uniform_yet(config, universe);
 }
 
 YearLossTable run_seq(const Portfolio& portfolio, const yet::YearEventTable& yet_table) {
@@ -198,27 +202,27 @@ TEST(SimdVec, UnavailableExtensionThrows) {
   }
 }
 
-TEST(SimdVec, AutoNarrowsForMemoryBoundPortfolios) {
+TEST(SimdVec, AutoRunsWidestLanesAtEveryFootprint) {
   const SimdExtension best = core::best_simd_extension();
   const SimdOptions auto_options;
-  // A tiny cache-resident portfolio resolves to the widest extension.
+  // A tiny cache-resident portfolio resolves to the widest extension...
   EXPECT_EQ(core::resolve_simd_extension(tiny_portfolio(financial::LayerTerms{}), auto_options),
             best);
-  if (best == SimdExtension::kAvx2 || best == SimdExtension::kAvx512) {
-    // One direct ELT over a 2M-event universe (16 MB dense table) exceeds
-    // the wide-lane footprint threshold, so kAuto narrows to SSE2.
-    Layer layer;
-    layer.id = 1;
-    LayerElt layer_elt;
-    layer_elt.lookup = elt::make_lookup(elt::LookupKind::kDirectAccess, tiny_elt(), 2'000'000);
-    layer.elts.push_back(std::move(layer_elt));
-    Portfolio portfolio;
-    portfolio.layers.push_back(std::move(layer));
-    EXPECT_EQ(core::resolve_simd_extension(portfolio, auto_options), SimdExtension::kSse2);
-    // An explicit extension request is never overridden.
+  // ...and so does one direct ELT over a 2M-event universe (a 16 MB dense
+  // table, far past any cache): the widest lanes win there too.
+  Layer layer;
+  layer.id = 1;
+  LayerElt layer_elt;
+  layer_elt.lookup = elt::make_lookup(elt::LookupKind::kDirectAccess, tiny_elt(), 2'000'000);
+  layer.elts.push_back(std::move(layer_elt));
+  Portfolio portfolio;
+  portfolio.layers.push_back(std::move(layer));
+  EXPECT_EQ(core::resolve_simd_extension(portfolio, auto_options), best);
+  // An explicit extension request is never overridden.
+  for (SimdExtension extension : available_extensions()) {
     SimdOptions forced;
-    forced.extension = best;
-    EXPECT_EQ(core::resolve_simd_extension(portfolio, forced), best);
+    forced.extension = extension;
+    EXPECT_EQ(core::resolve_simd_extension(portfolio, forced), extension);
   }
 }
 
@@ -243,15 +247,20 @@ TEST(SimdEngine, HandComputedCombinedTerms) {
 // --- Bit-identical equivalence vs scalar seq -----------------------------------
 
 TEST(SimdEngine, MatchesSequentialOnEveryLookupKind) {
-  const auto yet_table = synthetic_yet(257, 40.0);  // not divisible by any lane width
-  for (const elt::LookupKind kind :
-       {elt::LookupKind::kDirectAccess, elt::LookupKind::kSortedVector,
-        elt::LookupKind::kRobinHood, elt::LookupKind::kCuckoo, elt::LookupKind::kPagedDirect}) {
-    const auto portfolio = synthetic_portfolio(2, 3, kind);
-    const auto reference = run_seq(portfolio, yet_table);
-    for (SimdExtension extension : available_extensions()) {
-      SCOPED_TRACE(std::string(to_string(kind)) + "/" + std::string(to_string(extension)));
-      expect_identical(run_lanes(portfolio, yet_table, extension), reference);
+  // The small universe keeps every table cache-resident; the large one puts
+  // each direct table on the huge-page allocation path.
+  for (const std::size_t universe : {kUniverse, kHugeUniverse}) {
+    const auto yet_table = synthetic_yet(257, 40.0, universe);  // not divisible by any lane width
+    for (const elt::LookupKind kind :
+         {elt::LookupKind::kDirectAccess, elt::LookupKind::kSortedVector,
+          elt::LookupKind::kRobinHood, elt::LookupKind::kCuckoo, elt::LookupKind::kPagedDirect}) {
+      const auto portfolio = synthetic_portfolio(2, 3, kind, 0.9, universe);
+      const auto reference = run_seq(portfolio, yet_table);
+      for (SimdExtension extension : available_extensions()) {
+        SCOPED_TRACE(std::to_string(universe) + "/" + std::string(to_string(kind)) + "/" +
+                     std::string(to_string(extension)));
+        expect_identical(run_lanes(portfolio, yet_table, extension), reference);
+      }
     }
   }
 }

@@ -42,7 +42,8 @@
 // Telemetry:   --telemetry json|csv|prom|trace [--telemetry-out PATH]
 //              (runtime counters / Chrome-trace spans from src/obs/, exported
 //              after the command finishes; default destination stderr)
-//              --verbose (human summaries rendered from the telemetry registry)
+//              --verbose (human summaries rendered from the telemetry registry,
+//              among them the direct tables' bytes on 2 MiB pages)
 //              --phases (run|report|price: the Fig-6b phase table and access
 //              counts, rendered from the registry's kernel.phase.* counters)
 //
@@ -298,7 +299,20 @@ void report_phases(const obs::Snapshot& snapshot) {
                static_cast<unsigned long long>(snapshot.counter_sum("elt.", ".lookups")));
 }
 
+/// The --verbose table line (stderr): the direct tables' bytes and how many
+/// of them sit on 2 MiB pages (0 when transparent huge pages are `never`).
+void report_tables(const obs::Snapshot& snapshot) {
+  const std::int64_t bytes = snapshot.gauge_value("elt.direct_access.bytes");
+  if (bytes <= 0) return;
+  constexpr double kMiB = 1 << 20;
+  std::fprintf(stderr, "direct tables: %.1f MiB, %.1f MiB on 2 MiB pages\n",
+               static_cast<double>(bytes) / kMiB,
+               static_cast<double>(snapshot.gauge_value("elt.direct_access.huge_page_bytes")) /
+                   kMiB);
+}
+
 void export_telemetry(const TelemetryCli& telemetry) {
+  if (telemetry.verbose) report_tables(obs::TelemetryRegistry::global().snapshot());
   if (telemetry.phases) report_phases(obs::TelemetryRegistry::global().snapshot());
   if (telemetry.format.empty()) return;
   std::ofstream file;
@@ -332,7 +346,7 @@ void report_execution(const core::InstrumentationSink& sink) {
     std::cerr << "note: kernel executed extension '"
               << core::to_string(*sink.simd_extension_used) << "'";
     // The runtime dispatch rationale: explicit request, ARE_SIMD_EXT
-    // override, the cpuid / compiled-in cap, or the cache-regime narrowing.
+    // override, or the cpuid / compiled-in cap.
     if (sink.simd_resolution_note && !sink.simd_resolution_note->empty()) {
       std::cerr << " (" << *sink.simd_resolution_note << ")";
     }
