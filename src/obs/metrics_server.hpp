@@ -1,9 +1,8 @@
 #pragma once
 
 // The scrape surface of the observability plane: a tiny background
-// HTTP/1.1 listener (same minimal-socket style as service/server, but
-// AF_INET so Prometheus/curl can reach it) serving the process-wide
-// telemetry registry:
+// HTTP/1.1 listener (TCP, so Prometheus/curl can reach it) serving the
+// process-wide telemetry registry:
 //
 //   GET /metrics  Prometheus text exposition (obs/export.hpp), real
 //                 histogram families + derived p50/p95/p99 gauges, plus
@@ -16,9 +15,9 @@
 //                 levels), per-source quote counts, armed fault sites,
 //                 and an optional embedder-supplied fragment.
 //
-// One request per connection (Connection: close), handled serially on the
-// accept thread — a scrape renders in microseconds, and serial handling
-// keeps the server at ~zero steady-state cost next to the quote path.
+// One request per connection (Connection: close), each on its own thread
+// through net::Listener, at most net::kMaxConnections at once and the next
+// answered 503, so an idle client delays neither a scrape nor stop().
 // Responses are moment-in-time registry snapshots; scraping never blocks
 // or perturbs instrumentation (the zero-cost telemetry contract holds
 // with the server running — CI byte-diffs served CSVs to prove it).
@@ -32,8 +31,11 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <thread>
+
+#include "net/socket.hpp"
 
 namespace are::obs {
 
@@ -63,12 +65,13 @@ class MetricsServer {
   /// the port cannot be bound. Idempotent once started.
   void start();
 
-  /// Stops the accept loop and joins. Idempotent; the destructor calls it.
+  /// Stops accepting and drains open connections. Idempotent; the
+  /// destructor calls it.
   void stop();
 
   /// The actually-bound port (resolves ephemeral port 0); valid after
   /// start().
-  int port() const noexcept { return port_; }
+  int port() const noexcept { return listener_ ? listener_->port() : 0; }
 
   bool running() const noexcept { return thread_.joinable(); }
 
@@ -77,11 +80,8 @@ class MetricsServer {
   std::string handle_path(const std::string& path) const;
 
  private:
-  void accept_loop();
-
   MetricsServerOptions options_;
-  int listen_fd_ = -1;
-  int port_ = 0;
+  std::optional<net::Listener> listener_;
   std::atomic<bool> stop_{false};
   std::thread thread_;
   std::chrono::steady_clock::time_point started_at_{};

@@ -6,8 +6,6 @@
 
 namespace are::service {
 
-namespace {
-
 constexpr std::string_view kFaultPrefix = "fault.injected.";
 
 std::string json_escape(std::string_view s) {
@@ -31,8 +29,6 @@ std::string json_escape(std::string_view s) {
   }
   return out;
 }
-
-}  // namespace
 
 RequestLogEntry make_log_entry(const QuoteRequest& request, const QuoteResponse& response) {
   RequestLogEntry entry;

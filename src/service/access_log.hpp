@@ -54,6 +54,9 @@ struct RequestLogEntry {
   std::vector<std::pair<std::string, std::uint64_t>> fault_fires;
 };
 
+/// `s` escaped for use inside a JSON string literal.
+std::string json_escape(std::string_view s);
+
 /// Builds the entry for one completed quote() call.
 RequestLogEntry make_log_entry(const QuoteRequest& request, const QuoteResponse& response);
 

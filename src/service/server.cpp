@@ -1,28 +1,17 @@
 #include "service/server.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
-#include <vector>
-
-#include <mutex>
 
 #include "fault/fault_injection.hpp"
 #include "io/csv.hpp"
+#include "net/socket.hpp"
 #include "obs/export.hpp"
 #include "service/access_log.hpp"
 
@@ -118,28 +107,6 @@ bool parse_flag(const std::map<std::string, std::string>& fields, const char* ke
 
 // ---- JSON rendering ---------------------------------------------------------
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string json_double(double v) {
   if (!std::isfinite(v)) return "null";
   char buf[40];
@@ -215,44 +182,6 @@ std::string response_json(const QuoteResponse& response) {
   }
   out << '}';
   return out.str();
-}
-
-// ---- socket plumbing --------------------------------------------------------
-
-int make_listen_socket(const std::string& path) {
-  ::unlink(path.c_str());
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) throw std::runtime_error("socket(): " + std::string(std::strerror(errno)));
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    ::close(fd);
-    throw std::runtime_error("socket path too long: " + path);
-  }
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(fd, 16) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(fd);
-    throw std::runtime_error("bind/listen on " + path + ": " + reason);
-  }
-  return fd;
-}
-
-/// False when the peer went away. MSG_NOSIGNAL: a client that disconnects
-/// before its responses are written must cost its own connection an EPIPE,
-/// never the whole process a SIGPIPE.
-bool write_all(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 }  // namespace
@@ -365,7 +294,7 @@ std::string Server::handle_line(const std::string& line) {
     if (verb == "SHUTDOWN") {
       // Wake broker queue waiters first (they answer their clients with a
       // structured shutting-down rejection), then stop the accept loop;
-      // serve() drains in-flight quotes before joining.
+      // serve() drains in-flight quotes before it returns.
       service_.broker().shutdown();
       request_stop();
       return "{\"status\":\"ok\",\"shutdown\":true}";
@@ -381,78 +310,31 @@ std::string Server::handle_line(const std::string& line) {
 }
 
 int Server::serve() {
-  const int listen_fd = make_listen_socket(options_.socket_path);
-  std::vector<std::thread> connections;
-  // Open connection fds, so shutdown can unblock threads parked in read().
-  std::mutex conns_mutex;
-  std::vector<int> open_conns;
-  while (!stop_requested()) {
-    pollfd pfd{listen_fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 200);
-    if (ready < 0 && errno != EINTR) break;
-    if (ready <= 0 || (pfd.revents & POLLIN) == 0) continue;
-    const int conn = ::accept(listen_fd, nullptr, nullptr);
-    if (conn < 0) continue;
-    if (fault::should_inject(fault::sites::kServiceSocket)) {
-      // Simulated accept-side failure (fd exhaustion, peer reset before
-      // handshake): the connection is dropped, the accept loop lives on —
-      // clients see a closed socket, never a dead server.
-      ::close(conn);
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> guard(conns_mutex);
-      open_conns.push_back(conn);
-    }
-    connections.emplace_back([this, conn, &conns_mutex, &open_conns] {
-      std::string pending;
-      std::size_t scanned = 0;  // bytes of `pending` already searched for '\n'
-      char buf[4096];
-      for (bool peer_open = true; peer_open;) {
-        const ssize_t n = ::read(conn, buf, sizeof buf);
-        if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) break;
-        pending.append(buf, static_cast<std::size_t>(n));
-        std::size_t line_start = 0;
-        std::size_t newline;
-        while (peer_open && (newline = pending.find('\n', scanned)) != std::string::npos &&
-               newline - line_start <= kMaxRequestLineBytes) {
-          peer_open = write_all(
-              conn, handle_line(pending.substr(line_start, newline - line_start)) + "\n");
-          line_start = scanned = newline + 1;
-        }
-        pending.erase(0, line_start);
-        scanned = pending.size();
-        if (peer_open && pending.size() > kMaxRequestLineBytes) {
-          write_all(conn, error_json({core::StatusCode::kInvalidArgument,
-                                      "request line exceeds " +
-                                          std::to_string(kMaxRequestLineBytes) + " bytes"}) +
-                              "\n");
-          break;
-        }
-        if (stop_requested()) break;
-      }
-      {
-        std::lock_guard<std::mutex> guard(conns_mutex);
-        open_conns.erase(std::find(open_conns.begin(), open_conns.end(), conn));
-      }
-      ::close(conn);
-    });
-  }
-  // Shutdown drain. Order matters: wake broker queue waiters (their
-  // connection threads answer with structured rejections), then half-close
-  // every idle connection so threads parked in read() wake with EOF —
-  // in-flight responses still flow out the write side — and only then
-  // join. Before this, a client that kept its connection open hung the
-  // join forever.
-  service_.broker().shutdown();
   {
-    std::lock_guard<std::mutex> guard(conns_mutex);
-    for (const int conn : open_conns) ::shutdown(conn, SHUT_RD);
+    net::Listener listener(
+        {.path = options_.socket_path},
+        error_json({core::StatusCode::kResourceExhausted, "too many connections"}) + "\n",
+        [this](int fd) {
+          // Simulated accept-side failure: the connection closes unread.
+          if (fault::should_inject(fault::sites::kServiceSocket)) return;
+          std::string pending, line;
+          net::Line read;
+          while ((read = net::next_line(fd, pending, line, kMaxRequestLineBytes)) ==
+                     net::Line::kRead &&
+                 net::write_all(fd, handle_line(line) + "\n")) {
+          }
+          if (read == net::Line::kOversize) {
+            net::write_all(fd, error_json({core::StatusCode::kInvalidArgument,
+                                          "request line exceeds " +
+                                              std::to_string(kMaxRequestLineBytes) + " bytes"}) +
+                                  "\n");
+          }
+        });
+    listener.accept_until(stop_);
+    // Shutdown drain, in this order: wake broker queue waiters (they answer
+    // with structured rejections), then ~Listener half-closes and waits.
+    service_.broker().shutdown();
   }
-  for (std::thread& connection : connections) connection.join();
-  ::close(listen_fd);
-  ::unlink(options_.socket_path.c_str());
   if (options_.verbose) {
     // Lifetime summary, with the fault-injection fire tallies so a chaos
     // run's stderr says exactly what was provoked.
@@ -475,34 +357,7 @@ int Server::serve() {
 }
 
 std::string Server::round_trip(const std::string& socket_path, const std::string& line) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) throw std::runtime_error("socket(): " + std::string(std::strerror(errno)));
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socket_path.size() >= sizeof(addr.sun_path)) {
-    ::close(fd);
-    throw std::runtime_error("socket path too long: " + socket_path);
-  }
-  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(fd);
-    throw std::runtime_error("connect to " + socket_path + ": " + reason);
-  }
-  if (!write_all(fd, line + "\n")) {
-    const std::string reason = std::strerror(errno);
-    ::close(fd);
-    throw std::runtime_error("send to " + socket_path + ": " + reason);
-  }
-  std::string response;
-  char buf[4096];
-  while (response.find('\n') == std::string::npos) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
+  const std::string response = net::exchange({.path = socket_path}, line + "\n", true);
   const std::size_t newline = response.find('\n');
   if (newline == std::string::npos) {
     throw std::runtime_error("connection closed before a full response line");

@@ -33,8 +33,9 @@
 // the CI smoke byte-diffs that file against a one-shot `are_cli run`.
 //
 // handle_line() is the protocol core and is directly testable without a
-// socket; serve() owns the accept loop (one thread per connection, joined
-// on shutdown).
+// socket; serve() listens through net::Listener (net/socket.hpp): a thread
+// per connection, at most net::kMaxConnections, the next one answered
+// "resource-exhausted". It replaces a stale socket file, never another file.
 
 #include <atomic>
 #include <string>

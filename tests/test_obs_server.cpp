@@ -15,12 +15,17 @@
 //   - request-id correlation: the id on the wire response appears in the
 //     Chrome trace exactly twice per quote (span 'B' args + 'i' instant);
 //   - the zero-cost contract: served CSV bytes identical with telemetry
-//     on and a scraper hammering /metrics mid-quote.
+//     on and a scraper hammering /metrics mid-quote;
+//   - an idle TCP client delays neither a scrape nor stop().
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -430,6 +435,46 @@ TEST_F(ObsServer, ServedCsvBytesIdenticalWithMetricsServerScraping) {
   std::ostringstream csv;
   io::write_ylt_csv(csv, response.outcome->ylt);
   EXPECT_EQ(csv.str(), baseline_csv) << "scraping must not perturb served bytes";
+}
+
+// --- The front door ------------------------------------------------------------
+
+TEST_F(ObsServer, IdleClientDelaysNeitherScrapeNorStop) {
+  obs::MetricsServer server;
+  server.start();
+  // A client that connects and sends nothing. The watchdog hangs it up
+  // after 3 s, so a server that waits on it fails the timing checks below
+  // rather than hanging the test.
+  const int idle = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(idle, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(idle, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  std::atomic<bool> finished{false};
+  std::thread watchdog([&finished, idle] {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(3);
+    while (!finished.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ::shutdown(idle, SHUT_RDWR);
+  });
+
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(obs::http_get("127.0.0.1", server.port(), "/healthz"), "ok\n");
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1))
+      << "the scrape waited on the idle client";
+
+  start = std::chrono::steady_clock::now();
+  server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1))
+      << "stop() waited on the idle client";
+  EXPECT_FALSE(server.running());
+
+  finished.store(true);
+  watchdog.join();
+  ::close(idle);
 }
 
 }  // namespace

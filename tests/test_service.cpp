@@ -14,7 +14,8 @@
 //   - concurrent core::run() hammering one borrowed pool + shared tables;
 //   - the line protocol (handle_line): malformed lines answered
 //     invalid-argument, a full AF_UNIX round trip, a client that vanishes
-//     mid-stream, and a request line past the 64 KiB cap.
+//     mid-stream, a request line past the 64 KiB cap, the connection past
+//     net::kMaxConnections, and the service.socket fault site.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -34,7 +35,10 @@
 #include "core/analysis.hpp"
 #include "core/trial_kernel.hpp"
 #include "elt/synthetic.hpp"
+#include "fault/fault_injection.hpp"
 #include "io/csv.hpp"
+#include "net/socket.hpp"
+#include "obs/metrics_server.hpp"
 #include "obs/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "service/analysis_service.hpp"
@@ -547,6 +551,9 @@ TEST_F(Service, HandleLineSpeaksTheProtocol) {
   EXPECT_NE(server.handle_line("QUOTE portfolio=book").find("\"source\":\"delta\""),
             std::string::npos);
 
+  // Request text a message repeats comes back JSON-escaped.
+  EXPECT_NE(server.handle_line("QUOTE portfolio=a\"b").find("a\\\"b"), std::string::npos);
+
   EXPECT_FALSE(server.stop_requested());
   EXPECT_NE(server.handle_line("SHUTDOWN").find("\"shutdown\":true"), std::string::npos);
   EXPECT_TRUE(server.stop_requested());
@@ -584,6 +591,8 @@ class LiveServer {
     server_.request_stop();
     thread_.join();
   }
+
+  const std::string& path() const { return path_; }
 
   /// PING on a new connection; empty when nothing answers.
   std::string ping() const {
@@ -633,6 +642,13 @@ void send_until_closed(int fd, const std::string& data) {
   }
 }
 
+/// One response line from a raw connection, newline excluded.
+std::string read_reply(int fd) {
+  std::string reply;
+  for (char c = 0; ::read(fd, &c, 1) == 1 && c != '\n';) reply += c;
+  return reply;
+}
+
 constexpr const char* kPong = "{\"status\":\"ok\",\"pong\":true}";
 
 TEST_F(Service, ClientThatDisconnectsEarlyDoesNotKillTheServer) {
@@ -677,6 +693,46 @@ TEST_F(Service, OversizedRequestLineIsRejectedAndItsConnectionClosed) {
 
   // A new connection is served as usual.
   EXPECT_EQ(live.ping(), kPong);
+}
+
+TEST_F(Service, ConnectionPastTheBoundIsAnsweredResourceExhausted) {
+  auto service_ptr = make_service();
+  const LiveServer live(*service_ptr, "are_test_service_bound.sock");
+  ASSERT_EQ(live.await_up(), kPong) << "server never came up";
+
+  std::vector<int> held;
+  for (std::size_t i = 0; i < net::kMaxConnections; ++i) {
+    const int fd = live.connect();
+    ASSERT_GE(fd, 0) << std::strerror(errno);
+    held.push_back(fd);
+    send_until_closed(fd, "PING\n");
+    ASSERT_EQ(read_reply(fd), kPong) << "connection " << i << " is served";
+  }
+  const std::string busy = live.ping();
+  EXPECT_NE(busy.find("\"status\":\"error\",\"code\":\"resource-exhausted\",\"retryable\":true"),
+            std::string::npos)
+      << busy;
+  for (const int fd : held) ::close(fd);
+}
+
+TEST_F(Service, SocketFaultSiteDropsOneQuoteConnectionAndSparesTheScrapePort) {
+  service::ServiceConfig config;
+  config.session.num_threads = 2;
+  config.metrics_port = 0;
+  service::AnalysisService analysis_service(make_yet(), config);
+  analysis_service.register_portfolio("book", make_portfolio());
+  const LiveServer live(analysis_service, "are_test_service_fault.sock");
+  ASSERT_EQ(live.await_up(), kPong) << "server never came up";
+
+  const fault::ScopedArm armed("service.socket=once");
+  EXPECT_THROW(service::Server::round_trip(live.path(), "PING"), std::runtime_error);
+  EXPECT_EQ(live.ping(), kPong);
+  EXPECT_EQ(obs::TelemetryRegistry::global().snapshot().counter_value(
+                "fault.injected.service.socket"),
+            1u);
+  const std::string scraped =
+      obs::http_get("127.0.0.1", analysis_service.metrics_server()->port(), "/metrics");
+  EXPECT_NE(scraped.find("are_uptime_seconds"), std::string::npos);
 }
 
 }  // namespace
