@@ -137,8 +137,9 @@ void engine_simd_threads(benchmark::State& state) {
     benchmark::DoNotOptimize(ylt);
   }
   state.counters["threads"] = static_cast<double>(state.range(0));
-  state.counters["lanes"] = static_cast<double>(core::simd_lane_width(
-      core::resolve_simd_extension(direct_portfolio(), {config.num_threads, config.simd_extension})));
+  const core::SimdResolution resolved = core::resolve_simd_extension_ex(
+      direct_portfolio(), {config.num_threads, config.simd_extension});
+  state.counters["lanes"] = static_cast<double>(core::simd_lane_width(resolved.extension));
 }
 
 void engine_sequential_generic(benchmark::State& state) {

@@ -5,7 +5,6 @@
 
 #include "core/engine_registry.hpp"
 #include "core/trial_kernel.hpp"
-#include "fault/fault_injection.hpp"
 #include "obs/telemetry.hpp"
 
 namespace are::core {
@@ -131,7 +130,6 @@ YearLossTable run(const AnalysisRequest& request) {
   }
   const obs::RunScope telemetry(request.config.telemetry.counters,
                                 request.config.telemetry.trace);
-  const fault::ScopedArm faults(request.config.faults);
   std::vector<std::uint32_t> layer_ids;
   for (const Layer& layer : request.portfolio.layers) layer_ids.push_back(layer.id);
   YearLossTable ylt(std::move(layer_ids), request.yet_table.num_trials());
@@ -143,7 +141,6 @@ void run_to_sink(const AnalysisRequest& request, YltSink& sink) {
   const EngineDescriptor& engine = resolve_engine(request.config);
   const obs::RunScope telemetry(request.config.telemetry.counters,
                                 request.config.telemetry.trace);
-  const fault::ScopedArm faults(request.config.faults);
   execute(request, engine.kind, nullptr, &sink);
 }
 

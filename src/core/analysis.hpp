@@ -182,13 +182,6 @@ struct AnalysisConfig {
   /// owned; null = never cancelled.
   const CancelToken* cancel = nullptr;
 
-  /// Fault-injection sites to arm for the duration of this run, as a
-  /// comma-separated SITE=SPEC list (src/fault/fault_injection.hpp) —
-  /// "shard.spill_write=always,io.read=every:3". Armed process-wide
-  /// (RAII-scoped inside run()/run_to_sink()); empty = no injection.
-  /// Test/chaos tooling only.
-  std::string faults;
-
   /// Engine-independent sanity checks; throws std::invalid_argument on a
   /// malformed window, partition_chunk == 0, sharding.shard_trials == 0, or
   /// both ground-up pointers set (chunk_size == 0 and tile_trials == 0 are

@@ -77,10 +77,6 @@ std::size_t simd_lane_width(SimdExtension extension) {
   return simd::lanes_of(to_dispatch(extension));
 }
 
-SimdExtension resolve_simd_extension(const Portfolio& portfolio, const SimdOptions& options) {
-  return resolve_simd_extension_ex(portfolio, options).extension;
-}
-
 SimdResolution resolve_simd_extension_ex(const Portfolio& /*portfolio*/,
                                          const SimdOptions& options) {
   SimdResolution resolved;

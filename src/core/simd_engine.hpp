@@ -57,14 +57,11 @@ struct SimdOptions {
 };
 
 /// The extension a parallel, openmp or fused run executes for this
-/// portfolio and options: resolves kAuto to best_simd_extension() and
-/// throws std::invalid_argument for extensions not runnable here. The
-/// answer does not depend on the portfolio.
-SimdExtension resolve_simd_extension(const Portfolio& portfolio, const SimdOptions& options);
-
-/// resolve_simd_extension plus WHY — the one-sentence rationale the
+/// portfolio and options, plus WHY — the one-sentence rationale the
 /// instrumentation note and --verbose surface: explicit request, the
-/// ARE_SIMD_EXT override, or the cpuid / compiled-in cap.
+/// ARE_SIMD_EXT override, or the cpuid / compiled-in cap. Resolves kAuto to
+/// best_simd_extension() and throws std::invalid_argument for extensions
+/// not runnable here. The answer does not depend on the portfolio.
 struct SimdResolution {
   SimdExtension extension = SimdExtension::kScalar;
   std::string note;

@@ -27,7 +27,7 @@ namespace {
 /// routes to the factory in its own src/core/kernel_ext_*.cpp TU, present
 /// exactly when CMake defined the matching ARE_KERNEL_TU_* macro. Callers
 /// reach a wide factory only for extensions simd_extension_available()
-/// reports runnable (the constructor and resolve_simd_extension guard), so
+/// reports runnable (the constructor and resolve_simd_extension_ex guard), so
 /// a host never executes instructions its cpuid did not report.
 std::unique_ptr<TrialBlockKernel::Impl> make_impl(SimdExtension extension,
                                                   const Portfolio& portfolio,

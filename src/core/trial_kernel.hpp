@@ -95,7 +95,7 @@ class GroundUpLossCache {
 struct TrialKernelConfig {
   /// Resolved lane type for the vectorized term phases. kScalar runs the
   /// same body one element at a time; kAuto resolves to the widest runnable
-  /// extension, as resolve_simd_extension() does.
+  /// extension, as resolve_simd_extension_ex() does.
   SimdExtension extension = SimdExtension::kScalar;
 
   /// Coverage window; absent or full-year = every occurrence counts.

@@ -22,8 +22,8 @@
 //
 // Sources, in the order a process applies them: the ARE_FAULT environment
 // variable (comma-separated list, parsed by are_cli at startup),
-// `are_cli --fault LIST` on any command, and AnalysisConfig::faults for
-// API embedders (armed for the duration of one run()). Every fire bumps a
+// `are_cli --fault LIST` on any command, and a ScopedArm for API
+// embedders (armed for the scope that holds it). Every fire bumps a
 // per-site tally and the obs counter `fault.injected.<site>`, so chaos runs
 // can assert exactly what they provoked.
 //
@@ -120,10 +120,9 @@ inline bool should_inject(std::string_view site) {
   return FaultRegistry::global().should_inject(site);
 }
 
-/// RAII arming of a SITE=SPEC list (AnalysisConfig::faults): arms on
-/// construction, disarms exactly those sites on destruction. Prior specs
-/// for the same sites are not restored — scoped arming is for one-shot
-/// runs, not nesting.
+/// RAII arming of a SITE=SPEC list: arms on construction, disarms exactly
+/// those sites on destruction. Prior specs for the same sites are not
+/// restored — scoped arming is for one-shot runs, not nesting.
 class ScopedArm {
  public:
   explicit ScopedArm(std::string_view list);

@@ -1,22 +1,13 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "core/year_loss_table.hpp"
-#include "elt/event_loss_table.hpp"
 #include "metrics/ep_curve.hpp"
 #include "shard/sharded_ylt.hpp"
 
 namespace are::io {
-
-/// Writes an ELT as `event_id,loss` rows with a header.
-void write_elt_csv(std::ostream& out, const elt::EventLossTable& table);
-
-/// Reads an ELT written by write_elt_csv. Throws std::runtime_error on
-/// malformed input.
-elt::EventLossTable read_elt_csv(std::istream& in);
 
 /// Writes a YLT as `trial,<layer_id>...` wide rows.
 void write_ylt_csv(std::ostream& out, const core::YearLossTable& ylt);
@@ -28,8 +19,5 @@ void write_ylt_csv(std::ostream& out, shard::ShardedYearLossTable& ylt);
 
 /// Writes an EP table as `return_period,probability,loss` rows.
 void write_ep_csv(std::ostream& out, const std::vector<metrics::EpPoint>& points);
-
-/// Splits one CSV line on commas (no quoting — our formats never quote).
-std::vector<std::string> split_csv_line(const std::string& line);
 
 }  // namespace are::io

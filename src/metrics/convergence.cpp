@@ -1,11 +1,9 @@
 #include "metrics/convergence.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "metrics/statistics.hpp"
-#include "rng/stream.hpp"
 
 namespace are::metrics {
 
@@ -13,89 +11,6 @@ double mean_standard_error(std::span<const double> losses) {
   if (losses.size() < 2) throw std::invalid_argument("standard error needs >= 2 samples");
   const RunningStats stats = summarize(losses);
   return stats.stddev() / std::sqrt(static_cast<double>(losses.size()));
-}
-
-namespace {
-
-BootstrapInterval bootstrap_measure(std::span<const double> losses, int resamples,
-                                    std::uint64_t seed, double full_estimate,
-                                    const auto& measure) {
-  if (losses.empty()) throw std::invalid_argument("bootstrap of an empty sample");
-  if (resamples < 10) throw std::invalid_argument("need >= 10 bootstrap resamples");
-
-  std::vector<double> resample(losses.size());
-  std::vector<double> estimates;
-  estimates.reserve(static_cast<std::size_t>(resamples));
-
-  for (int r = 0; r < resamples; ++r) {
-    rng::Stream stream(seed, /*stream_id=*/6, /*substream_id=*/static_cast<std::uint64_t>(r));
-    for (auto& value : resample) {
-      value = losses[stream.uniform_below(losses.size())];
-    }
-    std::sort(resample.begin(), resample.end());
-    estimates.push_back(measure(resample));
-  }
-  std::sort(estimates.begin(), estimates.end());
-
-  BootstrapInterval interval;
-  interval.estimate = full_estimate;
-  interval.lower = quantile(estimates, 0.025);
-  interval.upper = quantile(estimates, 0.975);
-  const double denom = std::max(std::abs(full_estimate), 1e-12);
-  interval.half_width_relative = 0.5 * (interval.upper - interval.lower) / denom;
-  return interval;
-}
-
-}  // namespace
-
-BootstrapInterval bootstrap_quantile(std::span<const double> losses, double q, int resamples,
-                                     std::uint64_t seed) {
-  const double full = quantile_unsorted(losses, q);
-  return bootstrap_measure(losses, resamples, seed, full,
-                           [q](std::span<const double> sorted) { return quantile(sorted, q); });
-}
-
-BootstrapInterval bootstrap_tvar(std::span<const double> losses, double level, int resamples,
-                                 std::uint64_t seed) {
-  std::vector<double> sorted(losses.begin(), losses.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double full = tail_value_at_risk(sorted, level);
-  return bootstrap_measure(losses, resamples, seed, full,
-                           [level](std::span<const double> resampled) {
-                             return tail_value_at_risk(resampled, level);
-                           });
-}
-
-std::vector<ConvergencePoint> quantile_convergence(std::span<const double> losses, double q,
-                                                   std::size_t first_prefix) {
-  if (losses.empty()) throw std::invalid_argument("convergence of an empty sample");
-  if (first_prefix == 0) throw std::invalid_argument("first prefix must be > 0");
-
-  std::vector<ConvergencePoint> points;
-  for (std::size_t n = std::min(first_prefix, losses.size());; n = std::min(n * 2, losses.size())) {
-    points.push_back({n, quantile_unsorted(losses.subspan(0, n), q)});
-    if (n == losses.size()) break;
-  }
-  return points;
-}
-
-std::size_t trials_needed(std::span<const double> losses, double q, double tolerance) {
-  if (!(tolerance > 0.0)) throw std::invalid_argument("tolerance must be > 0");
-  const auto points = quantile_convergence(losses, q);
-  const double full = points.back().estimate;
-  const double denom = std::max(std::abs(full), 1e-12);
-
-  // Find the earliest prefix from which *all* later estimates stay within
-  // tolerance of the full-sample value.
-  std::size_t needed = losses.size();
-  for (auto it = points.rbegin(); it != points.rend(); ++it) {
-    if (std::abs(it->estimate - full) / denom <= tolerance) {
-      needed = it->trials;
-    } else {
-      break;
-    }
-  }
-  return needed;
 }
 
 }  // namespace are::metrics

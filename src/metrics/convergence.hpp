@@ -1,51 +1,12 @@
 #pragma once
 
-#include <cstdint>
 #include <span>
-#include <vector>
 
 namespace are::metrics {
 
-/// Monte Carlo convergence diagnostics for YLT-derived risk measures. The
-/// paper's discussion ("In many applications 50K trials may be sufficient")
-/// begs the question this module answers: sufficient for *which* measure at
-/// *what* precision? Tail measures need far more trials than the mean.
-
-/// Standard error of the sample mean.
+/// Standard error of the sample mean of the trial losses: how far the
+/// Monte Carlo estimate of the expected annual loss may sit from its limit
+/// at this trial count.
 double mean_standard_error(std::span<const double> losses);
-
-/// Bootstrap confidence interval for a quantile-based measure.
-struct BootstrapInterval {
-  double estimate = 0.0;
-  double lower = 0.0;   // percentile CI lower bound
-  double upper = 0.0;   // percentile CI upper bound
-  double half_width_relative = 0.0;  // (upper-lower)/2 / max(|estimate|, eps)
-};
-
-/// Percentile-bootstrap CI for the q-quantile (PML at exceedance 1-q) of
-/// the trial losses. Deterministic in `seed`.
-BootstrapInterval bootstrap_quantile(std::span<const double> losses, double q,
-                                     int resamples = 200, std::uint64_t seed = 1);
-
-/// Percentile-bootstrap CI for TVaR at confidence `level`.
-BootstrapInterval bootstrap_tvar(std::span<const double> losses, double level,
-                                 int resamples = 200, std::uint64_t seed = 1);
-
-/// Running estimate of a measure over growing trial prefixes — the curve an
-/// analyst inspects to decide whether 50K trials "is sufficient".
-struct ConvergencePoint {
-  std::size_t trials = 0;
-  double estimate = 0.0;
-};
-
-/// Evaluates `q`-quantile estimates at geometrically growing prefixes of
-/// the loss vector (in trial order).
-std::vector<ConvergencePoint> quantile_convergence(std::span<const double> losses, double q,
-                                                   std::size_t first_prefix = 1000);
-
-/// Smallest prefix whose q-quantile estimate stays within `tolerance`
-/// (relative) of the full-sample estimate from that point onward; returns
-/// losses.size() when never stable.
-std::size_t trials_needed(std::span<const double> losses, double q, double tolerance);
 
 }  // namespace are::metrics

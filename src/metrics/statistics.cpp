@@ -8,23 +8,6 @@ namespace are::metrics {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double quantile(std::span<const double> sorted_sample, double q) {
   if (sorted_sample.empty()) throw std::invalid_argument("quantile of an empty sample");
   if (!(q >= 0.0) || !(q <= 1.0)) throw std::invalid_argument("quantile level must be in [0,1]");
@@ -33,12 +16,6 @@ double quantile(std::span<const double> sorted_sample, double q) {
   const std::size_t hi = std::min(lo + 1, sorted_sample.size() - 1);
   const double frac = h - static_cast<double>(lo);
   return sorted_sample[lo] + frac * (sorted_sample[hi] - sorted_sample[lo]);
-}
-
-double quantile_unsorted(std::span<const double> sample, double q) {
-  std::vector<double> copy(sample.begin(), sample.end());
-  std::sort(copy.begin(), copy.end());
-  return quantile(copy, q);
 }
 
 double tail_value_at_risk(std::span<const double> sorted_sample, double q) {

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace are::metrics {
 
@@ -28,9 +27,6 @@ class RunningStats {
   double min() const noexcept { return min_; }
   double max() const noexcept { return max_; }
 
-  /// Merges another accumulator (parallel reduction; Chan et al.).
-  void merge(const RunningStats& other) noexcept;
-
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
@@ -42,9 +38,6 @@ class RunningStats {
 /// Empirical quantile with linear interpolation (type-7, the R/NumPy
 /// default): q in [0, 1] of the given sample.
 double quantile(std::span<const double> sorted_sample, double q);
-
-/// Convenience: sorts a copy then takes the quantile.
-double quantile_unsorted(std::span<const double> sample, double q);
 
 /// Mean of the worst (1-q) tail — the Tail Value at Risk at level q,
 /// estimated as the average of all sample points at or above the

@@ -21,12 +21,22 @@ std::size_t ThreadPool::worker_slot() noexcept { return tls_worker_slot; }
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) num_threads = hardware_threads();
   workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i + 1); });
+  try {
+    for (std::size_t i = 0; i < num_threads; ++i) {
+      workers_.emplace_back([this, i] { worker_loop(i + 1); });
+    }
+  } catch (...) {
+    // No destructor runs for a constructor that throws: without this the
+    // members' destructors would wait on task_available_ for the started
+    // workers, or destroy them joinable and terminate.
+    stop_and_join();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() noexcept {
   {
     std::lock_guard lock(mutex_);
     shutting_down_ = true;

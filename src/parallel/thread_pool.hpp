@@ -16,7 +16,8 @@ namespace are::parallel {
 /// ParallelEngine.
 class ThreadPool {
  public:
-  /// `num_threads == 0` selects hardware_threads().
+  /// `num_threads == 0` selects hardware_threads(). A worker that cannot
+  /// start throws std::system_error, with the started workers joined.
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 
@@ -42,6 +43,7 @@ class ThreadPool {
 
  private:
   void worker_loop(std::size_t slot);
+  void stop_and_join() noexcept;
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;

@@ -59,14 +59,6 @@ PortfolioSession::BookSnapshot PortfolioSession::snapshot(std::string_view id) c
   return {book.portfolio, book.generation, book.structure_generation, book.ground_up};
 }
 
-std::vector<std::string> PortfolioSession::portfolio_ids() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  std::vector<std::string> ids;
-  ids.reserve(books_.size());
-  for (const auto& [id, book] : books_) ids.push_back(id);
-  return ids;
-}
-
 bool PortfolioSession::try_claim_capture(std::string_view id,
                                          std::uint64_t structure_generation,
                                          std::size_t estimated_bytes) {
@@ -98,11 +90,6 @@ void PortfolioSession::abandon_capture(std::string_view id) {
   std::lock_guard<std::mutex> guard(mutex_);
   Book& book = book_or_throw(id);
   book.capture_claimed = false;
-}
-
-std::size_t PortfolioSession::ground_up_bytes() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return ground_up_bytes_;
 }
 
 PortfolioSession::Book& PortfolioSession::book_or_throw(std::string_view id) {

@@ -28,7 +28,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/layer.hpp"
 #include "core/trial_kernel.hpp"
@@ -85,8 +84,6 @@ class PortfolioSession {
   /// Current snapshot of a book; throws std::invalid_argument when unknown.
   BookSnapshot snapshot(std::string_view id) const;
 
-  std::vector<std::string> portfolio_ids() const;
-
   /// Claims the capture slot of a book: returns true iff no published cache
   /// exists for `structure_generation`, no other capture is in flight, and
   /// `estimated_bytes` fits the remaining ground-up budget. A successful
@@ -101,10 +98,6 @@ class PortfolioSession {
                          std::shared_ptr<const core::GroundUpLossCache> cache);
 
   void abandon_capture(std::string_view id);
-
-  /// Resident ground-up bytes across all books (mirrors the
-  /// `service.ground_up_bytes` gauge).
-  std::size_t ground_up_bytes() const;
 
  private:
   struct Book {

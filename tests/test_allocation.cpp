@@ -83,8 +83,8 @@ TEST(Allocation, TailDriverGetsLargerShare) {
 }
 
 TEST(Allocation, HedgeGetsNegativeShare) {
-  // Layer 2 pays back (negative loss) exactly in layer 1's bad years —
-  // post-filter YLTs (profit commissions) can carry negative entries.
+  // Layer 2 pays back (negative loss) exactly in layer 1's bad years: a
+  // hedge, whose negative entries get a negative share.
   core::YearLossTable ylt({1, 2}, 1'000);
   for (std::size_t t = 0; t < 1'000; ++t) {
     ylt.at(0, t) = static_cast<double>(t);

@@ -1,7 +1,8 @@
-// Tests for Monte Carlo convergence diagnostics.
+// Tests for the Monte Carlo standard error of the mean.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "metrics/convergence.hpp"
 #include "metrics/statistics.hpp"
@@ -31,81 +32,6 @@ TEST(MeanStandardError, ShrinksWithSampleSize) {
   const auto small = lognormal_sample(1'000);
   const auto large = lognormal_sample(16'000);
   EXPECT_GT(mean_standard_error(small), mean_standard_error(large));
-}
-
-TEST(BootstrapQuantile, IntervalContainsEstimate) {
-  const auto sample = lognormal_sample(5'000);
-  const auto interval = bootstrap_quantile(sample, 0.99, 100);
-  EXPECT_LE(interval.lower, interval.estimate);
-  EXPECT_GE(interval.upper, interval.estimate);
-  EXPECT_GT(interval.half_width_relative, 0.0);
-  EXPECT_LT(interval.half_width_relative, 0.5);
-}
-
-TEST(BootstrapQuantile, DeterministicInSeed) {
-  const auto sample = lognormal_sample(2'000);
-  const auto a = bootstrap_quantile(sample, 0.95, 50, 7);
-  const auto b = bootstrap_quantile(sample, 0.95, 50, 7);
-  EXPECT_EQ(a.lower, b.lower);
-  EXPECT_EQ(a.upper, b.upper);
-  const auto c = bootstrap_quantile(sample, 0.95, 50, 8);
-  EXPECT_NE(a.lower, c.lower);
-}
-
-TEST(BootstrapQuantile, TailQuantilesAreWiderThanMedian) {
-  // The statistical argument for needing many trials for tail measures.
-  const auto sample = lognormal_sample(5'000);
-  const auto median = bootstrap_quantile(sample, 0.50, 100);
-  const auto tail = bootstrap_quantile(sample, 0.999, 100);
-  EXPECT_GT(tail.half_width_relative, median.half_width_relative);
-}
-
-TEST(BootstrapTvar, BehavesLikeQuantileButHigher) {
-  const auto sample = lognormal_sample(5'000);
-  const auto var99 = bootstrap_quantile(sample, 0.99, 100);
-  const auto tvar99 = bootstrap_tvar(sample, 0.99, 100);
-  EXPECT_GT(tvar99.estimate, var99.estimate);
-  EXPECT_LE(tvar99.lower, tvar99.estimate);
-  EXPECT_GE(tvar99.upper, tvar99.estimate);
-}
-
-TEST(Bootstrap, RejectsBadArguments) {
-  const auto sample = lognormal_sample(100);
-  EXPECT_THROW(bootstrap_quantile(std::vector<double>{}, 0.5), std::invalid_argument);
-  EXPECT_THROW(bootstrap_quantile(sample, 0.5, 5), std::invalid_argument);
-}
-
-TEST(QuantileConvergence, PrefixesGrowGeometricallyToFullSample) {
-  const auto sample = lognormal_sample(10'000);
-  const auto points = quantile_convergence(sample, 0.9, 1'000);
-  ASSERT_GE(points.size(), 4u);
-  EXPECT_EQ(points.front().trials, 1'000u);
-  EXPECT_EQ(points.back().trials, 10'000u);
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    EXPECT_GT(points[i].trials, points[i - 1].trials);
-  }
-}
-
-TEST(QuantileConvergence, EstimatesConvergeToFullSampleValue) {
-  const auto sample = lognormal_sample(50'000);
-  const auto points = quantile_convergence(sample, 0.95, 1'000);
-  const double full = points.back().estimate;
-  // The last-but-one prefix (half the data) should already be close.
-  const double half = points[points.size() - 2].estimate;
-  EXPECT_NEAR(half, full, 0.1 * full);
-}
-
-TEST(TrialsNeeded, MedianStabilisesBeforeTail) {
-  const auto sample = lognormal_sample(50'000);
-  const std::size_t for_median = trials_needed(sample, 0.5, 0.02);
-  const std::size_t for_tail = trials_needed(sample, 0.999, 0.02);
-  EXPECT_LE(for_median, for_tail);
-  EXPECT_LE(for_median, sample.size());
-}
-
-TEST(TrialsNeeded, RejectsBadTolerance) {
-  const auto sample = lognormal_sample(100);
-  EXPECT_THROW(trials_needed(sample, 0.5, 0.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -277,7 +277,7 @@ TEST(EngineKnobSweep, EveryEngineRecordsItsLanesAndSeqStaysScalarUnderAuto) {
     const SimdExtension expected =
         engine.kind == EngineKind::kSequential
             ? SimdExtension::kScalar
-            : core::resolve_simd_extension(portfolio, {2, SimdExtension::kAuto});
+            : core::resolve_simd_extension_ex(portfolio, {2, SimdExtension::kAuto}).extension;
     EXPECT_EQ(*sink.simd_extension_used, expected);
   }
 }

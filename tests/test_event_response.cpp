@@ -1,10 +1,9 @@
-// Tests for post-event response analytics and pricing sensitivities.
+// Tests for post-event response analytics.
 #include <gtest/gtest.h>
 
 #include "core/analysis.hpp"
 #include "elt/lookup.hpp"
 #include "metrics/event_response.hpp"
-#include "pricing/sensitivity.hpp"
 #include "yet/year_event_table.hpp"
 
 namespace {
@@ -96,81 +95,6 @@ TEST(EventResponse, ConditionalExpectedLoss) {
   EXPECT_GT(conditional, unconditional);
 
   EXPECT_THROW(metrics::conditional_expected_loss(ylt, 0, yet_table, 3), std::invalid_argument);
-}
-
-// --- Pricing sensitivities -----------------------------------------------------
-
-class SensitivityTest : public ::testing::Test {
- protected:
-  static core::Portfolio portfolio() {
-    auto p = tiny_portfolio();
-    p.layers[0].terms.occurrence_retention = 100.0;
-    p.layers[0].terms.occurrence_limit = 300.0;
-    p.layers[0].terms.aggregate_retention = 50.0;
-    p.layers[0].terms.aggregate_limit = 500.0;
-    return p;
-  }
-};
-
-TEST_F(SensitivityTest, SignsAreEconomicallyCorrect) {
-  pricing::SensitivityOptions options;
-  options.relative_bump = 0.05;
-  const auto sensitivities =
-      pricing::term_sensitivities(portfolio(), tiny_yet(), 0, options);
-
-  EXPECT_LT(sensitivities.d_occurrence_retention, 0.0);   // higher deductible, cheaper
-  EXPECT_GE(sensitivities.d_occurrence_limit, 0.0);       // more cover, dearer
-  EXPECT_LT(sensitivities.d_aggregate_retention, 0.0);
-  EXPECT_GE(sensitivities.d_aggregate_limit, 0.0);
-  EXPECT_GT(sensitivities.base.technical_premium, 0.0);
-}
-
-TEST_F(SensitivityTest, UnlimitedTermsHaveZeroSensitivity) {
-  auto p = portfolio();
-  p.layers[0].terms.aggregate_limit = financial::kUnlimited;
-  p.layers[0].terms.occurrence_limit = financial::kUnlimited;
-  const auto sensitivities = pricing::term_sensitivities(p, tiny_yet(), 0);
-  EXPECT_DOUBLE_EQ(sensitivities.d_aggregate_limit, 0.0);
-  EXPECT_DOUBLE_EQ(sensitivities.d_occurrence_limit, 0.0);
-}
-
-TEST_F(SensitivityTest, NonBindingLimitHasZeroSensitivity) {
-  auto p = portfolio();
-  p.layers[0].terms.occurrence_limit = 1e9;  // far beyond any event loss
-  const auto sensitivities = pricing::term_sensitivities(p, tiny_yet(), 0);
-  EXPECT_NEAR(sensitivities.d_occurrence_limit, 0.0, 1e-12);
-}
-
-TEST_F(SensitivityTest, MatchesManualFiniteDifference) {
-  // Cross-check one sensitivity by hand with the same bump.
-  const auto p = portfolio();
-  pricing::SensitivityOptions options;
-  options.relative_bump = 0.10;
-  options.absolute_bump_floor = 1.0;
-  const auto sensitivities = pricing::term_sensitivities(p, tiny_yet(), 0, options);
-
-  const double bump = 10.0;  // 0.10 * retention 100
-  auto up = p;
-  up.layers[0].terms.occurrence_retention = 110.0;
-  auto down = p;
-  down.layers[0].terms.occurrence_retention = 90.0;
-  const auto premium = [&](const core::Portfolio& candidate) {
-    const auto ylt =
-        core::run({candidate, tiny_yet(), {.engine = core::EngineKind::kSequential}});
-    return pricing::price_layer(ylt.layer_losses(0), candidate.layers[0].terms,
-                                options.assumptions)
-        .technical_premium;
-  };
-  const double manual = (premium(up) - premium(down)) / (2.0 * bump);
-  EXPECT_NEAR(sensitivities.d_occurrence_retention, manual, 1e-9);
-}
-
-TEST_F(SensitivityTest, RejectsBadArguments) {
-  EXPECT_THROW(pricing::term_sensitivities(portfolio(), tiny_yet(), 5), std::invalid_argument);
-  pricing::SensitivityOptions options;
-  options.relative_bump = 0.0;
-  EXPECT_THROW(pricing::term_sensitivities(portfolio(), tiny_yet(), 0, options),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
 // Tests for the remaining extension modules: the OpenMP engine (the
-// paper's actual CPU-parallel implementation), the multi-GPU estimate
-// (paper §IV), and reinstatement-aware pricing.
+// paper's actual CPU-parallel implementation) and the multi-GPU estimate
+// (paper §IV).
 #include <gtest/gtest.h>
 
 #include "core/analysis.hpp"
 #include "core/engine_registry.hpp"
 #include "elt/synthetic.hpp"
-#include "pricing/reinstatement_pricing.hpp"
 #include "simgpu/multi_gpu.hpp"
 #include "yet/generator.hpp"
 
@@ -158,73 +157,6 @@ TEST_F(MultiGpuTest, RejectsBadArguments) {
                std::invalid_argument);
   EXPECT_THROW(simgpu::devices_for_target(device_, shape_, -1.0, 192, 4, kCatalog),
                std::invalid_argument);
-}
-
-// --- Reinstatement pricing --------------------------------------------------------
-
-TEST(ReinstatementPricing, TermsGainAggregateLimit) {
-  financial::ReinstatementProvision provision;
-  provision.count = 2;
-  const auto base = financial::LayerTerms::cat_xl(10e6, 5e6);
-  const auto terms = pricing::terms_with_reinstatements(base, provision);
-  EXPECT_DOUBLE_EQ(terms.aggregate_limit, 15e6);
-  EXPECT_DOUBLE_EQ(terms.occurrence_retention, 10e6);
-}
-
-TEST(ReinstatementPricing, PremiumNetOfExpectedIncome) {
-  // Trial losses that consume 0%, 50% and 100% of the first tranche.
-  const std::vector<double> losses{0.0, 50.0, 100.0, 150.0};
-  financial::ReinstatementProvision provision;
-  provision.count = 1;
-  provision.premium_rates = {1.0};
-  const auto terms = financial::LayerTerms::cat_xl(0.0, 100.0);
-
-  pricing::PricingAssumptions flat;
-  flat.stddev_loading = 0.0;
-  flat.tvar_loading = 0.0;
-  flat.expense_ratio = 0.0;
-  const auto quote = pricing::price_with_reinstatements(losses, terms, provision, flat);
-
-  // E[f] = (0 + 0.5 + 1 + 1) / 4 = 0.625; P = EL / 1.625.
-  EXPECT_NEAR(quote.expected_premium_fraction, 0.625, 1e-12);
-  EXPECT_NEAR(quote.original_premium, quote.base.technical_premium / 1.625, 1e-9);
-  EXPECT_NEAR(quote.expected_reinstatement_income, quote.original_premium * 0.625, 1e-9);
-  EXPECT_DOUBLE_EQ(quote.effective_aggregate_limit, 200.0);
-}
-
-TEST(ReinstatementPricing, MoreReinstatementsLowerOriginalPremium) {
-  std::vector<double> losses;
-  for (int i = 0; i < 1000; ++i) losses.push_back(static_cast<double>(i % 300));
-  const auto terms = financial::LayerTerms::cat_xl(0.0, 100.0);
-
-  financial::ReinstatementProvision one;
-  one.count = 1;
-  financial::ReinstatementProvision three;
-  three.count = 3;
-
-  const auto quote_one = pricing::price_with_reinstatements(losses, terms, one);
-  const auto quote_three = pricing::price_with_reinstatements(losses, terms, three);
-  // More paid reinstatements -> more expected premium income -> lower P.
-  EXPECT_LT(quote_three.original_premium, quote_one.original_premium);
-}
-
-TEST(ReinstatementPricing, FreeReinstatementsEqualPlainQuote) {
-  const std::vector<double> losses{10.0, 120.0, 80.0};
-  const auto terms = financial::LayerTerms::cat_xl(0.0, 100.0);
-  financial::ReinstatementProvision provision;
-  provision.count = 2;
-  provision.premium_rates = {0.0};  // free reinstatements
-  const auto quote = pricing::price_with_reinstatements(losses, terms, provision);
-  EXPECT_DOUBLE_EQ(quote.expected_premium_fraction, 0.0);
-  EXPECT_DOUBLE_EQ(quote.original_premium, quote.base.technical_premium);
-}
-
-TEST(ReinstatementPricing, RequiresFiniteOccurrenceLimit) {
-  const std::vector<double> losses{1.0};
-  financial::ReinstatementProvision provision;
-  EXPECT_THROW(
-      pricing::price_with_reinstatements(losses, financial::LayerTerms{}, provision),
-      std::invalid_argument);
 }
 
 }  // namespace

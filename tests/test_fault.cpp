@@ -350,14 +350,16 @@ TEST_F(Fault, OrphanedTmpFilesAreSweptOnConstruction) {
 TEST_F(Fault, KernelAllocSiteSurfacesAsBadAllocFromEveryEngine) {
   const auto portfolio = make_portfolio();
   const auto yet_table = make_yet();
-  for (const char* engine : {"seq", "parallel", "fused"}) {
-    core::AnalysisConfig config;
-    config.engine_name = engine;
-    config.num_threads = 2;
-    config.faults = "kernel.alloc=always";  // RAII-armed for this run only
-    EXPECT_THROW((void)core::run({portfolio, yet_table, config}), std::bad_alloc) << engine;
+  {
+    const fault::ScopedArm scoped("kernel.alloc=always");
+    for (const char* engine : {"seq", "parallel", "fused"}) {
+      core::AnalysisConfig config;
+      config.engine_name = engine;
+      config.num_threads = 2;
+      EXPECT_THROW((void)core::run({portfolio, yet_table, config}), std::bad_alloc) << engine;
+    }
   }
-  EXPECT_FALSE(fault::armed());  // the run disarmed its own sites
+  EXPECT_FALSE(fault::armed());  // the scope disarmed its own sites
 }
 
 TEST_F(Fault, PreCancelledTokenStopsEveryEngineBetweenBlocks) {

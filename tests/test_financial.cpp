@@ -1,14 +1,11 @@
 // Tests for the financial module: the excess-of-loss primitive, ELT terms,
-// layer terms (Table I), the path-dependent aggregate accumulator, and the
-// extension features (reinstatements, multi-year limits, loss
-// distributions). Property sweeps use TEST_P.
+// layer terms (Table I) and the path-dependent aggregate accumulator.
+// Property sweeps use TEST_P.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <tuple>
 
-#include "financial/loss_distribution.hpp"
-#include "financial/reinstatement.hpp"
 #include "financial/terms.hpp"
 #include "financial/trial_accumulator.hpp"
 
@@ -196,153 +193,5 @@ TEST_P(AccumulatorProperty, IncrementsWellBehaved) {
 INSTANTIATE_TEST_SUITE_P(Grid, AccumulatorProperty,
                          ::testing::Combine(::testing::Values(0.0, 10.0, 500.0, 5000.0),
                                             ::testing::Values(1.0, 100.0, 2000.0, kUnlimited)));
-
-// --- Reinstatements ----------------------------------------------------------
-
-TEST(Reinstatement, AggregateLimitScalesWithCount) {
-  ReinstatementProvision provision;
-  provision.count = 2;
-  EXPECT_DOUBLE_EQ(provision.aggregate_limit(100.0), 300.0);
-  EXPECT_EQ(provision.aggregate_limit(kUnlimited), kUnlimited);
-}
-
-TEST(Reinstatement, NoReinstatementsNoPremium) {
-  const ReinstatementProvision provision;  // count = 0
-  EXPECT_DOUBLE_EQ(provision.premium_fraction(1e9, 100.0), 0.0);
-}
-
-TEST(Reinstatement, ProRataPremiumOnPartialConsumption) {
-  ReinstatementProvision provision;
-  provision.count = 1;
-  provision.premium_rates = {1.0};  // 100% paid reinstatement
-  // Half the first tranche consumed -> half the reinstatement premium.
-  EXPECT_DOUBLE_EQ(provision.premium_fraction(50.0, 100.0), 0.5);
-  EXPECT_DOUBLE_EQ(provision.premium_fraction(100.0, 100.0), 1.0);
-  EXPECT_DOUBLE_EQ(provision.premium_fraction(150.0, 100.0), 1.0);  // 2nd tranche uncharged
-}
-
-TEST(Reinstatement, MultipleRatesApplyPerTranche) {
-  ReinstatementProvision provision;
-  provision.count = 2;
-  provision.premium_rates = {1.0, 0.5};
-  // Consumes tranche 1 fully and half of tranche 2.
-  EXPECT_DOUBLE_EQ(provision.premium_fraction(150.0, 100.0), 1.0 + 0.25);
-  // Missing rates repeat the last one.
-  provision.premium_rates = {1.0};
-  EXPECT_DOUBLE_EQ(provision.premium_fraction(200.0, 100.0), 2.0);
-}
-
-TEST(Reinstatement, UnlimitedOccurrenceLimitNoPremium) {
-  ReinstatementProvision provision;
-  provision.count = 3;
-  EXPECT_DOUBLE_EQ(provision.premium_fraction(1e6, kUnlimited), 0.0);
-}
-
-// --- Multi-year aggregate limit ----------------------------------------------
-
-TEST(MultiYearAggregate, SharesLimitAcrossTermYears) {
-  MultiYearAggregate contract(100.0, 3);
-  EXPECT_DOUBLE_EQ(contract.add_year(60.0), 60.0);
-  EXPECT_DOUBLE_EQ(contract.add_year(60.0), 40.0);  // only 40 left
-  EXPECT_DOUBLE_EQ(contract.add_year(60.0), 0.0);   // exhausted
-  // Term rolled over: full limit again.
-  EXPECT_DOUBLE_EQ(contract.add_year(60.0), 60.0);
-}
-
-TEST(MultiYearAggregate, UnlimitedNeverBinds) {
-  MultiYearAggregate contract(kUnlimited, 2);
-  EXPECT_DOUBLE_EQ(contract.add_year(1e12), 1e12);
-  EXPECT_DOUBLE_EQ(contract.add_year(1e12), 1e12);
-}
-
-TEST(MultiYearAggregate, RejectsBadConstruction) {
-  EXPECT_THROW(MultiYearAggregate(100.0, 0), std::invalid_argument);
-  EXPECT_THROW(MultiYearAggregate(-1.0, 2), std::invalid_argument);
-}
-
-TEST(Franchise, FullLossOncePastThreshold) {
-  EXPECT_EQ(apply_franchise(5.0, 10.0), 0.0);
-  EXPECT_EQ(apply_franchise(10.0, 10.0), 10.0);  // inclusive
-  EXPECT_EQ(apply_franchise(50.0, 10.0), 50.0);
-}
-
-// --- LossDistribution (the convolution extension) ----------------------------
-
-TEST(LossDistribution, NormalisesOnConstruction) {
-  const LossDistribution dist({2.0, 2.0}, 1.0);
-  EXPECT_DOUBLE_EQ(dist.mass()[0], 0.5);
-  EXPECT_DOUBLE_EQ(dist.mass()[1], 0.5);
-}
-
-TEST(LossDistribution, RejectsInvalidInput) {
-  EXPECT_THROW(LossDistribution({}, 1.0), std::invalid_argument);
-  EXPECT_THROW(LossDistribution({1.0}, 0.0), std::invalid_argument);
-  EXPECT_THROW(LossDistribution({-1.0, 2.0}, 1.0), std::invalid_argument);
-  EXPECT_THROW(LossDistribution({0.0, 0.0}, 1.0), std::invalid_argument);
-}
-
-TEST(LossDistribution, PointMassMoments) {
-  const auto dist = LossDistribution::point_mass(30.0, 10.0, 10);
-  EXPECT_DOUBLE_EQ(dist.mean(), 30.0);
-  EXPECT_DOUBLE_EQ(dist.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(dist.quantile(0.5), 30.0);
-}
-
-TEST(LossDistribution, ConvolutionOfPointMassesAdds) {
-  const auto a = LossDistribution::point_mass(20.0, 10.0, 16);
-  const auto b = LossDistribution::point_mass(30.0, 10.0, 16);
-  const auto sum = a.convolve(b, 64);
-  EXPECT_DOUBLE_EQ(sum.mean(), 50.0);
-  EXPECT_DOUBLE_EQ(sum.variance(), 0.0);
-}
-
-TEST(LossDistribution, ConvolutionMeansAdd) {
-  const LossDistribution a({0.5, 0.25, 0.25}, 1.0);  // mean 0.75
-  const LossDistribution b({0.25, 0.5, 0.25}, 1.0);  // mean 1.0
-  const auto sum = a.convolve(b, 16);
-  EXPECT_NEAR(sum.mean(), a.mean() + b.mean(), 1e-12);
-}
-
-TEST(LossDistribution, ConvolutionPreservesTotalMass) {
-  const LossDistribution a({0.1, 0.2, 0.3, 0.4}, 5.0);
-  const LossDistribution b({0.7, 0.3}, 5.0);
-  const auto sum = a.convolve(b, 3);  // force tail folding
-  double total = 0.0;
-  for (double p : sum.mass()) total += p;
-  EXPECT_NEAR(total, 1.0, 1e-12);
-}
-
-TEST(LossDistribution, ConvolutionRequiresMatchingGrids) {
-  const LossDistribution a({1.0}, 1.0);
-  const LossDistribution b({1.0}, 2.0);
-  EXPECT_THROW(a.convolve(b, 8), std::invalid_argument);
-}
-
-TEST(LossDistribution, ExcessOfLossTransformMatchesScalar) {
-  const auto dist = LossDistribution::point_mass(70.0, 10.0, 16);
-  const auto ceded = dist.apply_excess_of_loss(30.0, 20.0);
-  EXPECT_DOUBLE_EQ(ceded.mean(), excess_of_loss(70.0, 30.0, 20.0));
-}
-
-TEST(LossDistribution, ExcessOfLossReducesMean) {
-  const LossDistribution dist({0.1, 0.2, 0.3, 0.2, 0.1, 0.1}, 10.0);
-  const auto ceded = dist.apply_excess_of_loss(15.0, 20.0);
-  EXPECT_LE(ceded.mean(), dist.mean());
-}
-
-TEST(LossDistribution, ExceedanceAndQuantileConsistent) {
-  const LossDistribution dist({0.25, 0.25, 0.25, 0.25}, 1.0);
-  EXPECT_DOUBLE_EQ(dist.exceedance(1.5), 0.5);
-  EXPECT_DOUBLE_EQ(dist.quantile(0.5), 1.0);
-  EXPECT_DOUBLE_EQ(dist.quantile(1.0), 3.0);
-}
-
-TEST(LossDistribution, MixtureInterpolatesMeans) {
-  const auto a = LossDistribution::point_mass(0.0, 1.0, 8);
-  const auto b = LossDistribution::point_mass(4.0, 1.0, 8);
-  const auto mixed = a.mix(b, 0.25);
-  EXPECT_DOUBLE_EQ(mixed.mean(), 1.0);
-  EXPECT_THROW(a.mix(b, 1.5), std::invalid_argument);
-}
 
 }  // namespace

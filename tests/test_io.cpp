@@ -2,6 +2,7 @@
 // the on-disk bytes, and corruption detection in every payload vector.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -46,51 +47,6 @@ void expect_corrupt(const std::string& bytes, const Reader& read, const std::str
 
 // --- CSV ------------------------------------------------------------------------
 
-TEST(Csv, EltRoundTrip) {
-  std::stringstream stream;
-  io::write_elt_csv(stream, sample_elt());
-  const auto restored = io::read_elt_csv(stream);
-  ASSERT_EQ(restored.size(), 3u);
-  EXPECT_DOUBLE_EQ(restored.loss_for(3), 12.5);
-  EXPECT_DOUBLE_EQ(restored.loss_for(7), 0.125);
-  EXPECT_DOUBLE_EQ(restored.loss_for(100), 7.25);
-}
-
-TEST(Csv, EmptyEltRoundTrip) {
-  std::stringstream stream;
-  io::write_elt_csv(stream, elt::EventLossTable{});
-  EXPECT_TRUE(io::read_elt_csv(stream).empty());
-}
-
-TEST(Csv, ReadRejectsMalformedInput) {
-  {
-    std::stringstream stream("");
-    EXPECT_THROW(io::read_elt_csv(stream), std::runtime_error);
-  }
-  {
-    std::stringstream stream("wrong,header\n1,2\n");
-    EXPECT_THROW(io::read_elt_csv(stream), std::runtime_error);
-  }
-  {
-    std::stringstream stream("event_id,loss\nnot_a_number,2\n");
-    EXPECT_THROW(io::read_elt_csv(stream), std::runtime_error);
-  }
-  {
-    std::stringstream stream("event_id,loss\n1\n");
-    EXPECT_THROW(io::read_elt_csv(stream), std::runtime_error);
-  }
-  {
-    std::stringstream stream("event_id,loss\n1,abc\n");
-    EXPECT_THROW(io::read_elt_csv(stream), std::runtime_error);
-  }
-}
-
-TEST(Csv, ReadSkipsBlankLines) {
-  std::stringstream stream("event_id,loss\n1,2.0\n\n3,4.0\n");
-  const auto table = io::read_elt_csv(stream);
-  EXPECT_EQ(table.size(), 2u);
-}
-
 TEST(Csv, YltHasHeaderAndAllTrials) {
   core::YearLossTable ylt({10, 20}, 3);
   ylt.at(0, 1) = 5.5;
@@ -114,14 +70,7 @@ TEST(Csv, EpTableFormat) {
   std::getline(stream, line);
   EXPECT_EQ(line, "return_period,probability,loss");
   std::getline(stream, line);
-  EXPECT_EQ(io::split_csv_line(line).size(), 3u);
-}
-
-TEST(Csv, SplitHandlesEdgeCases) {
-  EXPECT_EQ(io::split_csv_line("a,b,c").size(), 3u);
-  EXPECT_EQ(io::split_csv_line("").size(), 1u);
-  EXPECT_EQ(io::split_csv_line(",").size(), 2u);
-  EXPECT_EQ(io::split_csv_line("a,,c")[1], "");
+  EXPECT_EQ(std::count(line.begin(), line.end(), ','), 2);  // three fields
 }
 
 // --- Binary ---------------------------------------------------------------------

@@ -38,32 +38,6 @@ TEST(RunningStats, SingleValue) {
   EXPECT_DOUBLE_EQ(stats.max(), 42.0);
 }
 
-TEST(RunningStats, MergeEqualsSequential) {
-  RunningStats left, right, reference;
-  for (int i = 0; i < 100; ++i) {
-    const double x = std::sin(i) * 10.0 + i * 0.1;
-    (i < 37 ? left : right).add(x);
-    reference.add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), reference.count());
-  EXPECT_NEAR(left.mean(), reference.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), reference.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), reference.min());
-  EXPECT_DOUBLE_EQ(left.max(), reference.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats stats, empty;
-  stats.add(1.0);
-  stats.add(3.0);
-  stats.merge(empty);
-  EXPECT_DOUBLE_EQ(stats.mean(), 2.0);
-  empty.merge(stats);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-  EXPECT_EQ(empty.count(), 2u);
-}
-
 TEST(RunningStats, NumericalStabilityOnOffsetData) {
   // Welford must survive a large common offset.
   RunningStats stats;
@@ -94,11 +68,6 @@ TEST(Quantile, Errors) {
   const std::vector<double> sample{1.0};
   EXPECT_THROW(metrics::quantile(sample, -0.1), std::invalid_argument);
   EXPECT_THROW(metrics::quantile(sample, 1.1), std::invalid_argument);
-}
-
-TEST(Quantile, UnsortedConvenienceMatchesSorted) {
-  const std::vector<double> shuffled{30.0, 10.0, 40.0, 20.0};
-  EXPECT_DOUBLE_EQ(metrics::quantile_unsorted(shuffled, 0.5), 25.0);
 }
 
 TEST(TailValueAtRisk, AveragesWorstTail) {

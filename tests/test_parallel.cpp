@@ -3,15 +3,20 @@
 // cost-aware parallel_for_costed variant, worker identity, and the
 // per-worker TaskScratch arena; and for the load phase's fork_join.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
+#include <fstream>
 #include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -19,6 +24,14 @@
 #include "parallel/parallel_for.hpp"
 #include "parallel/task_scratch.hpp"
 #include "parallel/thread_pool.hpp"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define ARE_TEST_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define ARE_TEST_SANITIZER 1
+#endif
+#endif
 
 namespace {
 
@@ -56,6 +69,36 @@ TEST(ThreadPool, MultipleWaitCycles) {
 TEST(ThreadPool, ZeroThreadsSelectsHardwareConcurrency) {
   ThreadPool pool(0);
   EXPECT_GE(pool.size(), 1u);
+}
+
+#ifndef ARE_TEST_SANITIZER
+// Caps the address space 40 MiB above what is mapped, so a few worker
+// stacks fit and 32 do not (glibc sizes them by RLIMIT_STACK, 8 MiB on
+// common hosts), then starts a 32-worker pool. Exits 0 iff the constructor
+// threw the start failure; a pool that hangs instead ends by SIGALRM.
+[[noreturn]] void start_pool_under_address_cap() {
+  alarm(30);
+  std::size_t pages = 0;
+  std::ifstream("/proc/self/statm") >> pages;
+  const rlim_t cap = pages * static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) + (40u << 20);
+  const rlimit limit{cap, cap};
+  if (pages == 0 || setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(2);
+  try {
+    ThreadPool pool(32);
+  } catch (const std::system_error&) {
+    std::_Exit(0);
+  }
+  std::_Exit(3);  // all 32 started: the cap did not bind
+}
+#endif
+
+TEST(ThreadPoolDeathTest, WorkerThatCannotStartThrowsInsteadOfAborting) {
+#ifdef ARE_TEST_SANITIZER
+  GTEST_SKIP() << "sanitizer shadow memory does not fit under an RLIMIT_AS cap";
+#else
+  // Runs in a forked child: the cap must not bind this process.
+  EXPECT_EXIT(start_pool_under_address_cap(), ::testing::ExitedWithCode(0), "");
+#endif
 }
 
 TEST(ThreadPool, DestructorJoinsCleanly) {

@@ -11,7 +11,6 @@
 #include "rng/philox.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/stream.hpp"
-#include "rng/xoshiro256.hpp"
 
 namespace {
 
@@ -70,20 +69,6 @@ TEST(Philox, StreamOutputLooksUniform) {
   for (int i = 0; i < kDraws; ++i) sum += gen();
   const double mean = sum / kDraws;
   EXPECT_NEAR(mean, 2147483648.0, 2147483648.0 * 0.01);
-}
-
-TEST(Xoshiro256, DeterministicAndDistinctSeeds) {
-  Xoshiro256 a(1), b(1), c(2);
-  EXPECT_EQ(a(), b());
-  Xoshiro256 a2(1);
-  EXPECT_NE(a2(), c());
-}
-
-TEST(Xoshiro256, LongJumpChangesState) {
-  Xoshiro256 a(9);
-  Xoshiro256 b(9);
-  b.long_jump();
-  EXPECT_NE(a(), b());
 }
 
 TEST(Stream, SubstreamsAreIndependentOfGenerationOrder) {

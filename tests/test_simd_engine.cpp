@@ -206,8 +206,10 @@ TEST(SimdVec, AutoRunsWidestLanesAtEveryFootprint) {
   const SimdExtension best = core::best_simd_extension();
   const SimdOptions auto_options;
   // A tiny cache-resident portfolio resolves to the widest extension...
-  EXPECT_EQ(core::resolve_simd_extension(tiny_portfolio(financial::LayerTerms{}), auto_options),
-            best);
+  EXPECT_EQ(
+      core::resolve_simd_extension_ex(tiny_portfolio(financial::LayerTerms{}), auto_options)
+          .extension,
+      best);
   // ...and so does one direct ELT over a 2M-event universe (a 16 MB dense
   // table, far past any cache): the widest lanes win there too.
   Layer layer;
@@ -217,12 +219,12 @@ TEST(SimdVec, AutoRunsWidestLanesAtEveryFootprint) {
   layer.elts.push_back(std::move(layer_elt));
   Portfolio portfolio;
   portfolio.layers.push_back(std::move(layer));
-  EXPECT_EQ(core::resolve_simd_extension(portfolio, auto_options), best);
+  EXPECT_EQ(core::resolve_simd_extension_ex(portfolio, auto_options).extension, best);
   // An explicit extension request is never overridden.
   for (SimdExtension extension : available_extensions()) {
     SimdOptions forced;
     forced.extension = extension;
-    EXPECT_EQ(core::resolve_simd_extension(portfolio, forced), extension);
+    EXPECT_EQ(core::resolve_simd_extension_ex(portfolio, forced).extension, extension);
   }
 }
 
