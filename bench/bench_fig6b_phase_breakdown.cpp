@@ -7,9 +7,9 @@
 // run records on the production block loop (AnalysisConfig::telemetry), the
 // same counters `are_cli run --phases` prints. On direct access tables the
 // loop reads event ids inside its gathers and applies the per-ELT financial
-// terms in the same pass, so the paper's lookup + financial share appears
-// as one `combine` phase with zero fetch; a robin-hood book runs the
-// generic lookup_many path and reports lookup and financial separately.
+// terms in the same pass, so the paper's fetch + lookup + financial share
+// appears as one `combine` phase; a robin-hood book runs the generic
+// lookup_many path and reports lookup and financial separately.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -25,9 +25,9 @@ using bench::Scale;
 const Scale kScale = Scale::current();
 
 constexpr std::pair<const char*, const char*> kPhases[] = {
-    {"fetch", "kernel.phase.fetch_ns"},   {"combine", "kernel.phase.combine_ns"},
-    {"lookup", "kernel.phase.lookup_ns"}, {"financial", "kernel.phase.financial_ns"},
-    {"layer", "kernel.phase.layer_ns"},   {"output", "kernel.phase.output_ns"},
+    {"combine", "kernel.phase.combine_ns"},     {"lookup", "kernel.phase.lookup_ns"},
+    {"financial", "kernel.phase.financial_ns"}, {"layer", "kernel.phase.layer_ns"},
+    {"output", "kernel.phase.output_ns"},
 };
 
 const yet::YearEventTable& fig6b_yet() {

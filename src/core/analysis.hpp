@@ -166,8 +166,8 @@ struct AnalysisConfig {
   /// service's fast path — see src/service/). Capture: this run additionally
   /// records its combined pre-occurrence-terms losses into the cache (shape
   /// must be portfolio layers x YET total events). Replay: this run skips
-  /// the fetch/lookup/financial phases and reads the combined losses from
-  /// the cache — valid only when the portfolio's ELT sets and per-ELT
+  /// the fetch/lookup/financial phases and reads the combined losses in
+  /// place from the cache — valid only when the portfolio's ELT sets and per-ELT
   /// FinancialTerms are unchanged since capture (LayerTerms and the window
   /// may differ), bit-identical to a cold run by construction. Any engine
   /// accepts either pointer (they parameterize the shared kernel); setting

@@ -6,11 +6,17 @@
 // look up each event's loss in the layer's ELTs, apply financial/occurrence/
 // aggregate terms, land the net trial loss in the YLT. This layer implements
 // that computation exactly once, over one contiguous *block* of trials for
-// all layers, with every cross-cutting feature built in:
+// all layers, in two steps per layer: a combine step (ELT lookups and per-ELT
+// financial terms, vectorized across the block's events) writes each
+// occurrence's combined loss, and one lane recurrence (occurrence terms and
+// the path-dependent aggregate terms, one trial per simd::VecD lane, lanes
+// masked off as their trials end) turns them into trial losses. A delta
+// replay skips the combine step and runs the recurrence straight over the
+// captured losses. Every cross-cutting feature is built in:
 //
-//   - scalar and simd::VecD term paths (one templated body; the lane type is
-//     a runtime choice, resolved once at kernel construction),
-//   - an optional CoverageWindow,
+//   - scalar and simd::VecD lanes (one templated body; the lane type is a
+//     runtime choice, resolved once at kernel construction),
+//   - an optional CoverageWindow (out-of-window occurrences masked off),
 //   - the Fig-6b phase laps and access counts, recorded into the obs
 //     registry whenever telemetry is on (kernel.phase.*_ns),
 //   - optional event-chunked staging (the paper's Fig-5a GPU chunk knob),
@@ -50,8 +56,8 @@ namespace are::core {
 /// coverage window (windows only filter inside the aggregate recurrence).
 /// A request that differs from a captured run only in layer terms or
 /// window can therefore skip the fetch + lookup + financial phases — ~78%
-/// of runtime per Fig 6b — and replay the cached values through occurrence
-/// terms + aggregation, bit-identical to a full run by construction
+/// of runtime per Fig 6b — and run the lane recurrence straight over the
+/// cached values, in place, bit-identical to a full run by construction
 /// (capture copies the very doubles the full run computes).
 ///
 /// Layout: layer-major, one double per YET event occurrence
@@ -107,8 +113,8 @@ struct TrialKernelConfig {
   /// events/trial (default_tile_trials).
   std::size_t block_trials = 0;
 
-  /// When non-zero, the combine/occurrence phases stage at most this many
-  /// events at a time (AnalysisConfig::chunk_size, the Fig-5a knob).
+  /// When non-zero, the combine step stages at most this many events at a
+  /// time (AnalysisConfig::chunk_size, the Fig-5a knob).
   /// 0 = stage the whole block at once. Never changes the output bytes.
   std::size_t event_chunk = 0;
 
@@ -121,8 +127,8 @@ struct TrialKernelConfig {
   GroundUpLossCache* ground_up_capture = nullptr;
 
   /// Replay (delta execution): skip the fetch/lookup/financial phases and
-  /// read each layer's combined losses from this cache instead, then run
-  /// occurrence terms + aggregation as usual. Produces exactly the bytes a
+  /// run occurrence terms + aggregation straight over each layer's combined
+  /// losses in this cache, read in place. Produces exactly the bytes a
   /// full run with the same layer terms and window would — and performs
   /// zero ELT lookups (`elt.*.lookups` and `kernel.phase.lookup_ns` stay 0).
   /// Mutually exclusive with ground_up_capture; shape-checked like it.
@@ -145,7 +151,7 @@ struct TrialKernelConfig {
 /// nothing.
 struct TrialKernelScratch {
   std::vector<double> raw;       // one ELT's batch lookups for the block
-  std::vector<double> combined;  // per-event combined loss, then net of occurrence terms
+  std::vector<double> combined;  // per-event combined loss (cold and capture runs)
   std::vector<double> block_losses;  // sink mode: layers x block trials, emitted per block
 };
 

@@ -19,10 +19,12 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <new>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/direct_elt_view.hpp"
@@ -30,7 +32,6 @@
 #include "core/status.hpp"
 #include "core/trial_kernel.hpp"
 #include "fault/fault_injection.hpp"
-#include "financial/trial_accumulator.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "simd/prefetch.hpp"
@@ -64,7 +65,6 @@ struct KernelCounters {
   obs::Counter& replayed_events;
   obs::Counter& captured_events;
   obs::Counter& direct_lookups;
-  obs::Counter& fetch_ns;
   obs::Counter& combine_ns;
   obs::Counter& lookup_ns;
   obs::Counter& financial_ns;
@@ -82,7 +82,6 @@ inline const KernelCounters& kernel_counters() {
       registry.counter("kernel.ground_up.replayed_events"),
       registry.counter("kernel.ground_up.captured_events"),
       registry.counter("elt.direct_access.lookups"),
-      registry.counter("kernel.phase.fetch_ns"),
       registry.counter("kernel.phase.combine_ns"),
       registry.counter("kernel.phase.lookup_ns"),
       registry.counter("kernel.phase.financial_ns"),
@@ -98,11 +97,10 @@ inline const KernelCounters& kernel_counters() {
 /// phase, so the phases partition the block: their sum is kernel.block_ns
 /// less the timer's own entry and exit.
 struct PhaseLaps {
-  std::uint64_t fetch_ns = 0;      // replay: the cached-loss copy
   std::uint64_t combine_ns = 0;    // direct tables: gathers, per-ELT financial terms fused in
   std::uint64_t lookup_ns = 0;     // other tables: lookup_many
   std::uint64_t financial_ns = 0;  // other tables: the per-ELT financial fold
-  std::uint64_t layer_ns = 0;      // occurrence terms + the aggregate recurrence
+  std::uint64_t layer_ns = 0;      // occurrence terms + the lane recurrence
   std::uint64_t output_ns = 0;     // capture copy + sink emission
   /// Direct-table gathers, which bypass lookup_many and its counter.
   std::uint64_t direct_lookups = 0;
@@ -213,38 +211,127 @@ void combine_elts_generic(const LayerPlan<V>& plan, const yet::EventId* events,
   }
 }
 
-/// Occurrence terms, vectorized in place.
+/// TrialAccumulator with one trial per lane: the same IEEE operations in
+/// the same order, occurrence terms first, so each lane holds the bits the
+/// scalar accumulator would.
 template <typename V>
-void apply_occurrence_terms(const LayerPlan<V>& plan, double* combined,
-                            std::size_t count) noexcept {
-  constexpr std::size_t kW = V::kLanes;
-  std::size_t i = 0;
-  for (; i + kW <= count; i += kW) {
-    V::store(combined + i, detail::excess_v<V>(V::load(combined + i), plan.terms.occ_retention,
-                                               plan.terms.occ_limit));
-  }
-  for (; i < count; ++i) combined[i] = plan.layer->terms.apply_occurrence(combined[i]);
-}
+struct LaneAccumulator {
+  using reg = typename V::reg;
+  reg cumulative = V::zero();
+  reg previous_capped = V::zero();
+  reg trial_loss = V::zero();
 
-/// The path-dependent aggregate recurrence, per trial, writing
-/// row[trial - t0]. Windowed semantics: out-of-window occurrences are
-/// skipped entirely, so they do not advance the recurrence.
-inline void aggregate_trials(const financial::LayerTerms& terms, const double* combined,
-                             const float* times, const CoverageWindow* window,
-                             std::span<const std::uint64_t> offsets, std::uint64_t t0,
-                             std::uint64_t t1, std::uint64_t ev0, double* row) noexcept {
-  for (std::uint64_t trial = t0; trial < t1; ++trial) {
-    financial::TrialAccumulator accumulator(terms);
-    const std::size_t begin = static_cast<std::size_t>(offsets[trial] - ev0);
-    const std::size_t end = static_cast<std::size_t>(offsets[trial + 1] - ev0);
-    if (window == nullptr) {
-      for (std::size_t k = begin; k < end; ++k) accumulator.add_occurrence(combined[k]);
-    } else {
-      for (std::size_t k = begin; k < end; ++k) {
-        if (window->covers(times[k])) accumulator.add_occurrence(combined[k]);
-      }
+  /// add_occurrence(apply_occurrence(loss)) in every lane.
+  void add(const detail::LayerTermsV<V>& terms, reg loss) noexcept {
+    const reg occurrence = detail::excess_v<V>(loss, terms.occ_retention, terms.occ_limit);
+    cumulative = V::add(cumulative, occurrence);
+    const reg capped = detail::excess_v<V>(cumulative, terms.agg_retention, terms.agg_limit);
+    trial_loss = V::add(trial_loss, V::sub(capped, previous_capped));
+    previous_capped = capped;
+  }
+
+  /// The same in the `live` lanes; the others keep their state.
+  void add(const detail::LayerTermsV<V>& terms, typename V::mask live, reg loss) noexcept {
+    LaneAccumulator next = *this;
+    next.add(terms, loss);
+    cumulative = V::blend(live, next.cumulative, cumulative);
+    previous_capped = V::blend(live, next.previous_capped, previous_capped);
+    trial_loss = V::blend(live, next.trial_loss, trial_loss);
+  }
+};
+
+/// Occurrence terms and the path-dependent aggregate recurrence for trials
+/// [t0, t1), writing row[trial - t0]. `ground_up` and `times` hold the
+/// block's occurrences from offsets[t0] on: the combined losses before
+/// occurrence terms (the block buffer of a cold run, the capture itself on
+/// replay) and their timestamps.
+///
+/// One trial per lane: lane l of a group walks the occurrences of trial
+/// g0 + l and is masked off once that trial ends. Under a window it is also
+/// masked on out-of-window occurrences, which do not advance the recurrence.
+/// Occurrence terms are elementwise and each lane runs TrialAccumulator's
+/// operations in order, so every lane width writes the scalar bytes. Steps
+/// inside every lane's trial need no end-of-trial mask; with scalar lanes
+/// that is every step, and this is the plain per-trial loop.
+template <typename V>
+void aggregate_trials(const detail::LayerTermsV<V>& terms, const double* ground_up,
+                      const float* times, const CoverageWindow* window,
+                      const std::uint64_t* offsets, std::uint64_t t0, std::uint64_t t1,
+                      double* row) noexcept {
+  using reg = typename V::reg;
+  using mask = typename V::mask;
+  constexpr std::size_t kW = V::kLanes;
+  constexpr std::uint64_t kLineDoubles = 64 / sizeof(double);
+  const reg one = V::broadcast(1.0);
+  const mask all = V::less_equal(one, one);
+  const reg from = V::broadcast(window != nullptr ? window->from : 0.0f);
+  const reg to = V::broadcast(window != nullptr ? window->to : 1.0f);
+
+  for (std::uint64_t g0 = t0; g0 < t1; g0 += kW) {
+    // Lane l's first occurrence, relative to the group's first (kW trials
+    // span far fewer than 2^32 occurrences), and its occurrence count as a
+    // double for the end-of-trial compare. Lanes past t1 stay empty, so a
+    // partial group masks every step.
+    const auto lanes = static_cast<std::size_t>(std::min<std::uint64_t>(kW, t1 - g0));
+    const std::uint64_t group_begin = offsets[g0];
+    alignas(64) std::uint32_t first[kW] = {};
+    alignas(64) double length[kW] = {};
+    std::uint64_t shortest = lanes == kW ? std::numeric_limits<std::uint64_t>::max() : 0;
+    std::uint64_t longest = 0;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const std::uint64_t count = offsets[g0 + l + 1] - offsets[g0 + l];
+      first[l] = static_cast<std::uint32_t>(offsets[g0 + l] - group_begin);
+      length[l] = static_cast<double>(count);
+      shortest = std::min(shortest, count);
+      longest = std::max(longest, count);
     }
-    row[trial - t0] = accumulator.trial_loss();
+    const typename V::ivec index = V::load_index(first);
+    const reg end = V::load(length);
+    const double* losses = ground_up + (group_begin - offsets[t0]);
+    const float* stamps = times + (group_begin - offsets[t0]);
+    // The next group's occurrences, pulled toward the cache one line per
+    // step while this group runs (a replay reads them from the capture,
+    // which no earlier step of the block touched).
+    const std::uint64_t next_begin = offsets[std::min<std::uint64_t>(g0 + kW, t1)];
+    const std::uint64_t next_lines =
+        (offsets[std::min<std::uint64_t>(g0 + 2 * kW, t1)] - next_begin) / kLineDoubles;
+    const double* next = ground_up + (next_begin - offsets[t0]);
+
+    // Steps [k, stop) of the group; `ends` masks each lane off at the end
+    // of its trial, `windowed` on out-of-window occurrences.
+    LaneAccumulator<V> accumulator;
+    const auto walk = [&](auto ends, auto windowed, std::uint64_t k, std::uint64_t stop) {
+      for (reg step = V::broadcast(static_cast<double>(k)); k < stop;
+           ++k, step = V::add(step, one)) {
+        if (k < next_lines) simd::prefetch_read(next + kLineDoubles * k);
+        mask live = all;
+        if constexpr (decltype(ends)::value) live = V::less(step, end);
+        if constexpr (decltype(windowed)::value) {
+          const reg time = V::gather_masked(stamps + k, index, live);
+          live = V::mask_and(live, V::mask_and(V::less_equal(from, time), V::less(time, to)));
+        }
+        if constexpr (decltype(ends)::value || decltype(windowed)::value) {
+          accumulator.add(terms, live, V::gather_masked(losses + k, index, live));
+        } else {
+          accumulator.add(terms, V::gather_masked(losses + k, index, all));
+        }
+      }
+    };
+    if (window == nullptr) {
+      walk(std::false_type{}, std::false_type{}, 0, shortest);
+      walk(std::true_type{}, std::false_type{}, shortest, longest);
+    } else {
+      walk(std::false_type{}, std::true_type{}, 0, shortest);
+      walk(std::true_type{}, std::true_type{}, shortest, longest);
+    }
+
+    if (lanes == kW) {
+      V::store(row + (g0 - t0), accumulator.trial_loss);
+    } else {
+      alignas(64) double tail[kW];
+      V::store(tail, accumulator.trial_loss);
+      std::copy_n(tail, lanes, row + (g0 - t0));
+    }
   }
 }
 
@@ -307,7 +394,6 @@ class KernelImpl final : public TrialBlockKernel::Impl {
       if (replay_ != nullptr) counters->replayed_events.add(events);
       if (capture_ != nullptr) counters->captured_events.add(events);
       counters->direct_lookups.add(phase_laps.direct_lookups);
-      counters->fetch_ns.add(phase_laps.fetch_ns);
       counters->combine_ns.add(phase_laps.combine_ns);
       counters->lookup_ns.add(phase_laps.lookup_ns);
       counters->financial_ns.add(phase_laps.financial_ns);
@@ -376,29 +462,22 @@ class KernelImpl final : public TrialBlockKernel::Impl {
     const float* times = yet_->times().data() + ev0;
     const std::size_t num_block_trials = static_cast<std::size_t>(t1 - t0);
     if (fault::should_inject(fault::sites::kKernelAlloc)) throw std::bad_alloc();
-    scratch.combined.resize(count);
+    if (replay_ == nullptr) scratch.combined.resize(count);
     if (sink_ != nullptr) scratch.block_losses.resize(plans_.size() * num_block_trials);
 
     const std::size_t chunk = event_chunk_ != 0 ? event_chunk_ : count;
     for (std::size_t layer_index = 0; layer_index < plans_.size(); ++layer_index) {
       const LayerPlan<V>& plan = plans_[layer_index];
-      double* combined = scratch.combined.data();
+      const double* ground_up = nullptr;
       if (replay_ != nullptr) {
-        // Delta execution: the combined pre-occurrence losses were captured
-        // by an earlier full run; copy them in and skip the
-        // fetch/lookup/financial phases entirely. The copied doubles are the
-        // very values the full run computed, and occurrence terms are
-        // elementwise (min/max/sub, no cross-lane or cross-chunk state), so
-        // the bytes below match a cold run exactly.
-        const double* cached =
-            replay_->layer_values(layer_index) + static_cast<std::size_t>(ev0);
-        std::copy(cached, cached + count, combined);
-        if (laps != nullptr) laps->lap(laps->fetch_ns);
-        apply_occurrence_terms<V>(plan, combined, count);
+        // Delta execution: the recurrence reads the combined losses an
+        // earlier full run captured, in place — the very doubles that run
+        // computed — so no lookup, financial or copy step runs at all.
+        ground_up = replay_->layer_values(layer_index) + static_cast<std::size_t>(ev0);
       } else {
-        // Phase 1+2: batch ELT lookups + financial terms across ELTs, then
-        // occurrence terms — staged in event_chunk-bounded spans (the whole
-        // block when unconstrained).
+        // Batch ELT lookups + financial terms across ELTs, staged in
+        // event_chunk-bounded spans (the whole block when unconstrained).
+        double* combined = scratch.combined.data();
         for (std::size_t c0 = 0; c0 < count; c0 += chunk) {
           const std::size_t n = std::min(chunk, count - c0);
           if (!plan.direct.empty()) {
@@ -410,21 +489,18 @@ class KernelImpl final : public TrialBlockKernel::Impl {
           } else {
             combine_elts_generic<V>(plan, events + c0, n, combined + c0, scratch.raw, laps);
           }
-          if (capture_ != nullptr) {
-            // Capture between combine and the in-place occurrence terms:
-            // this chunk's slice is final combined losses right here.
-            // Concurrent blocks write disjoint [ev0, ev0+count) ranges.
-            std::copy(combined + c0, combined + c0 + n,
-                      capture_->layer_values(layer_index) + static_cast<std::size_t>(ev0) + c0);
-            if (laps != nullptr) laps->lap(laps->output_ns);
-          }
-          apply_occurrence_terms<V>(plan, combined + c0, n);
-          if (laps != nullptr) laps->lap(laps->layer_ns);
         }
+        if (capture_ != nullptr) {
+          // Concurrent blocks write disjoint [ev0, ev0+count) ranges.
+          std::copy(combined, combined + count,
+                    capture_->layer_values(layer_index) + static_cast<std::size_t>(ev0));
+          if (laps != nullptr) laps->lap(laps->output_ns);
+        }
+        ground_up = combined;
       }
       double* row = sink_ != nullptr ? scratch.block_losses.data() + layer_index * num_block_trials
                                      : plan.losses.data() + t0;
-      aggregate_trials(plan.layer->terms, combined, times, window_, offsets, t0, t1, ev0, row);
+      aggregate_trials<V>(plan.terms, ground_up, times, window_, offsets.data(), t0, t1, row);
       if (laps != nullptr) laps->lap(laps->layer_ns);
     }
 

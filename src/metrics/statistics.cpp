@@ -30,6 +30,47 @@ double tail_value_at_risk(std::span<const double> sorted_sample, double q) {
   return count == 0 ? var : sum / static_cast<double>(count);
 }
 
+double tail_value_at_risk_by_selection(std::span<double> sample, double q) {
+  if (sample.empty()) throw std::invalid_argument("TVaR of an empty sample");
+  if (!(q > 0.0) || !(q < 1.0)) {
+    throw std::invalid_argument("TVaR confidence level must be in (0,1)");
+  }
+  // quantile()'s interpolation, with sorted[lo] selected in place and
+  // sorted[hi] the least element of the tail above it.
+  const double h = q * static_cast<double>(sample.size() - 1);
+  const auto lo = static_cast<std::size_t>(h);
+  const auto at_lo = sample.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(sample.begin(), at_lo, sample.end());
+  const auto tail = at_lo + 1;
+  std::sort(tail, sample.end());
+  const double low = *at_lo;
+  const double high = tail != sample.end() ? *tail : low;
+  const double var = low + (h - static_cast<double>(lo)) * (high - low);
+
+  // The sorted loop: descending from the top while at or above VaR.
+  double sum = 0.0;
+  std::size_t count = 0;
+  auto it = sample.end();
+  for (; it != tail && *(it - 1) >= var; --it) {
+    sum += *(it - 1);
+    ++count;
+  }
+  if (it == tail && low >= var) {
+    // The loop reaches the VaR index. var >= sorted[lo] always, so there
+    // VaR equals sorted[lo], and the sorted loop goes on through every
+    // equal value below the index too (all of them when more than 1 - q of
+    // the sample is tied there, e.g. at zero). Equal values sum alike in
+    // any order.
+    for (auto below = sample.begin(); below != tail; ++below) {
+      if (*below >= var) {
+        sum += *below;
+        ++count;
+      }
+    }
+  }
+  return count == 0 ? var : sum / static_cast<double>(count);
+}
+
 RunningStats summarize(std::span<const double> sample) noexcept {
   RunningStats stats;
   for (double x : sample) stats.add(x);

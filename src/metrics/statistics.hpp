@@ -44,6 +44,13 @@ double quantile(std::span<const double> sorted_sample, double q);
 /// q-quantile.
 double tail_value_at_risk(std::span<const double> sorted_sample, double q);
 
+/// tail_value_at_risk of a sample in any order, without sorting all of it:
+/// selects the q-quantile's index, sorts only the tail above it and sums
+/// that tail in the same descending order, so the result has the bits of
+/// the sorted path. Reorders `sample`. Throws std::invalid_argument for an
+/// empty sample or q outside (0, 1), like EpCurve::tail_value_at_risk.
+double tail_value_at_risk_by_selection(std::span<double> sample, double q);
+
 RunningStats summarize(std::span<const double> sample) noexcept;
 
 }  // namespace are::metrics

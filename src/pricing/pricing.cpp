@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "metrics/statistics.hpp"
 
@@ -16,12 +17,12 @@ Quote price_layer(std::span<const double> trial_losses, const financial::LayerTe
   }
 
   const metrics::RunningStats stats = metrics::summarize(trial_losses);
-  const metrics::EpCurve curve(trial_losses);
+  std::vector<double> scratch(trial_losses.begin(), trial_losses.end());
 
   Quote quote;
   quote.expected_loss = stats.mean();
   quote.stddev = stats.stddev();
-  quote.tvar = curve.tail_value_at_risk(assumptions.tvar_level);
+  quote.tvar = metrics::tail_value_at_risk_by_selection(scratch, assumptions.tvar_level);
 
   const double risk_loaded = quote.expected_loss +
                              assumptions.stddev_loading * quote.stddev +

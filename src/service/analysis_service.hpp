@@ -17,7 +17,7 @@
 //            too large, queue full, memory pressure); outcome is null.
 //   delta  — the book has published ground-up losses and the request only
 //            varies layer terms / window / trial aggregation: the kernel
-//            replays the cached combined losses, skipping the fetch +
+//            replays the cached combined losses in place, skipping the fetch +
 //            lookup + per-ELT financial phases entirely (zero elt.*.lookups
 //            by construction) and re-running occurrence terms and the
 //            aggregate recurrence. Bit-identical to a cold run.
@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "core/analysis.hpp"
+#include "core/engine_registry.hpp"
 #include "core/status.hpp"
 #include "obs/telemetry.hpp"
 #include "pricing/pricing.hpp"
@@ -54,7 +55,8 @@ struct ServiceConfig {
   BrokerConfig broker;
   std::size_t cache_entries = 64;
   pricing::PricingAssumptions assumptions;
-  /// Registry name used when a request does not name an engine.
+  /// Registry name used when a request does not name an engine; one of
+  /// the served engines (require_served_engine).
   std::string default_engine = "fused";
   /// Sharded-output knobs for quotes with QuoteRequest::sharded (shard
   /// size, spill dir, memory budget). The tiny-budget + spill-dir
@@ -105,6 +107,14 @@ struct QuoteRequest {
 
 enum class QuoteSource { kRejected, kCold, kCached, kDelta, kFailed };
 std::string_view to_string(QuoteSource source) noexcept;
+
+/// The registry entry of an engine a quote may run on. A served quote runs
+/// serially or on the session's warm pool, so only engines that start no
+/// threads of their own qualify: seq, parallel and fused. openmp would
+/// start an OpenMP team beside the pool, and libgomp ends the process when
+/// it cannot create one. Throws std::invalid_argument naming the served
+/// engines for any other name.
+const core::EngineDescriptor& require_served_engine(std::string_view name);
 
 struct QuoteResponse {
   /// Service-assigned id ("q-000001", unique per service instance) — the

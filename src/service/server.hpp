@@ -19,7 +19,8 @@
 // add the structured failure triple "code" (core::StatusCode wire name),
 // "retryable", and "message" — see README "Failure model". Bit-identity
 // guarantees apply to "ok" responses only. A malformed line (unknown verb,
-// bad field, unknown portfolio/layer/engine) is "invalid-argument"; so is a
+// bad field, unknown portfolio/layer/engine, or engine=openmp: quotes run
+// on seq, parallel or fused) is "invalid-argument"; so is a
 // line longer than 64 KiB, whose connection is then closed. deadline-ms
 // bounds the quote's wall clock (cancelled between trial blocks → code
 // "deadline-exceeded"); sharded=1 executes out-of-core under
@@ -30,7 +31,7 @@
 // mutated); UPDATE mutates the book durably (terms-only, so the ground-up
 // cache survives and subsequent quotes take the delta path). csv=<path>
 // makes the *server* write the resulting YLT as CSV before responding —
-// the CI smoke byte-diffs that file against a one-shot `are_cli run`.
+// the serve smoke byte-diffs that file against a one-shot `are_cli run`.
 //
 // handle_line() is the protocol core and is directly testable without a
 // socket; serve() listens through net::Listener (net/socket.hpp): a thread

@@ -8,8 +8,10 @@
 // instantiated per extension, so scalar / SSE2 / AVX2 / AVX-512 / NEON all
 // share one code path. Scoped deliberately to what the aggregate-analysis
 // engine needs — double lanes with load / store / broadcast, add / sub /
-// mul, min / max, compare + blend, and a bounds-guarded gather (the ELT
-// direct-access lookup is a gather of doubles by u32 event id).
+// mul, min / max, compare + blend, a bounds-guarded gather (the ELT
+// direct-access lookup is a gather of doubles by u32 event id), and masked
+// gathers of doubles and of float timestamps (the aggregate recurrence runs
+// one trial per lane, each lane reading its own trial's occurrences).
 //
 // Bit-identity contract: every operation here rounds exactly like the
 // corresponding scalar expression of the kernel's scalar lanes, so a run at
@@ -19,6 +21,8 @@
 //     operand on equality), which matches the `a < b ? a : b` /
 //     `a > b ? a : b` selects of financial::excess_of_loss. Inputs are
 //     finite-or-+inf and never NaN, so the NaN corner never arises.
+//   * less / less_equal are ordered compares, false on NaN like the scalar
+//     `<` / `<=`.
 //   * No FMA is used, and the build disables FP contraction
 //     (-ffp-contract=off in CMakeLists.txt) so the compiler cannot fuse
 //     the scalar engine's mul+sub either.
@@ -88,6 +92,8 @@ struct VecD<scalar_ext> {
   static reg min(reg a, reg b) noexcept { return a < b ? a : b; }
   static reg max(reg a, reg b) noexcept { return a > b ? a : b; }
   static mask less(reg a, reg b) noexcept { return a < b; }
+  static mask less_equal(reg a, reg b) noexcept { return a <= b; }
+  static mask mask_and(mask a, mask b) noexcept { return a && b; }
   static reg blend(mask m, reg a, reg b) noexcept { return m ? a : b; }
 
   /// Index register: one row of lane indices, loaded once and reused for
@@ -103,6 +109,14 @@ struct VecD<scalar_ext> {
   static reg gather_guarded(const double* base, const std::uint32_t* idx,
                             std::size_t universe) noexcept {
     return gather_guarded(base, load_index(idx), universe);
+  }
+
+  /// Lane i = m[i] ? base[idx[i]] : 0.0 over doubles, or over float
+  /// timestamps widened (exactly) to doubles. A masked-off lane reads
+  /// nothing, so its index may point anywhere.
+  template <typename T>
+  static reg gather_masked(const T* base, ivec idx, mask m) noexcept {
+    return m ? static_cast<double>(base[idx]) : 0.0;
   }
 };
 
@@ -128,6 +142,8 @@ struct VecD<sse2_ext> {
   static reg min(reg a, reg b) noexcept { return _mm_min_pd(a, b); }
   static reg max(reg a, reg b) noexcept { return _mm_max_pd(a, b); }
   static mask less(reg a, reg b) noexcept { return _mm_cmplt_pd(a, b); }
+  static mask less_equal(reg a, reg b) noexcept { return _mm_cmple_pd(a, b); }
+  static mask mask_and(mask a, mask b) noexcept { return _mm_and_pd(a, b); }
   static reg blend(mask m, reg a, reg b) noexcept {
     return _mm_or_pd(_mm_and_pd(m, a), _mm_andnot_pd(m, b));
   }
@@ -142,6 +158,13 @@ struct VecD<sse2_ext> {
   static reg gather_guarded(const double* base, const std::uint32_t* idx,
                             std::size_t universe) noexcept {
     return gather_guarded(base, load_index(idx), universe);
+  }
+
+  template <typename T>
+  static reg gather_masked(const T* base, ivec idx, mask m) noexcept {
+    const int live = _mm_movemask_pd(m);
+    return _mm_set_pd((live & 2) != 0 ? static_cast<double>(base[idx[1]]) : 0.0,
+                      (live & 1) != 0 ? static_cast<double>(base[idx[0]]) : 0.0);
   }
 };
 #endif  // ARE_SIMD_HAVE_SSE2
@@ -171,6 +194,8 @@ struct VecD<avx2_ext> {
   static reg min(reg a, reg b) noexcept { return _mm256_min_pd(a, b); }
   static reg max(reg a, reg b) noexcept { return _mm256_max_pd(a, b); }
   static mask less(reg a, reg b) noexcept { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
+  static mask less_equal(reg a, reg b) noexcept { return _mm256_cmp_pd(a, b, _CMP_LE_OQ); }
+  static mask mask_and(mask a, mask b) noexcept { return _mm256_and_pd(a, b); }
   static reg blend(mask m, reg a, reg b) noexcept { return _mm256_blendv_pd(b, a, m); }
 
   /// Indices pre-widened to i64 so the bounds compare is correct for the
@@ -189,6 +214,18 @@ struct VecD<avx2_ext> {
   static reg gather_guarded(const double* base, const std::uint32_t* idx,
                             std::size_t universe) noexcept {
     return gather_guarded(base, load_index(idx), universe);
+  }
+
+  static reg gather_masked(const double* base, ivec idx64, mask m) noexcept {
+    return _mm256_mask_i64gather_pd(_mm256_setzero_pd(), base, idx64, m, sizeof(double));
+  }
+  /// The float gather takes its mask as four 32-bit lanes: the low half of
+  /// each 64-bit lane of `m` (all-ones or all-zeros) carries it.
+  static reg gather_masked(const float* base, ivec idx64, mask m) noexcept {
+    const __m128 m32 = _mm_castsi128_ps(_mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+        _mm256_castpd_si256(m), _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6))));
+    return _mm256_cvtps_pd(
+        _mm256_mask_i64gather_ps(_mm_setzero_ps(), base, idx64, m32, sizeof(float)));
   }
 };
 #endif  // ARE_SIMD_HAVE_AVX2
@@ -214,6 +251,8 @@ struct VecD<avx512_ext> {
   static reg min(reg a, reg b) noexcept { return _mm512_min_pd(a, b); }
   static reg max(reg a, reg b) noexcept { return _mm512_max_pd(a, b); }
   static mask less(reg a, reg b) noexcept { return _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ); }
+  static mask less_equal(reg a, reg b) noexcept { return _mm512_cmp_pd_mask(a, b, _CMP_LE_OQ); }
+  static mask mask_and(mask a, mask b) noexcept { return static_cast<mask>(a & b); }
   static reg blend(mask m, reg a, reg b) noexcept { return _mm512_mask_blend_pd(m, b, a); }
 
   using ivec = __m512i;
@@ -229,6 +268,14 @@ struct VecD<avx512_ext> {
   static reg gather_guarded(const double* base, const std::uint32_t* idx,
                             std::size_t universe) noexcept {
     return gather_guarded(base, load_index(idx), universe);
+  }
+
+  static reg gather_masked(const double* base, ivec idx64, mask m) noexcept {
+    return _mm512_mask_i64gather_pd(_mm512_setzero_pd(), m, idx64, base, sizeof(double));
+  }
+  static reg gather_masked(const float* base, ivec idx64, mask m) noexcept {
+    return _mm512_cvtps_pd(
+        _mm512_mask_i64gather_ps(_mm256_setzero_ps(), m, idx64, base, sizeof(float)));
   }
 };
 #endif  // ARE_SIMD_HAVE_AVX512
@@ -257,6 +304,8 @@ struct VecD<neon_ext> {
   static reg min(reg a, reg b) noexcept { return vbslq_f64(vcltq_f64(a, b), a, b); }
   static reg max(reg a, reg b) noexcept { return vbslq_f64(vcgtq_f64(a, b), a, b); }
   static mask less(reg a, reg b) noexcept { return vcltq_f64(a, b); }
+  static mask less_equal(reg a, reg b) noexcept { return vcleq_f64(a, b); }
+  static mask mask_and(mask a, mask b) noexcept { return vandq_u64(a, b); }
   static reg blend(mask m, reg a, reg b) noexcept { return vbslq_f64(m, a, b); }
 
   using ivec = std::array<std::uint32_t, 2>;
@@ -270,6 +319,13 @@ struct VecD<neon_ext> {
   static reg gather_guarded(const double* base, const std::uint32_t* idx,
                             std::size_t universe) noexcept {
     return gather_guarded(base, load_index(idx), universe);
+  }
+
+  template <typename T>
+  static reg gather_masked(const T* base, ivec idx, mask m) noexcept {
+    const double lo = vgetq_lane_u64(m, 0) != 0 ? static_cast<double>(base[idx[0]]) : 0.0;
+    const double hi = vgetq_lane_u64(m, 1) != 0 ? static_cast<double>(base[idx[1]]) : 0.0;
+    return vsetq_lane_f64(hi, vdupq_n_f64(lo), 1);
   }
 };
 #endif  // ARE_SIMD_HAVE_NEON

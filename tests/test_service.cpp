@@ -532,6 +532,23 @@ TEST_F(Service, HandleLineSpeaksTheProtocol) {
         << malformed << ": " << response;
   }
 
+  // openmp would start an OpenMP team beside the session pool: refused,
+  // naming the engines that serve quotes, as a request and as the default.
+  const std::string openmp = server.handle_line("QUOTE portfolio=book engine=openmp");
+  EXPECT_NE(openmp.find("\"status\":\"error\",\"code\":\"invalid-argument\""),
+            std::string::npos)
+      << openmp;
+  EXPECT_NE(openmp.find("quotes run on seq, parallel, fused"), std::string::npos) << openmp;
+  service::ServiceConfig openmp_default;
+  openmp_default.default_engine = "openmp";
+  EXPECT_THROW(service::AnalysisService(make_yet(), openmp_default), std::invalid_argument);
+  for (const char* served : {"seq", "parallel", "fused"}) {
+    const std::string response = server.handle_line(
+        std::string("QUOTE portfolio=book cache=0 delta=0 engine=") + served);
+    EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos) << response;
+    EXPECT_NE(response.find(std::string("\"engine\":\"") + served + "\""), std::string::npos);
+  }
+
   const std::string cold = server.handle_line("QUOTE portfolio=book");
   EXPECT_NE(cold.find("\"status\":\"ok\""), std::string::npos);
   EXPECT_NE(cold.find("\"source\":\"cold\""), std::string::npos);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -206,6 +207,121 @@ TEST(TrialKernel, WindowEdges) {
   const CoverageWindow single{0.5f, 0.9f};
   expect_identical(reference_ylt(portfolio, yet_table, &single),
                    run_kernel(portfolio, yet_table, config));
+}
+
+// --- The lane recurrence on ragged trials ----------------------------------------
+
+/// 43 trials: every aligned group of eight mixes empty and one-event trials
+/// with one long trial (at a different lane per group), and the last trial
+/// of the table is long, so the widest lanes finish at every point of a
+/// group and the last group is partial. Timestamps stay below 0.9.
+yet::YearEventTable ragged_yet() {
+  constexpr std::uint64_t kTrials = 43;
+  std::vector<yet::EventId> events;
+  std::vector<float> times;
+  std::vector<std::uint64_t> offsets = {0};
+  for (std::uint64_t trial = 0; trial < kTrials; ++trial) {
+    const std::uint64_t group = trial / 8;
+    const bool long_trial = trial == kTrials - 1 || trial % 8 == (3 * group) % 8;
+    const std::uint64_t length = long_trial ? 40 + 3 * group : trial % 2;
+    for (std::uint64_t k = 0; k < length; ++k) {
+      events.push_back(static_cast<yet::EventId>((trial * 7 + k * 3) % 64 + 1));
+      times.push_back(0.9f * (static_cast<float>(k) + 0.5f) / static_cast<float>(length));
+    }
+    offsets.push_back(events.size());
+  }
+  return yet::YearEventTable(std::move(events), std::move(times), std::move(offsets));
+}
+
+/// Two layers over one direct ELT of events 1..64 (100K-220K each). Layer 1's
+/// aggregate retention absorbs a trial's first events and its limit runs
+/// out mid-way through every long trial; layer 2 has occurrence terms only,
+/// so the replay reads a second, offset layer of the capture.
+Portfolio ragged_portfolio() {
+  std::vector<elt::EventLoss> records;
+  for (yet::EventId event = 1; event <= 64; ++event) {
+    records.push_back({event, 100e3 + 10e3 * static_cast<double>(event % 13)});
+  }
+  const elt::EventLossTable table(std::move(records));
+  Portfolio portfolio;
+  for (std::uint32_t id : {1u, 2u}) {
+    core::Layer layer;
+    layer.id = id;
+    layer.terms.occurrence_retention = 50e3;
+    layer.terms.occurrence_limit = id == 1 ? 400e3 : 120e3;
+    if (id == 1) {
+      layer.terms.aggregate_retention = 250e3;
+      layer.terms.aggregate_limit = 1e6;
+    }
+    core::LayerElt layer_elt;
+    layer_elt.lookup = elt::make_lookup(elt::LookupKind::kDirectAccess, table, kUniverse);
+    layer.elts.push_back(std::move(layer_elt));
+    portfolio.layers.push_back(std::move(layer));
+  }
+  return portfolio;
+}
+
+TEST(TrialKernel, LaneRecurrenceOnRaggedTrials) {
+  const auto yet_table = ragged_yet();
+  const Portfolio portfolio = ragged_portfolio();
+  const std::uint64_t trials = yet_table.num_trials();
+
+  // The aggregate terms bind both ways on the unwindowed reference.
+  const auto full_year = reference_ylt(portfolio, yet_table);
+  for (std::uint64_t trial = 0; trial < trials; ++trial) {
+    const std::size_t length = yet_table.trial_size(trial);
+    if (length <= 1) {
+      EXPECT_EQ(full_year.at(0, trial), 0.0) << "trial " << trial;
+    }
+    if (length >= 40) {
+      EXPECT_EQ(full_year.at(0, trial), 1e6) << "trial " << trial;
+    }
+  }
+
+  core::GroundUpLossCache captured(portfolio.layers.size(), yet_table.total_events());
+  {
+    TrialKernelConfig config;
+    config.ground_up_capture = &captured;
+    expect_identical(full_year, run_kernel(portfolio, yet_table, config));
+  }
+
+  std::vector<core::SimdExtension> extensions = {core::SimdExtension::kScalar};
+  for (const core::SimdExtension extension :
+       {core::SimdExtension::kSse2, core::SimdExtension::kAvx2, core::SimdExtension::kAvx512,
+        core::SimdExtension::kNeon}) {
+    if (core::simd_extension_available(extension)) extensions.push_back(extension);
+  }
+  const std::optional<CoverageWindow> windows[] = {
+      std::nullopt, CoverageWindow{0.25f, 0.75f}, CoverageWindow{0.95f, 1.0f}};
+  enum class Mode { kCold, kCapture, kReplay };
+  std::size_t runs = 0;
+  for (const std::optional<CoverageWindow>& window : windows) {
+    const auto reference =
+        reference_ylt(portfolio, yet_table, window ? &*window : nullptr);
+    for (const core::SimdExtension extension : extensions) {
+      for (const std::size_t block : {std::size_t{1}, std::size_t{7}, std::size_t{trials}}) {
+        for (const Mode mode : {Mode::kCold, Mode::kCapture, Mode::kReplay}) {
+          SCOPED_TRACE(std::string(to_string(extension)) + " block " + std::to_string(block) +
+                       " mode " + std::to_string(static_cast<int>(mode)) +
+                       (window ? " window " + std::to_string(window->from) : ""));
+          core::GroundUpLossCache capture(portfolio.layers.size(), yet_table.total_events());
+          TrialKernelConfig config;
+          config.extension = extension;
+          config.block_trials = block;
+          config.window = window;
+          if (mode == Mode::kCapture) config.ground_up_capture = &capture;
+          if (mode == Mode::kReplay) config.ground_up_replay = &captured;
+          expect_identical(reference, run_kernel(portfolio, yet_table, config));
+          if (mode == Mode::kCapture) {
+            EXPECT_EQ(0, std::memcmp(capture.layer_values(0), captured.layer_values(0),
+                                     captured.memory_bytes()));
+          }
+          ++runs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 3 * extensions.size() * 3 * 3);
 }
 
 // --- Sink block alignment -----------------------------------------------------

@@ -273,12 +273,14 @@ TelemetryCli parse_telemetry(const Args& args) {
 /// The Fig-6b table (stderr): the kernel's per-phase laps and their shares,
 /// how much of the kernel block time they cover, and the access counts.
 /// Direct tables read event ids inside their gathers, so a cold run on them
-/// reports lookup and financial terms fused as `combine`, and zero fetch.
+/// reports lookup and financial terms fused as `combine`.
 void report_phases(const obs::Snapshot& snapshot) {
   constexpr std::pair<const char*, const char*> kPhases[] = {
-      {"event fetch", "kernel.phase.fetch_ns"},  {"combine", "kernel.phase.combine_ns"},
-      {"ELT lookup", "kernel.phase.lookup_ns"},  {"financial terms", "kernel.phase.financial_ns"},
-      {"layer terms", "kernel.phase.layer_ns"},  {"output", "kernel.phase.output_ns"},
+      {"combine", "kernel.phase.combine_ns"},
+      {"ELT lookup", "kernel.phase.lookup_ns"},
+      {"financial terms", "kernel.phase.financial_ns"},
+      {"layer terms", "kernel.phase.layer_ns"},
+      {"output", "kernel.phase.output_ns"},
   };
   const std::uint64_t total_ns = snapshot.counter_sum("kernel.phase.", "_ns");
   const auto row = [total_ns](const char* label, std::uint64_t ns) {
@@ -663,6 +665,8 @@ int cmd_list_engines(const Args& args) {
 /// state lives in the registry, and every response carries its per-request
 /// Snapshot::diff.
 int cmd_serve(const Args& args) {
+  const std::string engine = args.get("engine", "fused");
+  service::require_served_engine(engine);  // fail fast, before any input loads
   obs::set_enabled(true);
   auto yet_table = load_yet(args.require("yet"));
   auto portfolio = build_portfolio(args, universe_of(yet_table, args));
@@ -677,8 +681,7 @@ int cmd_serve(const Args& args) {
   config.broker.memory_budget_bytes =
       static_cast<std::size_t>(args.get_u64("admission-memory-budget-mb", 0)) << 20;
   config.cache_entries = static_cast<std::size_t>(args.get_u64("cache-entries", 64));
-  config.default_engine = args.get("engine", "fused");
-  core::EngineRegistry::global().require(config.default_engine);  // fail fast on typos
+  config.default_engine = engine;
   // Out-of-core execution for sharded=1 quotes (same flag names as `run`).
   config.sharding.shard_trials = args.get_u64("shard-trials", 4096);
   config.sharding.memory_budget_bytes =
