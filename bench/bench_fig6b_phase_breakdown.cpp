@@ -4,8 +4,8 @@
 // memory-bound analysis.
 //
 // The split is read from the kernel.phase.*_ns counters that a telemetered
-// run records on the production block loop (AnalysisConfig::telemetry), the
-// same counters `are_cli run --phases` prints. On direct access tables the
+// run records on the production block loop (obs::set_enabled), the same
+// counters `are_cli run --phases` prints. On direct access tables the
 // loop reads event ids inside its gathers and applies the per-ELT financial
 // terms in the same pass, so the paper's fetch + lookup + financial share
 // appears as one `combine` phase; a robin-hood book runs the generic
@@ -41,8 +41,10 @@ obs::Snapshot telemetered_run(const core::Portfolio& portfolio) {
   obs::TelemetryRegistry::global().reset();
   core::AnalysisConfig config;
   config.engine = core::EngineKind::kSequential;
-  config.telemetry.counters = true;
+  const bool prior = obs::enabled();
+  obs::set_enabled(true);
   auto ylt = bench::run(portfolio, fig6b_yet(), config);
+  obs::set_enabled(prior);
   benchmark::DoNotOptimize(ylt);
   return obs::TelemetryRegistry::global().snapshot();
 }

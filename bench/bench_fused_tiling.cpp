@@ -21,6 +21,7 @@
 
 #include "bench_common.hpp"
 #include "core/engine_registry.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
@@ -154,10 +155,11 @@ int main(int argc, char** argv) {
     core::AnalysisConfig fused_config;
     fused_config.engine = core::EngineKind::kFused;
     const double off_seconds = measure_seconds(cache_workload, fused_config);
-    fused_config.telemetry.counters = true;
-    fused_config.telemetry.trace = true;
+    obs::set_enabled(true);
+    obs::set_trace_enabled(true);
     const double on_seconds = measure_seconds(cache_workload, fused_config);
-    obs::set_enabled(true);  // stamp the A/B's snapshot into the "on" record
+    obs::set_trace_enabled(false);  // counters stay on to stamp the A/B's
+                                    // snapshot into the "on" record
     report.add(cache_workload.name, "fused_telemetry_off", off_seconds,
                off_seconds > 0.0 ? cache_workload.sequential_seconds / off_seconds : 0.0);
     report.add(cache_workload.name, "fused_telemetry_on", on_seconds,

@@ -5,7 +5,6 @@
 
 #include "core/engine_registry.hpp"
 #include "core/trial_kernel.hpp"
-#include "obs/telemetry.hpp"
 
 namespace are::core {
 
@@ -128,8 +127,6 @@ YearLossTable run(const AnalysisRequest& request) {
         "run() returns a materialized YLT; for OutputMode::kSharded call shard::run_sharded "
         "(or core::run_to_sink with your own sink)");
   }
-  const obs::RunScope telemetry(request.config.telemetry.counters,
-                                request.config.telemetry.trace);
   std::vector<std::uint32_t> layer_ids;
   for (const Layer& layer : request.portfolio.layers) layer_ids.push_back(layer.id);
   YearLossTable ylt(std::move(layer_ids), request.yet_table.num_trials());
@@ -139,8 +136,6 @@ YearLossTable run(const AnalysisRequest& request) {
 
 void run_to_sink(const AnalysisRequest& request, YltSink& sink) {
   const EngineDescriptor& engine = resolve_engine(request.config);
-  const obs::RunScope telemetry(request.config.telemetry.counters,
-                                request.config.telemetry.trace);
   execute(request, engine.kind, nullptr, &sink);
 }
 

@@ -43,8 +43,8 @@ std::string_view to_string(EngineKind kind) noexcept;
 /// Per-run facts written back through AnalysisConfig::instrumentation:
 /// which engine actually executed and its resolution (did OpenMP really
 /// run? which SIMD lane type ran?). Phase timing and access counts are not
-/// here: they are the `kernel.phase.*_ns` and `elt.*.lookups` counters of a
-/// telemetered run (AnalysisConfig::telemetry).
+/// here: they are the `kernel.phase.*_ns` and `elt.*.lookups` counters a
+/// run records while telemetry is on (obs::set_enabled).
 struct InstrumentationSink {
   /// The engine that executed the request.
   std::optional<EngineKind> engine_used;
@@ -73,20 +73,6 @@ struct InstrumentationSink {
 enum class OutputMode {
   kMaterialized = 0,
   kSharded,
-};
-
-/// Runtime-telemetry collection for one run (src/obs/). Both flags enable
-/// the process-wide collectors for the duration of the run (RAII-scoped
-/// inside run()/run_to_sink(), restoring the prior state), so concurrent
-/// runs see each other's requests; long-lived hosts (the CLI, the future
-/// resident service) instead call obs::set_enabled()/set_trace_enabled()
-/// directly and leave these off. Off by default: the disabled hot path is
-/// bit-identical and within noise of an untelemetered build.
-struct TelemetryOptions {
-  /// Collect counters/gauges/histograms into obs::TelemetryRegistry::global().
-  bool counters = false;
-  /// Record Chrome-trace spans into obs::TraceBuffer::global().
-  bool trace = false;
 };
 
 /// Knobs of the sharded output mode (read when output == kSharded).
@@ -152,11 +138,6 @@ struct AnalysisConfig {
   OutputMode output = OutputMode::kMaterialized;
   ShardingOptions sharding;
 
-  /// Runtime counters/spans for this run (see TelemetryOptions). With
-  /// counters on, the kernel also laps its block loop into the Fig-6b
-  /// `kernel.phase.*_ns` counters.
-  TelemetryOptions telemetry;
-
   /// Borrowed thread pool, reused across runs (the real-time pricing path);
   /// requires an engine whose descriptor sets supports_pool_reuse
   /// (kParallel, kFused). nullptr = the engine owns its threads.
@@ -166,8 +147,8 @@ struct AnalysisConfig {
   /// service's fast path — see src/service/). Capture: this run additionally
   /// records its combined pre-occurrence-terms losses into the cache (shape
   /// must be portfolio layers x YET total events). Replay: this run skips
-  /// the fetch/lookup/financial phases and reads the combined losses in
-  /// place from the cache — valid only when the portfolio's ELT sets and per-ELT
+  /// the lookup/financial phases and reads the combined losses in place
+  /// from the cache — valid only when the portfolio's ELT sets and per-ELT
   /// FinancialTerms are unchanged since capture (LayerTerms and the window
   /// may differ), bit-identical to a cold run by construction. Any engine
   /// accepts either pointer (they parameterize the shared kernel); setting

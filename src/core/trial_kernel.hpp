@@ -55,8 +55,8 @@ namespace are::core {
 /// the layers' ELT sets + FinancialTerms, but not on LayerTerms or on the
 /// coverage window (windows only filter inside the aggregate recurrence).
 /// A request that differs from a captured run only in layer terms or
-/// window can therefore skip the fetch + lookup + financial phases — ~78%
-/// of runtime per Fig 6b — and run the lane recurrence straight over the
+/// window can therefore skip the lookup + financial phases — ~78% of
+/// runtime per Fig 6b — and run the lane recurrence straight over the
 /// cached values, in place, bit-identical to a full run by construction
 /// (capture copies the very doubles the full run computes).
 ///
@@ -126,8 +126,8 @@ struct TrialKernelConfig {
   /// otherwise. Never changes the output bytes.
   GroundUpLossCache* ground_up_capture = nullptr;
 
-  /// Replay (delta execution): skip the fetch/lookup/financial phases and
-  /// run occurrence terms + aggregation straight over each layer's combined
+  /// Replay (delta execution): skip the lookup/financial phases and run
+  /// occurrence terms + aggregation straight over each layer's combined
   /// losses in this cache, read in place. Produces exactly the bytes a
   /// full run with the same layer terms and window would — and performs
   /// zero ELT lookups (`elt.*.lookups` and `kernel.phase.lookup_ns` stay 0).

@@ -207,15 +207,4 @@ Snapshot TelemetryRegistry::snapshot() const {
   return snap;
 }
 
-RunScope::RunScope(bool counters, bool trace) noexcept
-    : prior_enabled_(enabled()), prior_trace_(trace_enabled()) {
-  if (counters) set_enabled(true);
-  if (trace) set_trace_enabled(true);
-}
-
-RunScope::~RunScope() {
-  set_enabled(prior_enabled_);
-  set_trace_enabled(prior_trace_);
-}
-
 }  // namespace are::obs

@@ -239,21 +239,4 @@ class TelemetryRegistry {
   std::vector<Named<Histogram>> histograms_;
 };
 
-/// Scoped enable for one run: core::run()/run_to_sink() wrap execution in
-/// this when AnalysisConfig::telemetry asks for collection, restoring the
-/// prior process-wide flags afterwards (so a CLI/service that enabled
-/// telemetry globally keeps it on). Both flags are process-global; with
-/// concurrent runs the most permissive request wins for the overlap.
-class RunScope {
- public:
-  RunScope(bool counters, bool trace) noexcept;
-  ~RunScope();
-  RunScope(const RunScope&) = delete;
-  RunScope& operator=(const RunScope&) = delete;
-
- private:
-  bool prior_enabled_;
-  bool prior_trace_;
-};
-
 }  // namespace are::obs

@@ -8,8 +8,8 @@
 //
 // Collection is separate from the counter registry (obs/telemetry.hpp) and
 // has its own enable flag, because tracing allocates (per-thread event
-// logs) while counters never do. Both are driven by AnalysisConfig
-// telemetry options / are_cli --telemetry.
+// logs) while counters never do. Both are process-wide switches
+// (obs::set_enabled / set_trace_enabled), which are_cli --telemetry sets.
 //
 // Cost model: a Span is two steady_clock reads plus two appends into a
 // thread-local vector under that thread's own (uncontended) mutex; with

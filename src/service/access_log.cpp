@@ -56,10 +56,8 @@ RequestLogEntry make_log_entry(const QuoteRequest& request, const QuoteResponse&
     entry.elt_lookups = diff.counter_sum("elt.", ".lookups");
     for (const auto& counter : diff.counters) {
       const std::string& name = counter.name;
-      if (name == "shard.bytes_spilled") {
-        entry.bytes_spilled = counter.value;
-      } else if (counter.value != 0 && name.size() > kFaultPrefix.size() &&
-                 name.compare(0, kFaultPrefix.size(), kFaultPrefix) == 0) {
+      if (counter.value != 0 && name.size() > kFaultPrefix.size() &&
+          name.compare(0, kFaultPrefix.size(), kFaultPrefix) == 0) {
         entry.fault_fires.emplace_back(name.substr(kFaultPrefix.size()), counter.value);
       }
     }
@@ -80,8 +78,7 @@ std::string access_log_json(const RequestLogEntry& entry) {
       << ",\"reason\":\"" << entry.admission_reason << "\""
       << ",\"queue_wait_seconds\":" << entry.queue_wait_seconds
       << ",\"deadline_ms\":" << entry.deadline_ms << ",\"wall_ns\":" << entry.wall_ns
-      << ",\"elt_lookups\":" << entry.elt_lookups
-      << ",\"bytes_spilled\":" << entry.bytes_spilled << ",\"fault_fires\":{";
+      << ",\"elt_lookups\":" << entry.elt_lookups << ",\"fault_fires\":{";
   for (std::size_t i = 0; i < entry.fault_fires.size(); ++i) {
     if (i != 0) out << ",";
     out << "\"" << json_escape(entry.fault_fires[i].first)
@@ -99,7 +96,6 @@ std::string access_log_human(const RequestLogEntry& entry) {
   out << " engine=" << entry.engine << " wall_ms=" << static_cast<double>(entry.wall_ns) / 1e6;
   if (entry.queue_wait_seconds > 0.0) out << " queue_wait_s=" << entry.queue_wait_seconds;
   out << " elt_lookups=" << entry.elt_lookups;
-  if (entry.bytes_spilled != 0) out << " bytes_spilled=" << entry.bytes_spilled;
   for (const auto& [site, fires] : entry.fault_fires) {
     out << " fault." << site << "=" << fires;
   }

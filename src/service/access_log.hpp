@@ -15,7 +15,7 @@
 //    "status":"ok","code":"ok","engine":"fused","fingerprint":"9f…",
 //    "admission":"admitted","reason":"none","queue_wait_seconds":0,
 //    "deadline_ms":0,"wall_ns":1234567,"elt_lookups":40000,
-//    "bytes_spilled":0,"cache_hit":false,"fault_fires":{}}
+//    "fault_fires":{}}
 //
 // The same RequestLogEntry renders the `--verbose` stderr line
 // (access_log_human), so the two surfaces cannot drift apart.
@@ -47,8 +47,7 @@ struct RequestLogEntry {
   double queue_wait_seconds = 0.0;
   std::uint64_t deadline_ms = 0;
   std::uint64_t wall_ns = 0;
-  std::uint64_t elt_lookups = 0;    ///< sum of elt.*.lookups over the request
-  std::uint64_t bytes_spilled = 0;  ///< shard.bytes_spilled over the request
+  std::uint64_t elt_lookups = 0;  ///< sum of elt.*.lookups over the request
   /// fault.injected.* counters that fired during the request (site suffix,
   /// fire count) — chaos runs are self-describing in the log.
   std::vector<std::pair<std::string, std::uint64_t>> fault_fires;

@@ -9,7 +9,6 @@
 #include "obs/metrics_server.hpp"
 #include "obs/trace.hpp"
 #include "service/access_log.hpp"
-#include "shard/sharded_run.hpp"
 
 namespace are::service {
 
@@ -40,16 +39,14 @@ std::shared_ptr<const core::Portfolio> effective_portfolio(
 }
 
 /// The taxonomy code a broker rejection maps to on the wire. Retryability
-/// follows: queue/memory/shutdown pressure is transient, an oversized
-/// request is the caller's to fix.
+/// follows: queue/shutdown pressure is transient, an oversized request is
+/// the caller's to fix.
 core::StatusCode status_code_of(RejectReason reason) noexcept {
   switch (reason) {
     case RejectReason::kNone: return core::StatusCode::kOk;
     case RejectReason::kRequestCost: return core::StatusCode::kInvalidArgument;
-    case RejectReason::kQueueFull:
-    case RejectReason::kMemoryPressure: return core::StatusCode::kResourceExhausted;
+    case RejectReason::kQueueFull: return core::StatusCode::kResourceExhausted;
     case RejectReason::kShuttingDown: return core::StatusCode::kUnavailable;
-    case RejectReason::kSpillFailure: return core::StatusCode::kSpillFailure;
   }
   return core::StatusCode::kInternal;
 }
@@ -138,7 +135,6 @@ std::uint64_t AnalysisService::fingerprint_of(std::string_view portfolio_id,
   if (request.window.has_value()) {
     fp.mix_double(request.window->from).mix_double(request.window->to);
   }
-  fp.mix(request.sharded ? 1u : 0u);
   for (const core::Layer& layer : effective.layers) {
     fp.mix(layer.id);
     fp.mix_double(layer.terms.occurrence_retention)
@@ -282,15 +278,7 @@ QuoteResponse AnalysisService::quote(const QuoteRequest& request) {
 
   auto outcome = std::make_shared<QuoteOutcome>();
   try {
-    if (request.sharded) {
-      config.output = core::OutputMode::kSharded;
-      config.sharding = config_.sharding;
-      shard::ShardedYearLossTable sharded =
-          shard::run_sharded({*portfolio, session_.yet_table(), config});
-      outcome->ylt = sharded.materialize();
-    } else {
-      outcome->ylt = core::run({*portfolio, session_.yet_table(), config});
-    }
+    outcome->ylt = core::run({*portfolio, session_.yet_table(), config});
   } catch (const std::invalid_argument&) {
     // Malformed request: the documented throwing path (nothing ran).
     broker_.release(cost);
@@ -298,18 +286,15 @@ QuoteResponse AnalysisService::quote(const QuoteRequest& request) {
     throw;
   } catch (...) {
     // Execution failure — the hardened path. Unwind EVERYTHING the quote
-    // acquired (admitted cost, the claimed capture slot; the sharded table
-    // and its spill dir unwound with the stack) and convert to a structured
-    // kFailed response: the server connection lives on, the next quote
-    // starts from a clean slate, and bit-identity is unaffected because
-    // nothing partial is published or cached.
+    // acquired (admitted cost, the claimed capture slot) and convert to a
+    // structured kFailed response: the server connection lives on, the next
+    // quote starts from a clean slate, and bit-identity is unaffected
+    // because nothing partial is published or cached. The quote was
+    // admitted, so its admission decision stays as the broker made it.
     broker_.release(cost);
     if (capture != nullptr) session_.abandon_capture(request.portfolio_id);
     response.source = QuoteSource::kFailed;
     response.status = core::status_from_current_exception();
-    if (response.status.code() == core::StatusCode::kSpillFailure) {
-      response.admission.reason = RejectReason::kSpillFailure;
-    }
     registry.counter("service.failed").increment();
     return finish(std::move(response));
   }

@@ -10,20 +10,22 @@
 // A quote resolves in one of four ways, in order:
 //
 //   cached — the fingerprint (portfolio id + generation, effective terms,
-//            engine, trial count, window, sharded flag) hits the result
-//            cache: no admission, no engine, the shared outcome is returned
-//            as-is. Bit-identical to the run that populated it by identity.
+//            engine, trial count, window) hits the result cache: no
+//            admission, no engine, the shared outcome is returned as-is.
+//            Bit-identical to the run that populated it by identity.
 //   rejected — the broker refuses admission (structured reason: request
-//            too large, queue full, memory pressure); outcome is null.
+//            too large, queue full, shutting down); outcome is null.
 //   delta  — the book has published ground-up losses and the request only
 //            varies layer terms / window / trial aggregation: the kernel
-//            replays the cached combined losses in place, skipping the fetch +
+//            reads the captured combined losses in place, skipping the
 //            lookup + per-ELT financial phases entirely (zero elt.*.lookups
-//            by construction) and re-running occurrence terms and the
+//            by construction), and re-runs only occurrence terms and the
 //            aggregate recurrence. Bit-identical to a cold run.
 //   cold   — full execution; opportunistically captures ground-up losses
 //            (claim/publish protocol, budget-gated) so the *next* terms
 //            tweak is a delta.
+//
+// Every executed quote (delta or cold) is one core::run on the session pool.
 
 #include <atomic>
 #include <cstdint>
@@ -58,10 +60,6 @@ struct ServiceConfig {
   /// Registry name used when a request does not name an engine; one of
   /// the served engines (require_served_engine).
   std::string default_engine = "fused";
-  /// Sharded-output knobs for quotes with QuoteRequest::sharded (shard
-  /// size, spill dir, memory budget). The tiny-budget + spill-dir
-  /// combination is how a server is driven into the out-of-core regime.
-  core::ShardingOptions sharding;
   /// TCP port for the embedded scrape endpoint (obs::MetricsServer:
   /// /metrics, /healthz, /statusz). -1 = no server (the default); 0 =
   /// ephemeral port, read back via metrics_server()->port().
@@ -97,12 +95,6 @@ struct QuoteRequest {
   /// within one block and fails with status kDeadlineExceeded — admitted
   /// broker cost released, no partial state, nothing cached.
   std::uint64_t deadline_ms = 0;
-  /// Execute through the sharded out-of-core path (shard::run_sharded with
-  /// ServiceConfig::sharding) and materialize the result. Output bytes are
-  /// identical to the default path; what changes is the failure surface —
-  /// a spill failure under memory pressure fails THIS quote with
-  /// kSpillFailure instead of crashing the process.
-  bool sharded = false;
 };
 
 enum class QuoteSource { kRejected, kCold, kCached, kDelta, kFailed };
@@ -162,8 +154,8 @@ class AnalysisService {
   /// The front door. Throws std::invalid_argument on malformed requests
   /// (unknown portfolio/layer/engine, bad window); admission refusals are
   /// returned as kRejected responses and execution failures (deadline,
-  /// cancellation, spill, corruption, allocation) as kFailed responses
-  /// carrying a structured core::Status — never exceptions.
+  /// cancellation, allocation) as kFailed responses carrying a structured
+  /// core::Status — never exceptions.
   QuoteResponse quote(const QuoteRequest& request);
 
   PortfolioSession& session() noexcept { return session_; }

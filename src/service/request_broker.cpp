@@ -48,12 +48,8 @@ std::string_view to_string(RejectReason reason) noexcept {
       return "request-too-large";
     case RejectReason::kQueueFull:
       return "queue-full";
-    case RejectReason::kMemoryPressure:
-      return "memory-pressure";
     case RejectReason::kShuttingDown:
       return "shutting-down";
-    case RejectReason::kSpillFailure:
-      return "spill-failure";
   }
   return "unknown";
 }
@@ -100,7 +96,6 @@ AdmissionDecision RequestBroker::admit(std::uint64_t estimated_cost) {
   if (config_.max_request_cost != 0 && estimated_cost > config_.max_request_cost) {
     decision.inflight_cost =
         static_cast<std::uint64_t>(instruments.inflight_cost.value());
-    decision.resident_bytes = registry.gauge("shard.resident_bytes").value();
     return reject(RejectReason::kRequestCost,
                   "request cost " + format_cost(estimated_cost) +
                       " exceeds max_request_cost " +
@@ -109,7 +104,6 @@ AdmissionDecision RequestBroker::admit(std::uint64_t estimated_cost) {
   if (config_.max_inflight_cost != 0 && estimated_cost > config_.max_inflight_cost) {
     decision.inflight_cost =
         static_cast<std::uint64_t>(instruments.inflight_cost.value());
-    decision.resident_bytes = registry.gauge("shard.resident_bytes").value();
     return reject(RejectReason::kRequestCost,
                   "request cost " + format_cost(estimated_cost) +
                       " can never fit under max_inflight_cost " +
@@ -131,38 +125,17 @@ AdmissionDecision RequestBroker::admit(std::uint64_t estimated_cost) {
       }
       decision.inflight_cost =
           static_cast<std::uint64_t>(instruments.inflight_cost.value());
-      decision.resident_bytes = registry.gauge("shard.resident_bytes").value();
       return reject(RejectReason::kShuttingDown, "service is shutting down");
     }
     // Live load is read back from the registry gauges — the broker keeps no
     // separate tally, so exporters and admission always agree.
     const std::int64_t inflight_cost = instruments.inflight_cost.value();
-    const std::int64_t inflight_requests = instruments.inflight_requests.value();
-    const std::int64_t resident = registry.gauge("shard.resident_bytes").value();
     decision.inflight_cost = static_cast<std::uint64_t>(inflight_cost);
-    decision.resident_bytes = resident;
 
-    const bool cost_fits =
-        config_.max_inflight_cost == 0 ||
+    if (config_.max_inflight_cost == 0 ||
         static_cast<std::uint64_t>(inflight_cost) + estimated_cost <=
-            config_.max_inflight_cost;
-    const bool memory_ok =
-        config_.memory_budget_bytes == 0 ||
-        resident <= static_cast<std::int64_t>(config_.memory_budget_bytes);
-
-    if (cost_fits && memory_ok) break;
-
-    if (!memory_ok && inflight_requests == 0) {
-      // Nothing in flight can drain the shard store; waiting is futile.
-      if (counted_as_queued) {
-        --waiting_;
-        instruments.queued_requests.add(-1);
-      }
-      return reject(RejectReason::kMemoryPressure,
-                    "shard.resident_bytes " + std::to_string(resident) +
-                        " over memory budget " +
-                        std::to_string(config_.memory_budget_bytes) +
-                        " with no requests in flight");
+            config_.max_inflight_cost) {
+      break;
     }
 
     if (!counted_as_queued) {

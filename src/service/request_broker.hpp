@@ -7,11 +7,10 @@
 // `service.inflight_cost` / `service.queued_requests` gauges (updated
 // unconditionally: they are the admission state store, not optional
 // reporting; broker operations are request-granularity, far off the
-// per-event hot path the zero-cost contract protects), memory pressure is
-// read from the shard store's `shard.resident_bytes` gauge, and the pool
-// load counters (`pool.tasks`, `pool.idle_ns`) are sampled into every
-// decision. The same numbers are therefore visible to every exporter
-// (Prometheus scrape included) with no extra plumbing.
+// per-event hot path the zero-cost contract protects), and the pool load
+// counters (`pool.tasks`, `pool.idle_ns`) are sampled into every decision.
+// The same numbers are therefore visible to every exporter (Prometheus
+// scrape included) with no extra plumbing.
 //
 // A request's cost estimate is its ELT lookup count — layers x YET event
 // occurrences, the paper's ~78%-of-runtime driver (Fig 6b) and the quantity
@@ -36,9 +35,6 @@ struct BrokerConfig {
   std::uint64_t max_inflight_cost = 0;
   /// Requests allowed to wait for capacity before kQueueFull rejections.
   std::size_t max_queued = 16;
-  /// Reject (under idle) / queue (under load) new work while the shard
-  /// store's resident bytes exceed this; 0 = no memory gate.
-  std::size_t memory_budget_bytes = 0;
 };
 
 enum class AdmissionOutcome { kAdmitted, kRejected };
@@ -47,9 +43,7 @@ enum class RejectReason {
   kNone,           ///< admitted
   kRequestCost,    ///< the request alone exceeds a cost budget; retrying cannot help
   kQueueFull,      ///< capacity exists but the wait queue is at max_queued
-  kMemoryPressure, ///< shard.resident_bytes over budget with nothing in flight to drain
   kShuttingDown,   ///< the service is draining; queued waiters are woken with this
-  kSpillFailure,   ///< the admitted run failed spilling its sharded output (ENOSPC)
 };
 
 std::string_view to_string(AdmissionOutcome outcome) noexcept;
@@ -63,8 +57,6 @@ struct AdmissionDecision {
   std::uint64_t estimated_cost = 0;
   /// service.inflight_cost at decision time (before this request joined).
   std::uint64_t inflight_cost = 0;
-  /// shard.resident_bytes at decision time.
-  std::int64_t resident_bytes = 0;
   /// pool.tasks / pool.idle_ns readings at decision time (load context).
   std::uint64_t pool_tasks = 0;
   std::uint64_t pool_idle_ns = 0;

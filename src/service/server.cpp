@@ -1,13 +1,17 @@
 #include "service/server.hpp"
 
+#include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "fault/fault_injection.hpp"
 #include "io/csv.hpp"
@@ -26,11 +30,21 @@ constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
 
 // ---- protocol parsing -----------------------------------------------------
 
-/// key=value tokens after the verb. Values may not contain spaces (paths
-/// with spaces are not supported by the protocol — documented limitation).
+/// The keys each verb reads, and so the only keys it accepts.
+constexpr std::array<std::string_view, 12> kQuoteKeys = {
+    "portfolio", "layer",  "occ-retention", "occ-limit", "agg-retention", "agg-limit",
+    "engine",    "window", "cache",         "delta",     "csv",           "deadline-ms"};
+constexpr std::array<std::string_view, 6> kUpdateKeys = {
+    "portfolio", "layer", "occ-retention", "occ-limit", "agg-retention", "agg-limit"};
+
+/// key=value tokens after the verb. A key the verb does not read, or one
+/// given twice, is invalid-argument: a misspelt term must never quote the
+/// book's own terms. Values may not contain spaces (paths with spaces are
+/// not supported by the protocol — documented limitation).
 std::map<std::string, std::string> parse_fields(const std::string& line,
-                                                std::string& verb) {
+                                                std::span<const std::string_view> keys) {
   std::istringstream in(line);
+  std::string verb;
   in >> verb;
   std::map<std::string, std::string> fields;
   std::string token;
@@ -39,7 +53,13 @@ std::map<std::string, std::string> parse_fields(const std::string& line,
     if (eq == std::string::npos) {
       throw std::invalid_argument("malformed token '" + token + "' (expected key=value)");
     }
-    fields[token.substr(0, eq)] = token.substr(eq + 1);
+    std::string key = token.substr(0, eq);
+    if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+      throw std::invalid_argument(verb + " has no field '" + key + "'");
+    }
+    if (!fields.emplace(key, token.substr(eq + 1)).second) {
+      throw std::invalid_argument("field " + key + " given twice");
+    }
   }
   return fields;
 }
@@ -98,11 +118,14 @@ std::uint32_t parse_layer_id(const std::map<std::string, std::string>& fields) {
   return parse_unsigned<std::uint32_t>(it->second, "layer");
 }
 
-bool parse_flag(const std::map<std::string, std::string>& fields, const char* key,
+bool parse_flag(const std::map<std::string, std::string>& fields, const std::string& key,
                 bool fallback) {
   auto it = fields.find(key);
   if (it == fields.end()) return fallback;
-  return it->second != "0" && it->second != "false";
+  if (it->second == "1" || it->second == "true") return true;
+  if (it->second == "0" || it->second == "false") return false;
+  throw std::invalid_argument("field " + key + ": expected 0, 1, false or true, got '" +
+                              it->second + "'");
 }
 
 // ---- JSON rendering ---------------------------------------------------------
@@ -129,7 +152,6 @@ std::string admission_json(const AdmissionDecision& decision) {
       << ",\"reason\":\"" << to_string(decision.reason) << "\""
       << ",\"estimated_cost\":" << decision.estimated_cost
       << ",\"inflight_cost\":" << decision.inflight_cost
-      << ",\"resident_bytes\":" << decision.resident_bytes
       << ",\"pool_tasks\":" << decision.pool_tasks
       << ",\"pool_idle_ns\":" << decision.pool_idle_ns
       << ",\"queue_wait_seconds\":" << json_double(decision.queue_wait_seconds)
@@ -190,8 +212,7 @@ Server::Server(AnalysisService& service, ServerOptions options)
     : service_(service), options_(std::move(options)) {}
 
 std::string Server::handle_quote(const std::string& line) {
-  std::string verb;
-  const auto fields = parse_fields(line, verb);
+  const auto fields = parse_fields(line, kQuoteKeys);
 
   QuoteRequest request;
   const auto portfolio = fields.find("portfolio");
@@ -230,7 +251,6 @@ std::string Server::handle_quote(const std::string& line) {
   }
   request.use_cache = parse_flag(fields, "cache", true);
   request.use_delta = parse_flag(fields, "delta", true);
-  request.sharded = parse_flag(fields, "sharded", false);
   if (const auto it = fields.find("deadline-ms"); it != fields.end()) {
     request.deadline_ms = parse_unsigned<std::uint64_t>(it->second, "deadline-ms");
   }
@@ -253,8 +273,7 @@ std::string Server::handle_quote(const std::string& line) {
 }
 
 std::string Server::handle_update(const std::string& line) {
-  std::string verb;
-  const auto fields = parse_fields(line, verb);
+  const auto fields = parse_fields(line, kUpdateKeys);
   const auto portfolio = fields.find("portfolio");
   if (portfolio == fields.end()) {
     throw std::invalid_argument("UPDATE requires portfolio=<id>");

@@ -10,7 +10,7 @@
 //   PING
 //   QUOTE portfolio=<id> [layer=<id>] [occ-retention=] [occ-limit=]
 //         [agg-retention=] [agg-limit=] [engine=<name>] [window=<from:to>]
-//         [cache=0] [delta=0] [csv=<path>] [deadline-ms=<n>] [sharded=1]
+//         [cache=0|1] [delta=0|1] [csv=<path>] [deadline-ms=<n>]
 //   UPDATE portfolio=<id> layer=<id> [occ-retention=] [occ-limit=]
 //         [agg-retention=] [agg-limit=]
 //   SHUTDOWN
@@ -18,14 +18,14 @@
 // Responses carry "status":"ok" | "rejected" | "error"; the non-ok forms
 // add the structured failure triple "code" (core::StatusCode wire name),
 // "retryable", and "message" — see README "Failure model". Bit-identity
-// guarantees apply to "ok" responses only. A malformed line (unknown verb,
-// bad field, unknown portfolio/layer/engine, or engine=openmp: quotes run
-// on seq, parallel or fused) is "invalid-argument"; so is a
-// line longer than 64 KiB, whose connection is then closed. deadline-ms
-// bounds the quote's wall clock (cancelled between trial blocks → code
-// "deadline-exceeded"); sharded=1 executes out-of-core under
-// ServiceConfig::sharding, where spill failure fails the quote
-// ("spill-failure"), never the process.
+// guarantees apply to "ok" responses only. A malformed line is
+// "invalid-argument": an unknown verb; a key its verb does not list above,
+// or any key given twice (the message names the key); a flag other than
+// 0, 1, false or true; a number not consumed whole; an unknown
+// portfolio/layer/engine, or engine=openmp (quotes run on seq, parallel or
+// fused). So is a line longer than 64 KiB, whose connection is then
+// closed. deadline-ms bounds the quote's wall clock (cancelled between
+// trial blocks → code "deadline-exceeded").
 //
 // QUOTE term keys build a per-request TermsOverride (the book is not
 // mutated); UPDATE mutates the book durably (terms-only, so the ground-up

@@ -10,6 +10,7 @@
 
 #include "core/analysis.hpp"
 #include "elt/synthetic.hpp"
+#include "obs/telemetry.hpp"
 #include "yet/generator.hpp"
 
 namespace {
@@ -207,8 +208,10 @@ TEST_P(EngineEquivalence, EveryEngineBitIdentical) {
                                 {.engine = kind, .num_threads = 1, .chunk_size = 4}}));
     // Telemetry on: the block loop laps its phases and counts its lookups.
     core::AnalysisConfig telemetered{.engine = kind, .num_threads = 2};
-    telemetered.telemetry.counters = true;
-    expect_identical(sequential, core::run({portfolio, yet_table, telemetered}));
+    obs::set_enabled(true);
+    const auto telemetered_ylt = core::run({portfolio, yet_table, telemetered});
+    obs::set_enabled(false);
+    expect_identical(sequential, telemetered_ylt);
   }
 }
 

@@ -14,8 +14,9 @@
 //     released, nothing is cached, and a subsequent clean quote on the
 //     same live service is bit-identical to a fault-free run;
 //   - broker shutdown waking queued waiters with kShuttingDown;
-//   - a concurrent chaos run over one service: sites armed with every:N
-//     triggers, every response ok or structured, no inflight-cost leak.
+//   - a concurrent chaos run over one service: kernel.alloc armed with an
+//     every:N trigger, every response ok or structured, no inflight-cost
+//     leak.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -403,14 +404,13 @@ TEST_F(Fault, ExpiredDeadlineReportsDeadlineExceeded) {
 
 // --- Service boundary --------------------------------------------------------
 
-std::unique_ptr<service::AnalysisService> make_service(std::uint64_t trials = 512) {
+std::unique_ptr<service::AnalysisService> make_service(std::uint64_t trials = 512,
+                                                       double events = 20.0) {
   service::ServiceConfig config;
   config.session.num_threads = 2;
   config.default_engine = "fused";
-  // Out-of-core config for sharded quotes: tiny budget so shards spill.
-  config.sharding.shard_trials = 64;
-  config.sharding.memory_budget_bytes = 64 * sizeof(double);
-  auto analysis_service = std::make_unique<service::AnalysisService>(make_yet(trials), config);
+  auto analysis_service =
+      std::make_unique<service::AnalysisService>(make_yet(trials, events), config);
   analysis_service->register_portfolio("book", make_portfolio());
   return analysis_service;
 }
@@ -419,49 +419,19 @@ std::int64_t inflight_cost() {
   return obs::TelemetryRegistry::global().snapshot().gauge_value("service.inflight_cost");
 }
 
-TEST_F(Fault, SpillFailureFailsTheQuoteNotTheProcess) {
-  auto service_ptr = make_service();
-  auto& analysis_service = *service_ptr;
-
-  // Fault-free sharded run first: the bit-identity reference.
-  service::QuoteRequest request;
-  request.portfolio_id = "book";
-  request.sharded = true;
-  request.use_cache = false;
-  const auto reference = analysis_service.quote(request);
-  ASSERT_EQ(reference.status.code(), core::StatusCode::kOk);
-  ASSERT_NE(reference.outcome, nullptr);
-
-  {
-    const fault::ScopedArm scoped("shard.spill_write=always");
-    const auto failed = analysis_service.quote(request);
-    EXPECT_EQ(failed.source, service::QuoteSource::kFailed);
-    EXPECT_EQ(failed.status.code(), core::StatusCode::kSpillFailure);
-    EXPECT_TRUE(failed.status.retryable());
-    EXPECT_EQ(failed.admission.reason, service::RejectReason::kSpillFailure);
-    EXPECT_EQ(failed.outcome, nullptr);
-  }
-  // No broker cost leak, and the same live service serves a clean quote
-  // bit-identical to the fault-free run.
-  EXPECT_EQ(inflight_cost(), 0);
-  const auto after = analysis_service.quote(request);
-  ASSERT_EQ(after.status.code(), core::StatusCode::kOk);
-  EXPECT_TRUE(bit_identical(after.outcome->ylt, reference.outcome->ylt));
-}
-
 TEST_F(Fault, DeadlineExceededQuoteIsAFailedResponse) {
   // A workload big enough that a 1ms deadline reliably expires mid-run.
-  // Sharded execution clamps trial blocks to shard_trials (64 here), so
-  // 20k trials means hundreds of deadline checks — the cancellation lands
-  // deterministically between blocks, not at the end of one giant tile.
-  auto service_ptr = make_service(/*trials=*/20'000);
+  // At 1000 events per trial default_tile_trials gives blocks of 52 trials
+  // (a 1 MiB block budget at ~20 bytes per event), so 2000 trials (2M
+  // occurrences) mean ~39 deadline checks: the cancellation lands between
+  // blocks, not at the end of one giant tile.
+  auto service_ptr = make_service(/*trials=*/2'000, /*events=*/1'000.0);
   auto& analysis_service = *service_ptr;
   obs::set_enabled(true);
 
   service::QuoteRequest request;
   request.portfolio_id = "book";
   request.deadline_ms = 1;
-  request.sharded = true;
   request.use_cache = false;
   const auto response = analysis_service.quote(request);
   ASSERT_EQ(response.source, service::QuoteSource::kFailed);
@@ -482,23 +452,48 @@ TEST_F(Fault, DeadlineExceededQuoteIsAFailedResponse) {
 
 TEST_F(Fault, AllocFailureBecomesResourceExhaustedStatus) {
   auto service_ptr = make_service();
-  const fault::ScopedArm scoped("kernel.alloc=always");
+  auto& analysis_service = *service_ptr;
+
+  // Fault-free cold run first: the bit-identity reference.
+  service::QuoteRequest reference_request;
+  reference_request.portfolio_id = "book";
+  reference_request.use_cache = false;
+  reference_request.use_delta = false;
+  const auto reference = analysis_service.quote(reference_request);
+  ASSERT_EQ(reference.status.code(), core::StatusCode::kOk);
+  ASSERT_NE(reference.outcome, nullptr);
+
+  // The failing quote is cold and claims the capture slot, so the failure
+  // path must give the slot back as well as the admitted cost.
   service::QuoteRequest request;
   request.portfolio_id = "book";
   request.use_cache = false;
-  const auto response = service_ptr->quote(request);
-  EXPECT_EQ(response.source, service::QuoteSource::kFailed);
-  EXPECT_EQ(response.status.code(), core::StatusCode::kResourceExhausted);
+  {
+    const fault::ScopedArm scoped("kernel.alloc=always");
+    const auto failed = analysis_service.quote(request);
+    EXPECT_EQ(failed.source, service::QuoteSource::kFailed);
+    EXPECT_EQ(failed.status.code(), core::StatusCode::kResourceExhausted);
+    EXPECT_TRUE(failed.status.retryable());
+    // Admitted, then failed: the admission decision is not the failure.
+    EXPECT_EQ(failed.admission.reason, service::RejectReason::kNone);
+    EXPECT_EQ(failed.outcome, nullptr);
+  }
+  // No broker cost leak, and the same live service serves a clean quote
+  // bit-identical to the fault-free run.
   EXPECT_EQ(inflight_cost(), 0);
+  const auto after = analysis_service.quote(request);
+  ASSERT_EQ(after.status.code(), core::StatusCode::kOk);
+  EXPECT_EQ(after.source, service::QuoteSource::kCold);
+  EXPECT_TRUE(bit_identical(after.outcome->ylt, reference.outcome->ylt));
 }
 
 TEST_F(Fault, ServerReportsStructuredErrorJson) {
   auto service_ptr = make_service();
   service::Server server(*service_ptr);
-  const fault::ScopedArm scoped("shard.spill_write=always");
-  const std::string response = server.handle_line("QUOTE portfolio=book sharded=1 cache=0");
+  const fault::ScopedArm scoped("kernel.alloc=always");
+  const std::string response = server.handle_line("QUOTE portfolio=book cache=0");
   EXPECT_NE(response.find("\"status\":\"error\""), std::string::npos) << response;
-  EXPECT_NE(response.find("\"code\":\"spill-failure\""), std::string::npos) << response;
+  EXPECT_NE(response.find("\"code\":\"resource-exhausted\""), std::string::npos) << response;
   EXPECT_NE(response.find("\"retryable\":true"), std::string::npos) << response;
 }
 
@@ -544,8 +539,7 @@ TEST_F(Fault, ConcurrentChaosLeavesTheServiceCoherent) {
   const auto reference = analysis_service.quote(clean);
   ASSERT_EQ(reference.status.code(), core::StatusCode::kOk);
 
-  const fault::ScopedArm scoped(
-      "shard.spill_write=every:3,kernel.alloc=every:7,shard.fault_read=every:5");
+  const fault::ScopedArm scoped("kernel.alloc=every:7");
 
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kRounds = 4;
@@ -557,7 +551,6 @@ TEST_F(Fault, ConcurrentChaosLeavesTheServiceCoherent) {
         service::QuoteRequest request;
         request.portfolio_id = "book";
         request.use_cache = false;
-        request.sharded = (t + round) % 2 == 0;
         const auto response = analysis_service.quote(request);
         if (response.status.ok()) {
           ASSERT_NE(response.outcome, nullptr);

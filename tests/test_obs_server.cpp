@@ -320,7 +320,7 @@ TEST_F(ObsServer, AccessLogWritesOneJsonLinePerQuote) {
          {"\"request_id\":\"q-", "\"portfolio\":\"book\"", "\"source\":", "\"status\":",
           "\"code\":", "\"engine\":", "\"fingerprint\":", "\"admission\":", "\"reason\":",
           "\"queue_wait_seconds\":", "\"deadline_ms\":", "\"wall_ns\":", "\"elt_lookups\":",
-          "\"bytes_spilled\":", "\"fault_fires\":{"}) {
+          "\"fault_fires\":{"}) {
       EXPECT_NE(line.find(key), std::string::npos) << key << " missing in: " << line;
     }
   }

@@ -302,23 +302,6 @@ TEST_F(Service, BrokerRejectsOversizedRequestsWithStructuredReason) {
   broker.release(100);
 }
 
-TEST_F(Service, BrokerRejectsUnderMemoryPressureWhenIdle) {
-  service::BrokerConfig config;
-  config.memory_budget_bytes = 1 << 20;
-  service::RequestBroker broker(config);
-
-  auto& resident = obs::TelemetryRegistry::global().gauge("shard.resident_bytes");
-  resident.set(2 << 20);  // over budget, nothing in flight to drain it
-  const auto decision = broker.admit(10);
-  EXPECT_FALSE(decision.admitted());
-  EXPECT_EQ(decision.reason, service::RejectReason::kMemoryPressure);
-  EXPECT_EQ(decision.resident_bytes, 2 << 20);
-
-  resident.set(0);
-  EXPECT_TRUE(broker.admit(10).admitted());
-  broker.release(10);
-}
-
 TEST_F(Service, BrokerQueueFullAndQueueThenAdmit) {
   service::BrokerConfig config;
   config.max_inflight_cost = 10;
@@ -532,6 +515,32 @@ TEST_F(Service, HandleLineSpeaksTheProtocol) {
         << malformed << ": " << response;
   }
 
+  // Each verb takes only the keys it reads, each at most once, and flags
+  // only as 0, 1, false or true: a misspelt term must not quote the book's
+  // own terms. The message names the key, and no quote runs.
+  const auto requests = [] {
+    return obs::TelemetryRegistry::global().snapshot().counter_value("service.requests");
+  };
+  const std::uint64_t requests_before = requests();
+  for (const auto& [line, key] :
+       {std::pair{"QUOTE portfolio=book occ-limt=1000000 cache=0 delta=0", "occ-limt"},
+        std::pair{"QUOTE portfolio=book sharded=1", "sharded"},
+        std::pair{"QUOTE portfolio=book occ-limit=1 occ-limit=2", "occ-limit"},
+        std::pair{"QUOTE portfolio=book portfolio=book", "portfolio"},
+        std::pair{"QUOTE portfolio=book delta=no", "delta"},
+        std::pair{"QUOTE portfolio=book cache=yes", "cache"},
+        std::pair{"QUOTE portfolio=book delta=", "delta"},
+        std::pair{"UPDATE portfolio=book layer=1 agg-limit=9000000 engine=seq", "engine"},
+        std::pair{"UPDATE portfolio=book layer=1 agg-limt=9000000", "agg-limt"},
+        std::pair{"UPDATE portfolio=book layer=1 agg-limit=1 agg-limit=2", "agg-limit"}}) {
+    const std::string response = server.handle_line(line);
+    EXPECT_NE(response.find("\"status\":\"error\",\"code\":\"invalid-argument\""),
+              std::string::npos)
+        << line << ": " << response;
+    EXPECT_NE(response.find(key), std::string::npos) << line << ": " << response;
+  }
+  EXPECT_EQ(requests(), requests_before);
+
   // openmp would start an OpenMP team beside the session pool: refused,
   // naming the engines that serve quotes, as a request and as the default.
   const std::string openmp = server.handle_line("QUOTE portfolio=book engine=openmp");
@@ -547,6 +556,18 @@ TEST_F(Service, HandleLineSpeaksTheProtocol) {
         std::string("QUOTE portfolio=book cache=0 delta=0 engine=") + served);
     EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos) << response;
     EXPECT_NE(response.find(std::string("\"engine\":\"") + served + "\""), std::string::npos);
+  }
+  // Every key of both verbs, flags spelt either way.
+  for (const char* line :
+       {"QUOTE portfolio=book layer=1 occ-retention=200000 occ-limit=2000000 "
+        "agg-retention=0 agg-limit=inf engine=fused window=0:1 cache=false delta=false "
+        "deadline-ms=0",
+        "QUOTE portfolio=book layer=1 occ-retention=200000 occ-limit=2000000 "
+        "agg-retention=0 agg-limit=inf cache=0 delta=0",
+        "UPDATE portfolio=book layer=1 occ-retention=0 occ-limit=inf agg-retention=0 "
+        "agg-limit=inf"}) {
+    const std::string response = server.handle_line(line);
+    EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos) << line << ": " << response;
   }
 
   const std::string cold = server.handle_line("QUOTE portfolio=book");

@@ -62,6 +62,19 @@ class Telemetry : public ::testing::Test {
   }
 };
 
+/// Runs `run` with counters (and, with `trace`, spans) collecting, as a host
+/// that enables telemetry process-wide does, and turns both off again: the
+/// fixture keeps collection off between runs.
+template <typename Run>
+auto collecting(bool counters, bool trace, Run&& run) {
+  obs::set_enabled(counters);
+  obs::set_trace_enabled(trace);
+  auto result = run();
+  obs::set_enabled(false);
+  obs::set_trace_enabled(false);
+  return result;
+}
+
 Portfolio synthetic_portfolio(std::size_t num_layers, std::size_t elts_per_layer,
                               elt::LookupKind kind = elt::LookupKind::kDirectAccess) {
   Portfolio portfolio;
@@ -161,25 +174,6 @@ TEST_F(Telemetry, HistogramBucketsByPowerOfTwo) {
   histogram.reset();
   EXPECT_EQ(histogram.count(), 0u);
   EXPECT_EQ(histogram.min_ns(), 0u);  // empty histogram reports 0
-}
-
-TEST_F(Telemetry, RunScopeRestoresPriorFlags) {
-  EXPECT_FALSE(obs::enabled());
-  {
-    const obs::RunScope scope(/*counters=*/true, /*trace=*/true);
-    EXPECT_TRUE(obs::enabled());
-    EXPECT_TRUE(obs::trace_enabled());
-  }
-  EXPECT_FALSE(obs::enabled());
-  EXPECT_FALSE(obs::trace_enabled());
-
-  // A host that enabled collection process-wide keeps it across runs.
-  obs::set_enabled(true);
-  {
-    const obs::RunScope scope(/*counters=*/false, /*trace=*/false);
-    EXPECT_TRUE(obs::enabled());  // scope only ever widens
-  }
-  EXPECT_TRUE(obs::enabled());
 }
 
 // --- Exact probe arithmetic against hand-built tables -------------------------
@@ -308,9 +302,8 @@ TEST_F(Telemetry, KernelCountersMatchHandBuiltYet) {
   config.engine = core::EngineKind::kFused;
   config.tile_trials = 4;
   config.num_threads = 1;
-  config.telemetry.counters = true;
-  const auto ylt = core::run({portfolio, yet_table, config});
-  EXPECT_FALSE(obs::enabled());  // RunScope restored the flag
+  const auto ylt =
+      collecting(true, false, [&] { return core::run({portfolio, yet_table, config}); });
 
   EXPECT_EQ(counter_now("kernel.launches"), 1u);
   EXPECT_EQ(counter_now("kernel.trials"), 6u);
@@ -364,7 +357,6 @@ TEST_F(Telemetry, PhaseLapsAndLookupCountsOnEveryProductionPath) {
           core::AnalysisConfig config;
           config.engine_name = engine.name;
           config.num_threads = 2;
-          config.telemetry.counters = true;
           if (mode == Mode::kCapture) config.ground_up_capture = &capture;
           if (mode == Mode::kReplay) config.ground_up_replay = &captured;
           core::YearLossTable ylt;
@@ -373,11 +365,13 @@ TEST_F(Telemetry, PhaseLapsAndLookupCountsOnEveryProductionPath) {
             config.sharding.shard_trials = kShardTrials;
             config.sharding.memory_budget_bytes =
                 portfolio.layers.size() * kShardTrials * sizeof(double);
-            auto table = shard::run_sharded({portfolio, yet_table, config});
+            auto table = collecting(
+                true, false, [&] { return shard::run_sharded({portfolio, yet_table, config}); });
             EXPECT_GT(table.stats().spills, 0u);
             ylt = table.materialize();
           } else {
-            ylt = core::run({portfolio, yet_table, config});
+            ylt = collecting(true, false,
+                             [&] { return core::run({portfolio, yet_table, config}); });
           }
           const obs::Snapshot snapshot = TelemetryRegistry::global().snapshot();
           const auto phase_ns = [&snapshot](const char* phase) {
@@ -439,9 +433,8 @@ std::string materialized_csv(const Portfolio& portfolio, const yet::YearEventTab
   core::AnalysisConfig config;
   config.engine = engine.kind;
   config.engine_name = engine.name;
-  config.telemetry.counters = telemetry;
-  config.telemetry.trace = telemetry;
-  const auto ylt = core::run({portfolio, yet_table, config});
+  const auto ylt = collecting(telemetry, telemetry,
+                              [&] { return core::run({portfolio, yet_table, config}); });
   std::ostringstream out;
   io::write_ylt_csv(out, ylt);
   return out.str();
@@ -457,9 +450,8 @@ std::string sharded_csv(const Portfolio& portfolio, const yet::YearEventTable& y
   // 2 layers x 25 trials x 8 B = 400 B per shard: a one-shard budget forces
   // spill/fault traffic through the instrumented store paths.
   config.sharding.memory_budget_bytes = 400;
-  config.telemetry.counters = telemetry;
-  config.telemetry.trace = telemetry;
-  auto sharded = shard::run_sharded({portfolio, yet_table, config});
+  auto sharded = collecting(telemetry, telemetry,
+                            [&] { return shard::run_sharded({portfolio, yet_table, config}); });
   std::ostringstream out;
   io::write_ylt_csv(out, sharded);
   return out.str();
@@ -551,10 +543,7 @@ TEST_F(Telemetry, TraceJsonIsBalancedAndMonotonicPerThread) {
   core::AnalysisConfig config;
   config.engine = core::EngineKind::kFused;
   config.num_threads = 2;
-  config.telemetry.counters = true;
-  config.telemetry.trace = true;
-  (void)core::run({portfolio, yet_table, config});
-  EXPECT_FALSE(obs::trace_enabled());  // RunScope restored the flag
+  (void)collecting(true, true, [&] { return core::run({portfolio, yet_table, config}); });
 
   obs::TraceBuffer& buffer = obs::TraceBuffer::global();
   ASSERT_GT(buffer.event_count(), 0u);

@@ -23,7 +23,7 @@
 //   are_cli top       --connect 127.0.0.1:9464 [--interval-ms N] [--iterations N]
 //                     (refreshing operator dashboard polled from a serve's
 //                     --metrics-port HTTP endpoint: QPS, per-source latency
-//                     quantiles, inflight vs budget, cache, shard, faults)
+//                     quantiles, inflight vs budget, cache, faults)
 //
 // Layer terms: --occ-retention --occ-limit --agg-retention --agg-limit
 // Engine:      --engine seq|parallel|openmp|fused (the kernel's four schedules)
@@ -114,10 +114,8 @@ commands:
   serve              resident analysis service           (--yet F --elt F... --socket PATH)
                      --portfolio NAME (book id, default 'book') --threads N
                      --max-request-cost N --max-inflight-cost N --queue-limit N
-                     --admission-memory-budget-mb M --ground-up-budget-mb M
-                     --cache-entries N --engine NAME (default engine, default fused)
-                     --shard-trials N --spill-dir PATH --memory-budget-mb M
-                     (out-of-core config used by sharded=1 quotes)
+                     --ground-up-budget-mb M --cache-entries N
+                     --engine NAME (default engine, default fused)
                      --verbose (per-request lines + shutdown summary to stderr)
                      --metrics-port N (HTTP /metrics /healthz /statusz; 0 = ephemeral)
                      --metrics-bind ADDR (default 127.0.0.1)
@@ -131,7 +129,7 @@ commands:
   quote              client for a running serve          (--socket PATH [terms...])
                      --portfolio NAME --layer N --engine NAME --window FROM:TO
                      --csv PATH (server-side YLT CSV) --no-cache --no-delta
-                     --sharded (out-of-core quote) --deadline-ms N (bound wall clock)
+                     --deadline-ms N (bound wall clock)
                      --retries N --retry-base-ms M (exponential backoff + jitter on
                      retryable failures and connect errors)
                      --ping --shutdown; prints the JSON response, exit 0 iff ok
@@ -237,10 +235,10 @@ core::AnalysisConfig parse_engine_config(const Args& args) {
 }
 
 /// Telemetry options parsed once per command. Collection is enabled
-/// process-wide here, before the engine runs, rather than per-run through
-/// AnalysisConfig::telemetry: the sharded read-back pass (CSV streaming, EP
-/// reduction) faults shards *after* run_to_sink returns, and its I/O must
-/// land in the counters too.
+/// process-wide here, before the engine runs, and stays on for the whole
+/// command: the sharded read-back pass (CSV streaming, EP reduction) faults
+/// shards *after* run_to_sink returns, and its I/O must land in the
+/// counters too.
 struct TelemetryCli {
   std::string format;    // "json" | "csv" | "prom" | "trace"; empty = no export
   std::string out_path;  // empty = stderr
@@ -678,15 +676,8 @@ int cmd_serve(const Args& args) {
   config.broker.max_request_cost = args.get_u64("max-request-cost", 0);
   config.broker.max_inflight_cost = args.get_u64("max-inflight-cost", 0);
   config.broker.max_queued = static_cast<std::size_t>(args.get_u64("queue-limit", 16));
-  config.broker.memory_budget_bytes =
-      static_cast<std::size_t>(args.get_u64("admission-memory-budget-mb", 0)) << 20;
   config.cache_entries = static_cast<std::size_t>(args.get_u64("cache-entries", 64));
   config.default_engine = engine;
-  // Out-of-core execution for sharded=1 quotes (same flag names as `run`).
-  config.sharding.shard_trials = args.get_u64("shard-trials", 4096);
-  config.sharding.memory_budget_bytes =
-      static_cast<std::size_t>(args.get_u64("memory-budget-mb", 0)) << 20;
-  config.sharding.spill_dir = args.get("spill-dir", "");
   if (args.has("metrics-port")) {
     config.metrics_port = static_cast<int>(args.get_u64("metrics-port", 0));
     config.metrics_bind = args.get("metrics-bind", "127.0.0.1");
@@ -749,13 +740,12 @@ int cmd_quote(const Args& args) {
     if (args.has("no-cache")) line << " cache=0";
     if (args.has("no-delta")) line << " delta=0";
     if (args.has("csv")) line << " csv=" << args.require("csv");
-    if (args.has("sharded")) line << " sharded=1";
     if (args.has("deadline-ms")) line << " deadline-ms=" << args.get_u64("deadline-ms", 0);
   }
 
   // Retry loop: exponential backoff with jitter, but only for failures the
-  // server marks "retryable":true (deadline, resource exhaustion, spill,
-  // I/O, shutdown races) and for transport errors (server not up yet).
+  // server marks "retryable":true (deadline, resource exhaustion, queue
+  // full, shutdown races) and for transport errors (server not up yet).
   // Malformed requests and other terminal statuses return immediately.
   const std::uint64_t max_retries = args.get_u64("retries", 0);
   const std::uint64_t base_ms = args.get_u64("retry-base-ms", 100);
@@ -814,18 +804,6 @@ double metric_value(const std::vector<std::pair<std::string, double>>& samples,
     if (name == key) return value;
   }
   return 0.0;
-}
-
-std::string format_bytes(double bytes) {
-  char buf[32];
-  if (bytes >= 1 << 20) {
-    std::snprintf(buf, sizeof buf, "%.1f MiB", bytes / (1 << 20));
-  } else if (bytes >= 1 << 10) {
-    std::snprintf(buf, sizeof buf, "%.1f KiB", bytes / (1 << 10));
-  } else {
-    std::snprintf(buf, sizeof buf, "%.0f B", bytes);
-  }
-  return buf;
 }
 
 /// `are_cli top`: poll a running serve's /metrics endpoint and render a
@@ -887,10 +865,6 @@ int cmd_top(const Args& args) {
       out << "cache hits " << hits << " misses " << misses << " ("
           << (probes > 0 ? 100.0 * hits / probes : 0.0) << "% hit)  evictions "
           << metric_value(m, "are_service_cache_evictions_total") << "\n";
-      out << "shard resident " << format_bytes(metric_value(m, "are_shard_resident_bytes"))
-          << " peak " << format_bytes(metric_value(m, "are_shard_peak_resident_bytes"))
-          << " spills " << metric_value(m, "are_shard_spills_total") << " faults "
-          << metric_value(m, "are_shard_faults_total") << "\n";
     }
     {
       std::ostringstream faults;
