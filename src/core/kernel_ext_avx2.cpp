@@ -1,20 +1,14 @@
 // AVX2 kernel translation unit. Compiled with -mavx2 and WITHOUT
 // -march=native (see the per-extension stanza in CMakeLists.txt); the
 // runtime dispatcher only routes here on hosts whose cpuid (and XCR0 OS
-// state) reports AVX2. Also carries the AVX2 gathered probe kernels for
-// the hash tables — they share this TU so the set of probe extensions in
-// the binary is exactly the set of kernel extensions.
+// state) reports AVX2.
 
 #if !defined(__AVX2__)
 #error "kernel_ext_avx2.cpp must be compiled with -mavx2 (check CMakeLists.txt flags)"
 #endif
 
-#define ARE_PROBE_BODY_AVX2 1
-
 #include "core/kernel_ext.hpp"
 #include "core/trial_kernel_body.hpp"
-#include "elt/probe_dispatch.hpp"
-#include "elt/probe_kernels.hpp"
 
 namespace are::core::detail {
 
@@ -25,17 +19,3 @@ std::unique_ptr<TrialBlockKernel::Impl> make_kernel_impl_avx2(
 }
 
 }  // namespace are::core::detail
-
-namespace are::elt::probe {
-
-std::uint64_t robin_hood_probe_avx2(const RobinHoodTable& table, const EventId* events,
-                                    std::size_t count, double* out) {
-  return robin_hood_probe_avx2_body(table, events, count, out);
-}
-
-std::uint64_t cuckoo_probe_avx2(const CuckooTable& table, const EventId* events,
-                                std::size_t count, double* out) {
-  return cuckoo_probe_avx2_body(table, events, count, out);
-}
-
-}  // namespace are::elt::probe

@@ -1,19 +1,14 @@
 // AVX-512 kernel translation unit. Compiled with -mavx512f and WITHOUT
 // -march=native (see the per-extension stanza in CMakeLists.txt); the
 // runtime dispatcher only routes here on hosts whose cpuid (and XCR0 ZMM
-// state) reports AVX-512F. Also carries the AVX-512 gathered probe kernels
-// for the hash tables.
+// state) reports AVX-512F.
 
 #if !defined(__AVX512F__)
 #error "kernel_ext_avx512.cpp must be compiled with -mavx512f (check CMakeLists.txt flags)"
 #endif
 
-#define ARE_PROBE_BODY_AVX512 1
-
 #include "core/kernel_ext.hpp"
 #include "core/trial_kernel_body.hpp"
-#include "elt/probe_dispatch.hpp"
-#include "elt/probe_kernels.hpp"
 
 namespace are::core::detail {
 
@@ -24,17 +19,3 @@ std::unique_ptr<TrialBlockKernel::Impl> make_kernel_impl_avx512(
 }
 
 }  // namespace are::core::detail
-
-namespace are::elt::probe {
-
-std::uint64_t robin_hood_probe_avx512(const RobinHoodTable& table, const EventId* events,
-                                      std::size_t count, double* out) {
-  return robin_hood_probe_avx512_body(table, events, count, out);
-}
-
-std::uint64_t cuckoo_probe_avx512(const CuckooTable& table, const EventId* events,
-                                  std::size_t count, double* out) {
-  return cuckoo_probe_avx512_body(table, events, count, out);
-}
-
-}  // namespace are::elt::probe

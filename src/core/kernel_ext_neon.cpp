@@ -1,7 +1,6 @@
 // NEON kernel translation unit (AArch64). NEON is baseline on AArch64, so
 // no extra -m flags are needed — this TU exists so the dispatch table has a
-// uniform per-extension factory shape on ARM too. No gathered probe
-// kernels — NEON has no hardware gather.
+// uniform per-extension factory shape on ARM too.
 
 #if !defined(__ARM_NEON) || !defined(__aarch64__)
 #error "kernel_ext_neon.cpp must target AArch64 NEON (check CMakeLists.txt arch gating)"

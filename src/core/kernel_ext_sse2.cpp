@@ -1,8 +1,7 @@
 // SSE2 kernel translation unit. Compiled with -msse2 and WITHOUT
 // -march=native (see the per-extension stanza in CMakeLists.txt): the only
 // instructions this TU may emit are ones every x86-64 host executes, so the
-// runtime dispatcher can always fall back here. No gathered probe kernels —
-// SSE2 has no hardware gather; hash probing stays on the scalar rings.
+// runtime dispatcher can always fall back here.
 
 #if !defined(__SSE2__) && !defined(__x86_64__) && !defined(_M_X64)
 #error "kernel_ext_sse2.cpp must target x86-64 / SSE2 (check CMakeLists.txt flags)"

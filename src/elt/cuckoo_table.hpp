@@ -26,7 +26,8 @@ class CuckooTable final : public ILossLookup {
   }
 
   /// Batch path: both candidate slots are pure functions of the id, so a
-  /// lookahead window prefetches the two probes before the compare.
+  /// ring of 8 prefetches both probes that many keys ahead of the compare,
+  /// which reads buckets as lookup() does.
   void lookup_many(const EventId* events, std::size_t count, double* out) const noexcept override;
 
   std::size_t memory_bytes() const noexcept override {
@@ -40,15 +41,12 @@ class CuckooTable final : public ILossLookup {
   /// diagnostic for the paper's "implementation complexity" claim).
   int rebuild_count() const noexcept { return rebuilds_; }
 
-  /// Slot layout and raw accessors are public for the gathered probe
-  /// kernels (src/elt/probe_dispatch.hpp), which read slots as three
-  /// 64-bit gathers — the 24-byte qword-aligned layout is load-bearing.
+ private:
   struct Slot {
     EventId event = 0;
     double loss = 0.0;
     bool occupied = false;
   };
-  static_assert(sizeof(Slot) == 24, "probe kernels gather slots as 3 qwords");
 
   std::uint64_t hash0(EventId event) const noexcept {
     std::uint64_t x = event + seed0_;
@@ -64,10 +62,6 @@ class CuckooTable final : public ILossLookup {
     return x ^ (x >> 33);
   }
 
-  const Slot* bucket_data(int side) const noexcept { return buckets_[side].data(); }
-  std::size_t slot_mask() const noexcept { return mask_; }
-
- private:
   /// Inserts with displacement; returns false when a cycle is detected and
   /// a rehash with fresh seeds is required.
   bool try_insert(EventId event, double loss);

@@ -33,8 +33,9 @@ class RobinHoodTable final : public ILossLookup {
     }
   }
 
-  /// Batch path: home slots are pure functions of the ids, so a lookahead
-  /// window hashes + prefetches several probes ahead of the compare loop.
+  /// Batch path: home slots are pure functions of the ids, so a ring of 8
+  /// hashes and prefetches that many probes ahead of the compare loop,
+  /// whose chains and slot-read counts are lookup()'s.
   void lookup_many(const EventId* events, std::size_t count, double* out) const noexcept override;
 
   std::size_t memory_bytes() const noexcept override { return slots_.size() * sizeof(Slot); }
@@ -44,17 +45,13 @@ class RobinHoodTable final : public ILossLookup {
   /// Longest probe chain over all occupied slots (test/diagnostic hook).
   std::uint32_t max_probe_distance() const noexcept;
 
-  /// Slot layout and the raw array accessors are public for the gathered
-  /// probe kernels (src/elt/probe_dispatch.hpp): a vectorized probe reads
-  /// slots as three 64-bit gathers (event|distance, loss, occupied+pad), so
-  /// the layout below is load-bearing — 24 bytes, qword-aligned fields.
+ private:
   struct Slot {
     EventId event = 0;
     std::uint32_t distance = 0;
     double loss = 0.0;
     bool occupied = false;
   };
-  static_assert(sizeof(Slot) == 24, "probe kernels gather slots as 3 qwords");
 
   static std::uint64_t hash(EventId event) noexcept {
     // Fibonacci-style 64-bit mix of the 32-bit id.
@@ -64,10 +61,6 @@ class RobinHoodTable final : public ILossLookup {
     return x ^ (x >> 31);
   }
 
-  const Slot* slot_data() const noexcept { return slots_.data(); }
-  std::size_t slot_mask() const noexcept { return mask_; }
-
- private:
   void insert(EventId event, double loss);
 
   std::vector<Slot> slots_;

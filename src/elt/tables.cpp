@@ -7,7 +7,6 @@
 #include "elt/cuckoo_table.hpp"
 #include "elt/direct_access_table.hpp"
 #include "elt/paged_direct_table.hpp"
-#include "elt/probe_dispatch.hpp"
 #include "elt/robin_hood_table.hpp"
 #include "elt/sorted_table.hpp"
 #include "obs/telemetry.hpp"
@@ -171,20 +170,6 @@ void RobinHoodTable::lookup_many(const EventId* events, std::size_t count,
     for (std::size_t i = 0; i < count; ++i) out[i] = 0.0;
     return;
   }
-  // Gathered probe path (AVX2/AVX-512): the runtime-dispatched kernel walks
-  // the same probe chains with masked i64 gathers, W keys in lockstep, and
-  // counts slot reads exactly like the scalar loop below.
-  if (const probe::ProbeKernels& kernels = probe::active(); kernels.robin_hood != nullptr) {
-    const std::uint64_t reads = kernels.robin_hood(*this, events, count, out);
-    if (obs::enabled()) {
-      obs::TelemetryRegistry& registry = obs::TelemetryRegistry::global();
-      static obs::Counter& lookups = registry.counter("elt.robin_hood.lookups");
-      static obs::Counter& probes = registry.counter("elt.robin_hood.probes");
-      lookups.add(count);
-      probes.add(reads);
-    }
-    return;
-  }
   std::uint64_t slot_reads = 0;
   constexpr std::size_t kLookahead = 8;
   std::size_t home[kLookahead];
@@ -231,17 +216,6 @@ void CuckooTable::lookup_many(const EventId* events, std::size_t count,
                               double* out) const noexcept {
   if (buckets_[0].empty()) {
     for (std::size_t i = 0; i < count; ++i) out[i] = 0.0;
-    return;
-  }
-  if (const probe::ProbeKernels& kernels = probe::active(); kernels.cuckoo != nullptr) {
-    const std::uint64_t reads = kernels.cuckoo(*this, events, count, out);
-    if (obs::enabled()) {
-      obs::TelemetryRegistry& registry = obs::TelemetryRegistry::global();
-      static obs::Counter& lookups = registry.counter("elt.cuckoo.lookups");
-      static obs::Counter& probes = registry.counter("elt.cuckoo.probes");
-      lookups.add(count);
-      probes.add(reads);
-    }
     return;
   }
   std::uint64_t bucket_reads = 0;

@@ -133,6 +133,7 @@ Snapshot Snapshot::diff(const Snapshot& earlier) const {
       }
       break;
     }
+    if (sample.count == 0) sample.min_ns = sample.max_ns = 0;  // as an empty Histogram reads
     delta.histograms.push_back(sample);
   }
   return delta;

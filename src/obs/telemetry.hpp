@@ -192,12 +192,13 @@ struct Snapshot {
   /// life of the process. Counters and histogram count/sum subtract
   /// (clamped at zero, so a reset() between the snapshots never
   /// underflows); gauges keep this snapshot's level (a gauge is a
-  /// point-in-time reading, not an accumulation); histogram min/max carry
-  /// this snapshot's values (the interval's extrema are not recoverable
-  /// from two endpoint snapshots). Instruments that exist only in `this`
-  /// are kept whole; instruments only in `earlier` are dropped. With
-  /// overlapping concurrent requests the process-global counters attribute
-  /// the overlap to both diffs.
+  /// point-in-time reading, not an accumulation). A histogram whose count
+  /// did not move reads min/max 0, as an empty Histogram does; one that
+  /// moved carries this snapshot's min/max, which may predate the interval
+  /// (its extrema are not recoverable from two endpoint snapshots).
+  /// Instruments that exist only in `this` are kept whole; instruments only
+  /// in `earlier` are dropped. With overlapping concurrent requests the
+  /// process-global counters attribute the overlap to both diffs.
   Snapshot diff(const Snapshot& earlier) const;
 };
 

@@ -2,9 +2,9 @@
 # The engine registry and the kernel knobs on the real binary. Every engine
 # `list-engines --names` prints (the kernel's four schedules) writes the
 # YLT CSV seq writes, byte for byte: plain, under a mid-year window (which
-# must change the YLT), and with each of --chunk 4, --phases and
-# --simd-ext scalar. The former engine names are knobs now and must fail
-# naming the four.
+# must change the YLT), and with each of --chunk 4, --phases, --simd-ext
+# scalar and --tile 128 --partition guided. The former engine names are
+# knobs now and must fail naming the four.
 #
 # usage: smoke_engines.sh ARE_CLI WORK_DIR
 # WORK_DIR is emptied first, so the smoke can be rerun.
@@ -50,7 +50,7 @@ for engine in $("$cli" list-engines --names); do
 done
 
 for engine in $("$cli" list-engines --names); do
-  for knob in "--chunk 4" "--phases" "--simd-ext scalar"; do
+  for knob in "--chunk 4" "--phases" "--simd-ext scalar" "--tile 128 --partition guided"; do
     # $knob unquoted: a flag and its value are two words.
     run --engine "$engine" --threads 2 $knob --out knob.csv
     cmp knob.csv seq.csv

@@ -102,6 +102,12 @@ assert ids == ['q-%06d' % i for i in range(1, 5)], ids
 assert lines[0]['status'] == 'error', lines[0]
 assert lines[0]['fault_fires'] == {'kernel.alloc': 1}, lines[0]
 assert lines[2]['elt_lookups'] == 0, lines[2]  # delta replays, never looks up
+# The cold quote did not fail: its diff of the failed-quote histogram is
+# empty, with none of q-000001's latency in its extremes.
+cold = json.load(open('obs_cold.json'))
+assert cold['request_id'] == 'q-000002', cold['request_id']
+failed = cold['telemetry']['histograms']['service.quote_ns{source=failed}']
+assert (failed['count'], failed['min_ns'], failed['max_ns']) == (0, 0, 0), failed
 keys = {'request_id', 'portfolio', 'source', 'status', 'code', 'engine',
         'fingerprint', 'admission', 'reason', 'queue_wait_seconds',
         'deadline_ms', 'wall_ns', 'elt_lookups', 'fault_fires'}

@@ -4,7 +4,9 @@
 // exactly like the reference binary search.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "elt/cuckoo_table.hpp"
@@ -91,6 +93,48 @@ TEST_P(LookupEquivalence, MatchesReferenceOnEveryUniverseId) {
   for (std::size_t id = 0; id < kUniverse; ++id) {
     const auto event = static_cast<elt::EventId>(id);
     ASSERT_DOUBLE_EQ(lookup->lookup(event), reference.loss_for(event)) << "event " << id;
+  }
+}
+
+TEST_P(LookupEquivalence, BatchLookupsEqualPointLookups) {
+  // lookup_many is the only path the kernel calls. It prefetches 8 keys
+  // ahead (the hash tables' rings, the sorted table's groups, the paged
+  // table) or 16 (the direct table), so batch sizes straddle both, and
+  // every element must be lookup()'s answer.
+  constexpr std::size_t kUniverse = 5'000;
+  elt::SyntheticEltConfig config;
+  config.catalog_size = kUniverse;
+  config.entries = 700;
+  config.seed = 7;
+  const EventLossTable reference = elt::make_synthetic_elt(config);
+  const auto lookup = elt::make_lookup(GetParam(), reference, kUniverse);
+
+  // Hits, misses, ids at and past the universe, and the invalid id, which
+  // lookup_many must tolerate.
+  std::vector<elt::EventId> pool;
+  for (const EventLoss& record : reference.records()) pool.push_back(record.event);
+  for (elt::EventId event = 0; event < 300; ++event) pool.push_back(event);
+  for (const elt::EventId edge :
+       {elt::EventId{kUniverse - 1}, elt::EventId{kUniverse}, elt::EventId{kUniverse + 1},
+        catalog::kInvalidEvent - 1, catalog::kInvalidEvent}) {
+    pool.push_back(edge);
+  }
+  rng::Stream stream(2012, 0);
+  for (std::size_t i = pool.size(); i > 1; --i) {
+    std::swap(pool[i - 1], pool[stream.uniform_below(i)]);
+  }
+
+  for (const std::size_t count : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 257u}) {
+    SCOPED_TRACE("batch of " + std::to_string(count));
+    for (std::size_t offset = 0; offset + count <= pool.size();
+         offset += std::max<std::size_t>(count, 1)) {
+      std::vector<double> out(count, -1.0);
+      lookup->lookup_many(pool.data() + offset, count, out.data());
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(out[i], lookup->lookup(pool[offset + i]))
+            << "event " << pool[offset + i] << " at " << i;
+      }
+    }
   }
 }
 

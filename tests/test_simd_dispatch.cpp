@@ -1,21 +1,17 @@
 // Tests for the runtime SIMD dispatch layer (simd/dispatch.hpp): cpuid
 // decoding against synthetic register values, the detected ∩ compiled
 // selection rule with and without overrides, the ARE_SIMD_EXT environment
-// hook, and — the load-bearing contract — bit-identical engine output and
-// equal probe-read counts under every runtime extension this host can pin.
+// hook, and — the load-bearing contract — bit-identical engine output on
+// direct and hash tables under every runtime extension this host can pin.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "core/analysis.hpp"
 #include "core/engine.hpp"
 #include "core/engine_registry.hpp"
-#include "elt/cuckoo_table.hpp"
-#include "elt/probe_dispatch.hpp"
-#include "elt/robin_hood_table.hpp"
 #include "elt/synthetic.hpp"
 #include "io/csv.hpp"
 #include "simd/dispatch.hpp"
@@ -51,7 +47,6 @@ class ScopedSimdEnv {
       ::unsetenv("ARE_SIMD_EXT");
     }
     simd::dispatch_refresh_for_testing();
-    elt::probe::force_extension(std::nullopt);  // re-resolve from the new best
   }
   ~ScopedSimdEnv() {
     if (had_prior_) {
@@ -60,7 +55,6 @@ class ScopedSimdEnv {
       ::unsetenv("ARE_SIMD_EXT");
     }
     simd::dispatch_refresh_for_testing();
-    elt::probe::force_extension(std::nullopt);
   }
 
  private:
@@ -258,122 +252,6 @@ TEST(SimdDispatchIdentity, EveryRuntimeOverrideIsByteIdentical) {
         EXPECT_EQ(csv, reference);  // byte-compare, not tolerance
       }
     }
-  }
-}
-
-// --- Gathered probe kernels: result + read-count parity with scalar -----------
-
-elt::EventLossTable probe_elt(std::size_t entries) {
-  elt::SyntheticEltConfig config;
-  config.catalog_size = kUniverse;
-  config.entries = entries;
-  return elt::make_synthetic_elt(config);
-}
-
-/// Mixed hit/miss probe batch: every other key is absent from the table.
-std::vector<elt::EventId> probe_keys(std::size_t count) {
-  std::vector<elt::EventId> keys;
-  keys.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    keys.push_back(static_cast<elt::EventId>((i * 37) % kUniverse));
-  }
-  return keys;
-}
-
-TEST(SimdDispatchProbe, RobinHoodGatheredMatchesScalar) {
-  const elt::RobinHoodTable table(probe_elt(3'000), kUniverse);
-  // Ragged counts exercise the vector groups and the scalar tail.
-  for (const std::size_t count : {1u, 3u, 7u, 8u, 64u, 257u}) {
-    const auto keys = probe_keys(count);
-    std::vector<double> scalar_out(count), simd_out(count);
-    elt::probe::force_extension(Extension::kScalar);
-    table.lookup_many(keys.data(), count, scalar_out.data());
-    for (int i = 0; i < static_cast<int>(simd::kNumExtensions); ++i) {
-      const auto extension = static_cast<Extension>(i);
-      if (!simd::mask_has(simd::runnable_extensions(), extension)) continue;
-      elt::probe::force_extension(extension);
-      table.lookup_many(keys.data(), count, simd_out.data());
-      SCOPED_TRACE(std::string(simd::name_of(extension)) + " count " + std::to_string(count));
-      for (std::size_t k = 0; k < count; ++k) {
-        ASSERT_EQ(simd_out[k], scalar_out[k]) << "key index " << k;
-      }
-    }
-    elt::probe::force_extension(std::nullopt);
-  }
-}
-
-TEST(SimdDispatchProbe, CuckooGatheredMatchesScalar) {
-  const elt::CuckooTable table(probe_elt(3'000), kUniverse);
-  for (const std::size_t count : {1u, 3u, 7u, 8u, 64u, 257u}) {
-    const auto keys = probe_keys(count);
-    std::vector<double> scalar_out(count), simd_out(count);
-    elt::probe::force_extension(Extension::kScalar);
-    table.lookup_many(keys.data(), count, scalar_out.data());
-    for (int i = 0; i < static_cast<int>(simd::kNumExtensions); ++i) {
-      const auto extension = static_cast<Extension>(i);
-      if (!simd::mask_has(simd::runnable_extensions(), extension)) continue;
-      elt::probe::force_extension(extension);
-      table.lookup_many(keys.data(), count, simd_out.data());
-      SCOPED_TRACE(std::string(simd::name_of(extension)) + " count " + std::to_string(count));
-      for (std::size_t k = 0; k < count; ++k) {
-        ASSERT_EQ(simd_out[k], scalar_out[k]) << "key index " << k;
-      }
-    }
-    elt::probe::force_extension(std::nullopt);
-  }
-}
-
-TEST(SimdDispatchProbe, GatheredKernelsCountReadsLikeScalar) {
-  // The probe counters are part of the paper-facing access accounting, so
-  // the gathered kernels must report the same read counts the scalar probe
-  // chains perform — popcount of active lanes per round, not lanes x rounds.
-  const elt::RobinHoodTable robin(probe_elt(3'000), kUniverse);
-  const elt::CuckooTable cuckoo(probe_elt(3'000), kUniverse);
-  const auto keys = probe_keys(511);
-  std::vector<double> out(keys.size());
-
-  for (int i = 0; i < static_cast<int>(simd::kNumExtensions); ++i) {
-    const auto extension = static_cast<Extension>(i);
-    if (extension == Extension::kScalar) continue;
-    if (!simd::mask_has(simd::runnable_extensions(), extension)) continue;
-    const elt::probe::ProbeKernels* kernels = nullptr;
-    elt::probe::force_extension(extension);
-    kernels = &elt::probe::active();
-    if (kernels->robin_hood == nullptr) {
-      elt::probe::force_extension(std::nullopt);
-      continue;  // sse2/neon keep the scalar path; nothing to compare
-    }
-
-    // Scalar reference counts, recomputed via the public probe chain.
-    std::uint64_t scalar_robin_reads = 0;
-    for (const elt::EventId key : keys) {
-      std::size_t index = elt::RobinHoodTable::hash(key) & robin.slot_mask();
-      std::uint32_t distance = 0;
-      for (;;) {
-        ++scalar_robin_reads;
-        const auto& slot = robin.slot_data()[index];
-        if (!slot.occupied) break;
-        if (slot.event == key) break;
-        if (distance > slot.distance) break;
-        index = (index + 1) & robin.slot_mask();
-        ++distance;
-      }
-    }
-    const std::uint64_t robin_reads =
-        kernels->robin_hood(robin, keys.data(), keys.size(), out.data());
-    EXPECT_EQ(robin_reads, scalar_robin_reads) << simd::name_of(extension);
-
-    std::uint64_t scalar_cuckoo_reads = 0;
-    for (const elt::EventId key : keys) {
-      const auto& first = cuckoo.bucket_data(0)[cuckoo.hash0(key) & cuckoo.slot_mask()];
-      ++scalar_cuckoo_reads;
-      if (first.occupied && first.event == key) continue;
-      ++scalar_cuckoo_reads;
-    }
-    const std::uint64_t cuckoo_reads =
-        kernels->cuckoo(cuckoo, keys.data(), keys.size(), out.data());
-    EXPECT_EQ(cuckoo_reads, scalar_cuckoo_reads) << simd::name_of(extension);
-    elt::probe::force_extension(std::nullopt);
   }
 }
 

@@ -176,6 +176,35 @@ TEST_F(Telemetry, HistogramBucketsByPowerOfTwo) {
   EXPECT_EQ(histogram.min_ns(), 0u);  // empty histogram reports 0
 }
 
+TEST_F(Telemetry, SnapshotDiffOfAnUnmovedHistogramReadsNoExtremes) {
+  // A served quote reports the diff of two snapshots; a histogram no
+  // request recorded into in between is empty for it, whatever earlier
+  // requests left there.
+  TelemetryRegistry registry;
+  obs::Histogram& failed = registry.histogram("service.quote_ns{source=failed}");
+  obs::Histogram& cold = registry.histogram("service.quote_ns{source=cold}");
+  failed.record_ns(1'464'354);
+  cold.record_ns(700);
+  const obs::Snapshot before = registry.snapshot();
+  cold.record_ns(900);
+  const obs::Snapshot delta = registry.snapshot().diff(before);
+
+  ASSERT_EQ(delta.histograms.size(), 2u);
+  const obs::Snapshot::HistogramSample& unmoved = delta.histograms[1];
+  ASSERT_EQ(unmoved.name, "service.quote_ns{source=failed}");
+  EXPECT_EQ(unmoved.count, 0u);
+  EXPECT_EQ(unmoved.sum_ns, 0u);
+  EXPECT_EQ(unmoved.min_ns, 0u);
+  EXPECT_EQ(unmoved.max_ns, 0u);
+  EXPECT_EQ(unmoved.quantile_ns(0.99), 0u);
+  const obs::Snapshot::HistogramSample& moved = delta.histograms[0];
+  ASSERT_EQ(moved.name, "service.quote_ns{source=cold}");
+  EXPECT_EQ(moved.count, 1u);
+  EXPECT_EQ(moved.sum_ns, 900u);
+  EXPECT_EQ(moved.min_ns, 700u);  // the later snapshot's extremes stand
+  EXPECT_EQ(moved.max_ns, 900u);
+}
+
 // --- Exact probe arithmetic against hand-built tables -------------------------
 
 TEST_F(Telemetry, SortedTableCountsOneComparePerQueryOnSingleEntry) {
