@@ -9,28 +9,26 @@
 
 namespace are::parallel {
 
-/// Per-worker scratch arena for parallel_for bodies: one T per pool worker
-/// (plus one for the calling thread, which runs the body inline when the
-/// pool has a single worker), constructed lazily on first use and reused
-/// across every task that worker claims. This is what keeps the engines'
-/// hot path allocation-free — a scratch object's buffers grow to the
-/// high-water mark during the first few tasks and are then recycled, where
-/// constructing scratch inside the body would reallocate per task.
+/// Per-thread scratch arena for parallel_for bodies: one T per pool worker
+/// plus one for the launch's calling thread, constructed lazily on first use
+/// and reused across every chunk that thread claims. This is what keeps the
+/// engines' hot path allocation-free — a scratch object's buffers grow to
+/// the high-water mark during the first few chunks and are then recycled,
+/// where constructing scratch inside the body would reallocate per chunk.
 ///
-/// Thread safety: slots are indexed by ThreadPool::worker_slot(), and a
-/// slot is only ever touched by one thread at a time — a parallel_for call
-/// either runs its body inline on the calling thread or submits every task
-/// to the pool's workers, never both. worker_slot() is process-wide, so a
-/// caller that is itself a worker of a *different* (larger) pool can reach
-/// local() through the inline path with a slot beyond this arena; those
-/// foreign slots fold to slot 0 (the calling-thread slot), which the
-/// inline path owns exclusively.
+/// Thread safety: slots are indexed by the pool's worker_slot(), and a slot
+/// is only ever touched by one thread at a time. A launch runs on its
+/// caller and on this pool's workers, each worker on its own slot. A caller
+/// that is not a worker of this pool takes slot 0, whether it is a
+/// connection thread, the CLI's main thread or a worker of another pool
+/// (whose slot number means nothing here). An arena serves one launch at a
+/// time.
 template <typename T>
 class TaskScratch {
  public:
-  explicit TaskScratch(const ThreadPool& pool) : slots_(pool.size() + 1) {}
+  explicit TaskScratch(const ThreadPool& pool) : pool_(&pool), slots_(pool.size() + 1) {}
 
-  /// The calling worker's scratch object, default-constructed on first use.
+  /// The calling thread's scratch object, default-constructed on first use.
   T& local() {
     return local([] { return T{}; });
   }
@@ -39,9 +37,7 @@ class TaskScratch {
   /// without a default constructor, e.g. per-layer runners).
   template <typename Make>
   T& local(const Make& make) {
-    std::size_t index = ThreadPool::worker_slot();
-    if (index >= slots_.size()) index = 0;  // foreign pool's worker on the inline path
-    std::unique_ptr<T>& slot = slots_[index];
+    std::unique_ptr<T>& slot = slots_[pool_->worker_slot()];
     if (!slot) slot = std::make_unique<T>(make());
     return *slot;
   }
@@ -58,6 +54,7 @@ class TaskScratch {
   }
 
  private:
+  const ThreadPool* pool_;
   std::vector<std::unique_ptr<T>> slots_;
 };
 

@@ -3,20 +3,23 @@
 #include <chrono>
 
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 #include "parallel/fork_join.hpp"
 
 namespace are::parallel {
 
 namespace {
 
-/// 1..size() inside a pool worker, 0 elsewhere. thread_local (not a pool
-/// member): a thread serves one pool forever, so its slot never changes.
+/// The pool a worker serves and its 1..size() slot there; null and 0 on
+/// any other thread. thread_local (not a pool member): a thread serves one
+/// pool forever, so neither ever changes.
+thread_local const ThreadPool* tls_pool = nullptr;
 thread_local std::size_t tls_worker_slot = 0;
 
 }  // namespace
 
-std::size_t ThreadPool::worker_slot() noexcept { return tls_worker_slot; }
+std::size_t ThreadPool::worker_slot() const noexcept {
+  return tls_pool == this ? tls_worker_slot : 0;
+}
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) num_threads = hardware_threads();
@@ -49,17 +52,12 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard lock(mutex_);
     tasks_.push(std::move(task));
-    ++in_flight_;
   }
   task_available_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
 void ThreadPool::worker_loop(std::size_t slot) {
+  tls_pool = this;
   tls_worker_slot = slot;
   for (;;) {
     // Sampled once per claim, so a disabled run's loop is the original
@@ -78,24 +76,16 @@ void ThreadPool::worker_loop(std::size_t slot) {
     }
     if (telemetry) {
       // Idle time = queue wait + claim contention, the utilization gap a
-      // timeline shows between this worker's task spans.
-      static obs::Counter& tasks_claimed = obs::TelemetryRegistry::global().counter("pool.tasks");
+      // timeline shows between this worker's task spans. The task spans,
+      // pool.tasks and pool.task_ns are the launch's to record
+      // (parallel_for.hpp): its caller runs chunks too, and a helper that
+      // finds its launch drained ran none.
       static obs::Counter& idle_ns = obs::TelemetryRegistry::global().counter("pool.idle_ns");
-      tasks_claimed.increment();
       idle_ns.add(static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                                  std::chrono::steady_clock::now() - wait_start)
                                                  .count()));
     }
-    {
-      obs::Span span("pool.task", "pool");
-      obs::ScopedTimer timer(
-          telemetry ? &obs::TelemetryRegistry::global().histogram("pool.task_ns") : nullptr);
-      task();
-    }
-    {
-      std::lock_guard lock(mutex_);
-      if (--in_flight_ == 0) all_done_.notify_all();
-    }
+    task();
   }
 }
 

@@ -26,20 +26,18 @@ class ThreadPool {
 
   std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Identity of the calling thread within its owning pool: 1..size() on a
-  /// pool worker, 0 on any other thread (including the thread that runs a
-  /// parallel_for body inline when the pool has one worker). A worker
-  /// belongs to exactly one pool for its whole life, so the slot is stable
-  /// — TaskScratch uses it to give each worker a private scratch arena
-  /// without locks or allocation on the hot path.
-  static std::size_t worker_slot() noexcept;
+  /// Identity of the calling thread within this pool: 1..size() on one of
+  /// its workers, 0 on any other thread (the caller of a parallel_for, which
+  /// runs chunks itself, or a worker of another pool). A worker belongs to
+  /// exactly one pool for its whole life, so the slot is stable —
+  /// TaskScratch uses it to give each thread of a launch a private scratch
+  /// arena without locks or allocation on the hot path.
+  std::size_t worker_slot() const noexcept;
 
   /// Enqueues a task. Tasks must not throw; exceptions escaping a task
-  /// terminate (by design — engine kernels are noexcept).
+  /// terminate (by design — engine kernels are noexcept). The destructor
+  /// runs every task still queued before it joins the workers.
   void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished.
-  void wait_idle();
 
  private:
   void worker_loop(std::size_t slot);
@@ -49,8 +47,6 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable task_available_;
-  std::condition_variable all_done_;
-  std::size_t in_flight_ = 0;
   bool shutting_down_ = false;
 };
 

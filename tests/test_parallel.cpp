@@ -1,7 +1,9 @@
 // Tests for the thread pool and parallel_for: completeness, disjointness
 // and full coverage of ranges under every partitioning strategy, the
-// cost-aware parallel_for_costed variant, worker identity, and the
-// per-worker TaskScratch arena; and for the load phase's fork_join.
+// cost-aware parallel_for_costed variant, a short launch that does not wait
+// for a long one on the same pool, the pool's task telemetry, worker
+// identity, and the per-thread TaskScratch arena; and for the load phase's
+// fork_join.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 #include <unistd.h>
@@ -11,6 +13,8 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <fstream>
+#include <future>
+#include <latch>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -20,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/telemetry.hpp"
 #include "parallel/fork_join.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/task_scratch.hpp"
@@ -36,34 +41,18 @@
 namespace {
 
 using namespace are::parallel;
+namespace obs = are::obs;
 
 TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPool, MultipleWaitCycles) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 20; ++i) {
-      pool.submit([&counter] { counter.fetch_add(1); });
+  {
+    ThreadPool pool(4);
+    EXPECT_EQ(pool.size(), 4u);
+    for (int i = 0; i < 100; ++i) {
+      pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
     }
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), (round + 1) * 20);
-  }
+  }  // the destructor runs what is still queued, then joins
+  EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPool, ZeroThreadsSelectsHardwareConcurrency) {
@@ -105,9 +94,13 @@ TEST(ThreadPool, DestructorJoinsCleanly) {
   std::atomic<int> counter{0};
   {
     ThreadPool pool(2);
-    for (int i = 0; i < 10; ++i) pool.submit([&counter] { counter.fetch_add(1); });
-    pool.wait_idle();
-  }  // destructor must join without deadlock
+    for (int i = 0; i < 10; ++i) {
+      pool.submit([&counter] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        counter.fetch_add(1);
+      });
+    }
+  }  // most tasks are still queued here; none may be dropped
   EXPECT_EQ(counter.load(), 10);
 }
 
@@ -280,27 +273,35 @@ INSTANTIATE_TEST_SUITE_P(AllPartitions, ParallelForCosted,
                          });
 
 TEST(WorkerSlot, ZeroOffPoolAndStableWithinWorkers) {
-  EXPECT_EQ(ThreadPool::worker_slot(), 0u);  // test thread is not a worker
-  ThreadPool pool(4);
   std::mutex mutex;
   std::set<std::size_t> slots;
-  for (int i = 0; i < 64; ++i) {
-    pool.submit([&] {
-      const std::size_t slot = ThreadPool::worker_slot();
-      std::lock_guard lock(mutex);
-      slots.insert(slot);
-    });
+  std::set<std::size_t> slots_on_other_pool;
+  std::size_t size = 0;
+  {
+    ThreadPool other(2);
+    ThreadPool pool(4);  // declared last: its destructor runs the queue while `other` lives
+    size = pool.size();
+    EXPECT_EQ(pool.worker_slot(), 0u);  // test thread is not a worker
+    for (int i = 0; i < 64; ++i) {
+      pool.submit([&] {
+        std::lock_guard lock(mutex);
+        slots.insert(pool.worker_slot());
+        slots_on_other_pool.insert(other.worker_slot());
+      });
+    }
   }
-  pool.wait_idle();
-  // Every observed slot is in 1..size(), and no worker reported 0.
+  // Every observed slot is in 1..size(), and no worker reported 0; a worker
+  // of one pool is slot 0 to another.
   EXPECT_FALSE(slots.contains(0));
-  for (const std::size_t slot : slots) EXPECT_LE(slot, pool.size());
+  for (const std::size_t slot : slots) EXPECT_LE(slot, size);
+  EXPECT_EQ(slots_on_other_pool, std::set<std::size_t>{0});
 }
 
 TEST(TaskScratch, OneInstancePerWorkerReusedAcrossTasks) {
   struct Scratch {
     int uses = 0;
   };
+  std::latch done(50);  // outlives the pool: the last count_down has returned
   ThreadPool pool(3);
   TaskScratch<Scratch> scratch(pool);
   std::atomic<int> total_uses{0};
@@ -309,9 +310,10 @@ TEST(TaskScratch, OneInstancePerWorkerReusedAcrossTasks) {
       Scratch& local = scratch.local();
       ++local.uses;  // no lock: the slot belongs to this worker alone
       total_uses.fetch_add(1);
+      done.count_down();
     });
   }
-  pool.wait_idle();
+  done.wait();
   EXPECT_EQ(total_uses.load(), 50);
   // The inline (non-worker) slot was never touched, and the factory form
   // constructs on first use only.
@@ -332,22 +334,115 @@ TEST(TaskScratch, OneInstancePerWorkerReusedAcrossTasks) {
 TEST(TaskScratch, ForeignPoolWorkerFoldsToInlineSlot) {
   // A thread that is worker N of a big pool running an engine with its own
   // small pool reaches TaskScratch through parallel_for's inline path with
-  // a process-wide slot beyond the small arena; it must fold to slot 0
-  // instead of indexing out of bounds (the borrowed-pool pricing pattern).
-  ThreadPool outer(8);
+  // a slot number beyond the small arena; it must take slot 0 instead of
+  // indexing out of bounds (the borrowed-pool pricing pattern).
   std::atomic<int> runs{0};
-  for (int i = 0; i < 16; ++i) {
-    outer.submit([&] {
-      ThreadPool inner(1);
-      TaskScratch<int> scratch(inner);  // 2 slots; this thread's slot is 1..8
-      parallel_for(inner, 0, 4, [&](std::uint64_t lo, std::uint64_t hi) {
-        scratch.local() += static_cast<int>(hi - lo);
+  {
+    ThreadPool outer(8);
+    for (int i = 0; i < 16; ++i) {
+      outer.submit([&] {
+        ThreadPool inner(1);
+        TaskScratch<int> scratch(inner);  // 2 slots; this thread is worker 1..8 of outer
+        parallel_for(inner, 0, 4, [&](std::uint64_t lo, std::uint64_t hi) {
+          scratch.local() += static_cast<int>(hi - lo);
+        });
+        runs.fetch_add(1);
       });
-      runs.fetch_add(1);
-    });
+    }
   }
-  outer.wait_idle();
   EXPECT_EQ(runs.load(), 16);
+
+  // Workers 1..4 of one pool launching on a second 4-worker pool run chunks
+  // beside that pool's workers 1..4: as callers they must take slot 0, not
+  // their own numbers, or two threads share a slot. Each scratch object
+  // counts the chunk bodies inside it at once.
+  struct Holders {
+    int count = 0;
+  };
+  std::atomic<int> shared_slots{0};
+  std::atomic<int> launches{0};
+  {
+    ThreadPool inner(4);
+    ThreadPool callers(4);
+    for (int i = 0; i < 64; ++i) {
+      callers.submit([&] {
+        TaskScratch<Holders> scratch(inner);
+        ForOptions options;
+        options.partition = Partition::kDynamic;
+        options.chunk = 1;
+        parallel_for(
+            inner, 0, 64,
+            [&](std::uint64_t, std::uint64_t) {
+              std::atomic_ref<int> holders(scratch.local().count);
+              if (holders.fetch_add(1) != 0) shared_slots.fetch_add(1);
+              std::this_thread::sleep_for(std::chrono::microseconds(50));
+              holders.fetch_sub(1);
+            },
+            options);
+        launches.fetch_add(1);
+      });
+    }
+  }
+  EXPECT_EQ(launches.load(), 64);
+  EXPECT_EQ(shared_slots.load(), 0) << "chunk bodies found their scratch slot in use";
+}
+
+TEST(ParallelFor, ShortLaunchDoesNotWaitForALongOneOnTheSamePool) {
+  // Launch A's chunks block until the latch opens; launch B, from another
+  // thread on the same pool, must finish while A is still blocked. B's
+  // caller runs B's chunks itself and joins on B's chunks alone.
+  ThreadPool pool(4);
+  std::latch release(1);
+  std::atomic<int> a_running{0};
+  std::thread long_caller([&] {
+    parallel_for(pool, 0, 4, [&](std::uint64_t, std::uint64_t) {
+      a_running.fetch_add(1);
+      release.wait();
+    });
+  });
+  while (a_running.load() < 4) std::this_thread::yield();
+
+  std::atomic<int> b_chunks{0};
+  auto short_launch = std::async(std::launch::async, [&] {
+    parallel_for(pool, 0, 4, [&](std::uint64_t lo, std::uint64_t hi) {
+      b_chunks.fetch_add(static_cast<int>(hi - lo));
+    });
+  });
+  const bool returned =
+      short_launch.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release.count_down();
+  long_caller.join();
+  short_launch.get();
+  EXPECT_TRUE(returned) << "the short launch waited for the long one";
+  EXPECT_EQ(b_chunks.load(), 4);
+}
+
+TEST(ParallelFor, EveryChunkIsInsideOnePoolTaskSample) {
+  // Each claimant that ran chunks, the caller included, records one
+  // pool.task_ns sample covering them; a helper that found the launch
+  // drained records none. So four 5 ms chunks leave at least 20 ms in
+  // the histogram and no sample under 5 ms.
+  obs::TelemetryRegistry& registry = obs::TelemetryRegistry::global();
+  obs::set_enabled(false);
+  registry.reset();
+  ThreadPool pool(4);
+  obs::set_enabled(true);
+  parallel_for(pool, 0, 4, [](std::uint64_t, std::uint64_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  });
+  obs::set_enabled(false);
+
+  const obs::Snapshot snapshot = registry.snapshot();
+  constexpr std::uint64_t kChunkNs = 5'000'000;
+  bool found = false;
+  for (const auto& histogram : snapshot.histograms) {
+    if (histogram.name != "pool.task_ns") continue;
+    found = true;
+    EXPECT_GE(histogram.sum_ns, 4 * kChunkNs);
+    EXPECT_GE(histogram.min_ns, kChunkNs);
+    EXPECT_EQ(histogram.count, snapshot.counter_value("pool.tasks"));
+  }
+  EXPECT_TRUE(found);
 }
 
 TEST(ParallelFor, StaticPartitionsAreContiguousBlocks) {

@@ -460,6 +460,71 @@ TEST_F(Service, ConcurrentQuotesAreBitIdentical) {
   }
 }
 
+// Deltas quoted while another client loops forced-cold quotes run their
+// launches beside the colds' on the one session pool; each must still be a
+// delta and byte-equal to a one-shot sequential run of its terms.
+TEST_F(Service, DeltasBesideAColdLoopMatchOneShotRuns) {
+  service::ServiceConfig config;
+  config.session.num_threads = 4;
+  config.default_engine = "fused";
+  service::AnalysisService analysis_service(make_yet(2'000), config);
+  analysis_service.register_portfolio("book", make_portfolio());
+  // The first quote captures the ground-up losses the deltas replay.
+  ASSERT_EQ(analysis_service.quote({.portfolio_id = "book"}).source,
+            service::QuoteSource::kCold);
+
+  std::atomic<bool> deltas_done{false};
+  std::atomic<int> colds{0};
+  std::thread cold_loop([&] {
+    service::QuoteRequest forced;
+    forced.portfolio_id = "book";
+    forced.use_cache = false;
+    forced.use_delta = false;
+    while (!deltas_done.load()) {
+      if (analysis_service.quote(forced).source == service::QuoteSource::kCold) {
+        colds.fetch_add(1);
+      }
+    }
+  });
+  while (colds.load() == 0) std::this_thread::yield();  // the loop is under way
+
+  constexpr std::size_t kThreads = 3;
+  constexpr std::size_t kQuotes = 6;
+  const auto terms_of = [](std::size_t t, std::size_t q) {
+    return financial::LayerTerms::cat_xl(100e3 + 25e3 * static_cast<double>(t * kQuotes + q),
+                                         2e6);
+  };
+  std::vector<std::vector<service::QuoteResponse>> responses(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t q = 0; q < kQuotes; ++q) {
+        service::QuoteRequest request;
+        request.portfolio_id = "book";
+        request.overrides.push_back({1, terms_of(t, q)});
+        responses[t].push_back(analysis_service.quote(request));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  deltas_done = true;
+  cold_loop.join();
+
+  const auto yet_table = make_yet(2'000);
+  core::AnalysisConfig seq;
+  seq.engine_name = "seq";
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t q = 0; q < kQuotes; ++q) {
+      const service::QuoteResponse& response = responses[t][q];
+      ASSERT_EQ(response.source, service::QuoteSource::kDelta) << t << "/" << q;
+      core::Portfolio portfolio = make_portfolio();
+      portfolio.layers[0].terms = terms_of(t, q);  // layer id 1
+      EXPECT_TRUE(bit_identical(core::run({portfolio, yet_table, seq}), response.outcome->ylt))
+          << "delta " << t << "/" << q << " differs from its one-shot run";
+    }
+  }
+}
+
 // --- Concurrent core::run() on shared tables (no service involved) ---------------
 
 TEST_F(Service, ConcurrentRunsShareOnePoolAndStayBitIdentical) {
