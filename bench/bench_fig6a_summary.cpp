@@ -24,7 +24,7 @@ using bench::Scale;
 const Scale kScale = Scale::current();
 
 /// One measured series per engine: the sweep is a loop over the
-/// EngineRegistry's four schedules.
+/// EngineRegistry's three schedules.
 void summary_measured(benchmark::State& state, const core::AnalysisConfig& config) {
   static const yet::YearEventTable yet_table =
       bench::make_yet(kScale, kScale.trials, kScale.events_per_trial);

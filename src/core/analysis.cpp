@@ -12,7 +12,6 @@ std::string_view to_string(EngineKind kind) noexcept {
   switch (kind) {
     case EngineKind::kSequential: return "seq";
     case EngineKind::kParallel: return "parallel";
-    case EngineKind::kOpenMp: return "openmp";
     case EngineKind::kFused: return "fused";
   }
   return "unknown";
@@ -91,7 +90,6 @@ ResolvedExecution resolve_execution(const AnalysisRequest& request, EngineKind k
   switch (kind) {
     case EngineKind::kSequential: resolved.launch.schedule = Schedule::kSerial; break;
     case EngineKind::kParallel: resolved.launch.schedule = Schedule::kPool; break;
-    case EngineKind::kOpenMp: resolved.launch.schedule = Schedule::kOpenMp; break;
     case EngineKind::kFused: resolved.launch.schedule = Schedule::kCosted; break;
   }
   return resolved;
@@ -105,12 +103,6 @@ void execute(const AnalysisRequest& request, EngineKind kind, YearLossTable* ylt
   InstrumentationSink* facts = request.config.instrumentation;
   if (facts != nullptr) {
     facts->engine_used = kind;
-    if (kind == EngineKind::kOpenMp) {
-      // The kernel's kOpenMp schedule uses OpenMP directives whenever the
-      // build has them and otherwise falls back to the thread pool; surface
-      // which one ran instead of making callers probe openmp_available().
-      facts->openmp_used = openmp_available();
-    }
     facts->simd_extension_used = resolved.config.extension;
     facts->simd_resolution_note = resolved.simd_note;
   }

@@ -3,7 +3,7 @@
 // Unified engine API — the single front door to the aggregate-analysis
 // engines. The paper runs one algorithm sequentially, with OpenMP on
 // multi-core CPUs, and chunked on GPUs; here every one of those is the
-// shared trial-block kernel (core/trial_kernel.hpp) under one of four
+// shared trial-block kernel (core/trial_kernel.hpp) under one of three
 // schedules. Callers build an AnalysisRequest (portfolio + YET +
 // AnalysisConfig) and call run() or run_to_sink(). The schedule is
 // EngineKind; everything else the kernel varies — lane type, event chunk,
@@ -26,13 +26,12 @@ namespace are::core {
 
 class GroundUpLossCache;  // core/trial_kernel.hpp
 
-/// The kernel's four schedules. Their canonical string names (used by the
+/// The kernel's three schedules. Their canonical string names (used by the
 /// CLI, the service protocol and config files) live in the EngineRegistry
 /// descriptors.
 enum class EngineKind {
   kSequential = 0,  ///< serial: one thread, the bit-identity anchor
   kParallel,        ///< pool: parallel_for over trial ranges (paper's multi-core)
-  kOpenMp,          ///< OpenMP `parallel for` over blocks (falls back to the pool)
   kFused,           ///< costed: parallel_for_costed over the YET offsets
 };
 
@@ -41,21 +40,17 @@ enum class EngineKind {
 std::string_view to_string(EngineKind kind) noexcept;
 
 /// Per-run facts written back through AnalysisConfig::instrumentation:
-/// which engine actually executed and its resolution (did OpenMP really
-/// run? which SIMD lane type ran?). Phase timing and access counts are not
-/// here: they are the `kernel.phase.*_ns` and `elt.*.lookups` counters a
-/// run records while telemetry is on (obs::set_enabled).
+/// which engine actually executed, which SIMD lane type ran and why. Phase
+/// timing and access counts are not here: they are the `kernel.phase.*_ns`
+/// and `elt.*.lookups` counters a run records while telemetry is on
+/// (obs::set_enabled).
 struct InstrumentationSink {
   /// The engine that executed the request.
   std::optional<EngineKind> engine_used;
 
-  /// kOpenMp only: true when OpenMP directives actually ran, false when the
-  /// build lacks OpenMP and the bit-identical thread-pool fallback executed.
-  std::optional<bool> openmp_used;
-
   /// The extension that actually executed after kAuto resolution — for
-  /// parallel/openmp/fused the runtime dispatch decision (cpuid ∩
-  /// compiled-in, ARE_SIMD_EXT override); for seq, scalar.
+  /// parallel/fused the runtime dispatch decision (cpuid ∩ compiled-in,
+  /// ARE_SIMD_EXT override); for seq, scalar.
   std::optional<SimdExtension> simd_extension_used;
 
   /// WHY that extension ran — explicit request, the env override, the
@@ -90,18 +85,18 @@ struct ShardingOptions {
 
 /// Composable execution configuration. One struct covers every engine, and
 /// every engine honours every kernel knob below; run() rejects what it
-/// cannot honour — a borrowed pool on an engine that owns its threads, an
+/// cannot honour — a borrowed pool on seq, which runs serially, an
 /// extension this host cannot run — and never silently ignores a field.
 struct AnalysisConfig {
   EngineKind engine = EngineKind::kParallel;
 
   /// When non-empty, run() dispatches by this registry name ("seq",
-  /// "parallel", "openmp", "fused") instead of `engine`; an unknown name
-  /// fails listing the four. The CLI and the service dispatch by name.
+  /// "parallel", "fused") instead of `engine`; an unknown name fails
+  /// listing the three. The CLI and the service dispatch by name.
   std::string engine_name;
 
-  /// Worker threads for kParallel, kOpenMp and kFused: 0 = hardware
-  /// concurrency, 1 = single-threaded. kSequential always runs on one.
+  /// Worker threads for kParallel and kFused: 0 = hardware concurrency,
+  /// 1 = single-threaded. kSequential always runs on one.
   std::size_t num_threads = 0;
 
   /// kParallel and kFused: trial-range partitioning strategy and, for
@@ -119,11 +114,11 @@ struct AnalysisConfig {
   std::size_t tile_trials = 0;
 
   /// Lane type of the kernel's vectorized phases. kAuto resolves, for
-  /// parallel/openmp/fused, to the widest runnable extension
-  /// (resolve_simd_extension_ex); seq stays scalar
-  /// under kAuto, because it is the reference every other run is compared
-  /// with. Every engine honours an explicit extension and rejects one that
-  /// is not runnable here.
+  /// parallel/fused, to the widest runnable extension
+  /// (resolve_simd_extension_ex); seq stays scalar under kAuto, because it
+  /// is the reference every other run is compared with. Every engine
+  /// honours an explicit extension and rejects one that is not runnable
+  /// here.
   SimdExtension simd_extension = SimdExtension::kAuto;
 
   /// Coverage window within the contractual year. Absent = full year.
@@ -140,7 +135,7 @@ struct AnalysisConfig {
 
   /// Borrowed thread pool, reused across runs (the real-time pricing path);
   /// requires an engine whose descriptor sets supports_pool_reuse
-  /// (kParallel, kFused). nullptr = the engine owns its threads.
+  /// (kParallel, kFused). nullptr = those engines start a pool per run.
   parallel::ThreadPool* pool = nullptr;
 
   /// Delta execution (core/trial_kernel.hpp GroundUpLossCache; the resident

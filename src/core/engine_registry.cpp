@@ -21,14 +21,6 @@ std::string simd_dispatch_note() {
 
 }  // namespace
 
-bool openmp_available() noexcept {
-#ifdef _OPENMP
-  return true;
-#else
-  return false;
-#endif
-}
-
 EngineRegistry::EngineRegistry() {
   // What distinguishes the engines is only the schedule (and so which of
   // them can borrow a pool); every knob — lane type, window, event chunk,
@@ -41,16 +33,10 @@ EngineRegistry::EngineRegistry() {
                             "extension runs as requested"},
       {.kind = EngineKind::kParallel,
        .name = "parallel",
-       .summary = "thread-pool trial parallelism (static/dynamic/guided partition)",
+       .summary = "thread-pool trial parallelism, the paper's multi-core schedule "
+                  "(static/dynamic/guided partition)",
        .supports_pool_reuse = true,
        .availability_note = simd_dispatch_note()},
-      {.kind = EngineKind::kOpenMp,
-       .name = "openmp",
-       .summary = "OpenMP trial parallelism (the paper's multi-core implementation)",
-       .availability_note = openmp_available()
-                                ? "OpenMP compiled in; directives run"
-                                : "OpenMP not compiled in; bit-identical thread-pool "
-                                  "fallback runs (see InstrumentationSink::openmp_used)"},
       {.kind = EngineKind::kFused,
        .name = "fused",
        .summary = "cost-aware schedule: trial ranges balanced by event count",

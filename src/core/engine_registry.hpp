@@ -2,7 +2,7 @@
 
 // The engine table: maps EngineKind and its canonical string name (for
 // CLI, protocol and config parsing) to a descriptor of one of the trial
-// kernel's four schedules. The table is fixed; every engine honours every
+// kernel's three schedules. The table is fixed; every engine honours every
 // AnalysisConfig knob, so the only capability that differs between them is
 // borrowing a thread pool.
 
@@ -25,12 +25,12 @@ struct EngineDescriptor {
   /// Honours AnalysisConfig::pool instead of rejecting it (the service
   /// reads this to hand its session pool to the engine).
   bool supports_pool_reuse = false;
-  /// Build-dependent detail: OpenMP presence/fallback, compiled SIMD
-  /// extensions, ... Surfaced by list-engines.
+  /// Build- and host-dependent detail: compiled-in and runnable SIMD
+  /// extensions, seq's scalar reference. Surfaced by list-engines.
   std::string availability_note;
 };
 
-/// The four builtin engines, keyed by kind and by name.
+/// The three builtin engines, keyed by kind and by name.
 class EngineRegistry {
  public:
   /// The process-wide table used by core::run().
@@ -45,7 +45,7 @@ class EngineRegistry {
   const EngineDescriptor& require(EngineKind kind) const;
   const EngineDescriptor& require(std::string_view name) const;
 
-  /// All descriptors: seq, parallel, openmp, fused.
+  /// All descriptors: seq, parallel, fused.
   std::span<const EngineDescriptor> descriptors() const noexcept { return descriptors_; }
 
   /// Comma-separated canonical names, for error messages and usage text.
@@ -56,9 +56,5 @@ class EngineRegistry {
 
   std::vector<EngineDescriptor> descriptors_;
 };
-
-/// True when the library was compiled with OpenMP support; without it the
-/// openmp engine runs the bit-identical thread-pool fallback.
-bool openmp_available() noexcept;
 
 }  // namespace are::core

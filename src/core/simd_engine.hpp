@@ -56,7 +56,7 @@ struct SimdOptions {
   SimdExtension extension = SimdExtension::kAuto;
 };
 
-/// The extension a parallel, openmp or fused run executes for this
+/// The extension a parallel or fused run executes for this
 /// portfolio and options, plus WHY — the one-sentence rationale the
 /// instrumentation note and --verbose surface: explicit request, the
 /// ARE_SIMD_EXT override, or the cpuid / compiled-in cap. Resolves kAuto to

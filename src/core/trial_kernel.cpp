@@ -7,10 +7,6 @@
 #include <stdexcept>
 #include <string>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "core/kernel_ext.hpp"
 #include "core/trial_kernel_body.hpp"
 #include "obs/telemetry.hpp"
@@ -150,14 +146,7 @@ void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet
         .increment();
   }
 
-  KernelLaunch::Schedule schedule = launch.schedule;
-#ifndef _OPENMP
-  // No OpenMP in this build: the bit-identical thread-pool fallback runs
-  // (surfaced to callers via InstrumentationSink::openmp_used).
-  if (schedule == KernelLaunch::Schedule::kOpenMp) schedule = KernelLaunch::Schedule::kPool;
-#endif
-
-  switch (schedule) {
+  switch (launch.schedule) {
     case KernelLaunch::Schedule::kSerial: {
       TrialKernelScratch scratch;
       kernel.run_range(0, num_trials, scratch);
@@ -186,7 +175,7 @@ void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet
           abort.cancel();
         }
       };
-      if (schedule == KernelLaunch::Schedule::kPool) {
+      if (launch.schedule == KernelLaunch::Schedule::kPool) {
         parallel::parallel_for(pool, 0, num_trials, body, {launch.partition, launch.chunk});
       } else {
         // Chunks carry ~one block's worth of events (the YET offsets are
@@ -199,38 +188,6 @@ void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet
                                       body, launch.partition);
       }
       if (failure) std::rethrow_exception(failure);
-      break;
-    }
-    case KernelLaunch::Schedule::kOpenMp: {
-#ifdef _OPENMP
-      int num_threads = static_cast<int>(launch.num_threads);
-      if (num_threads <= 0) num_threads = omp_get_max_threads();
-      const std::uint64_t block = kernel.block_trials();
-      const auto num_blocks = static_cast<std::int64_t>((num_trials + block - 1) / block);
-      // Exceptions may not escape an OpenMP region: same first-failure +
-      // shared-token protocol as the pool path, rethrown after the join.
-      std::mutex failure_mutex;
-      std::exception_ptr failure;
-#pragma omp parallel num_threads(num_threads)
-      {
-        TrialKernelScratch scratch;
-#pragma omp for schedule(static)
-        for (std::int64_t b = 0; b < num_blocks; ++b) {
-          try {
-            const std::uint64_t first = static_cast<std::uint64_t>(b) * block;
-            kernel.run_range(first, std::min<std::uint64_t>(first + block, num_trials),
-                             scratch);
-          } catch (...) {
-            {
-              std::lock_guard<std::mutex> guard(failure_mutex);
-              if (!failure) failure = std::current_exception();
-            }
-            abort.cancel();
-          }
-        }
-      }
-      if (failure) std::rethrow_exception(failure);
-#endif
       break;
     }
   }

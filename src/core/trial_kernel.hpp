@@ -25,7 +25,7 @@
 //     sharded sink receives each block into exactly one shard).
 //
 // An engine is nothing but a schedule over this kernel (serial /
-// parallel_for / parallel_for_costed / OpenMP, see KernelLaunch); the knobs
+// parallel_for / parallel_for_costed, see KernelLaunch); the knobs
 // above are TrialKernelConfig, set identically for every engine by
 // core::run (core/analysis.cpp). Every (engine x threads x lane x chunk x
 // block x sink) combination produces bytes identical to the scalar serial
@@ -206,8 +206,6 @@ struct KernelLaunch {
     kCosted,  ///< parallel_for_costed over the YET offsets (fused): chunks
               ///< carry ~one block's worth of *events*, so skewed trial
               ///< lengths balance across workers
-    kOpenMp,  ///< OpenMP `parallel for` over block indices; falls back to
-              ///< kPool (bit-identical) when the build lacks OpenMP
   };
 
   Schedule schedule = Schedule::kSerial;

@@ -69,30 +69,12 @@ std::string_view to_string(QuoteSource source) noexcept {
   return "unknown";
 }
 
-const core::EngineDescriptor& require_served_engine(std::string_view name) {
-  const auto served = [](const core::EngineDescriptor& engine) {
-    return engine.kind == core::EngineKind::kSequential || engine.supports_pool_reuse;
-  };
-  const core::EngineRegistry& registry = core::EngineRegistry::global();
-  const core::EngineDescriptor& descriptor = registry.require(name);
-  if (served(descriptor)) return descriptor;
-  std::string names;
-  for (const core::EngineDescriptor& engine : registry.descriptors()) {
-    if (!served(engine)) continue;
-    if (!names.empty()) names += ", ";
-    names += engine.name;
-  }
-  throw std::invalid_argument("engine '" + std::string(name) +
-                              "' starts threads of its own beside the session pool; quotes "
-                              "run on " + names);
-}
-
 AnalysisService::AnalysisService(yet::YearEventTable yet_table, ServiceConfig config)
     : config_(std::move(config)),
       session_(std::move(yet_table), config_.session),
       broker_(config_.broker),
       cache_(config_.cache_entries) {
-  require_served_engine(config_.default_engine);
+  core::EngineRegistry::global().require(config_.default_engine);
   if (!config_.access_log_path.empty()) {
     access_log_ = std::make_unique<AccessLog>(config_.access_log_path);
   }
@@ -180,7 +162,7 @@ QuoteResponse AnalysisService::quote(const QuoteRequest& request) {
       effective_portfolio(book, request);
   const std::string& engine_name =
       request.engine.empty() ? config_.default_engine : request.engine;
-  const core::EngineDescriptor& descriptor = require_served_engine(engine_name);
+  const core::EngineDescriptor& descriptor = core::EngineRegistry::global().require(engine_name);
 
   QuoteResponse response;
   response.request_id = request_id;

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "core/analysis.hpp"
-#include "core/engine_registry.hpp"
 #include "core/status.hpp"
 #include "obs/telemetry.hpp"
 #include "pricing/pricing.hpp"
@@ -57,8 +56,8 @@ struct ServiceConfig {
   BrokerConfig broker;
   std::size_t cache_entries = 64;
   pricing::PricingAssumptions assumptions;
-  /// Registry name used when a request does not name an engine; one of
-  /// the served engines (require_served_engine).
+  /// Registry name used when a request does not name an engine; the
+  /// constructor throws std::invalid_argument for an unknown one.
   std::string default_engine = "fused";
   /// TCP port for the embedded scrape endpoint (obs::MetricsServer:
   /// /metrics, /healthz, /statusz). -1 = no server (the default); 0 =
@@ -99,14 +98,6 @@ struct QuoteRequest {
 
 enum class QuoteSource { kRejected, kCold, kCached, kDelta, kFailed };
 std::string_view to_string(QuoteSource source) noexcept;
-
-/// The registry entry of an engine a quote may run on. A served quote runs
-/// serially or on the session's warm pool, so only engines that start no
-/// threads of their own qualify: seq, parallel and fused. openmp would
-/// start an OpenMP team beside the pool, and libgomp ends the process when
-/// it cannot create one. Throws std::invalid_argument naming the served
-/// engines for any other name.
-const core::EngineDescriptor& require_served_engine(std::string_view name);
 
 struct QuoteResponse {
   /// Service-assigned id ("q-000001", unique per service instance) — the

@@ -22,10 +22,9 @@
 // "invalid-argument": an unknown verb; a key its verb does not list above,
 // or any key given twice (the message names the key); a flag other than
 // 0, 1, false or true; a number not consumed whole; an unknown
-// portfolio/layer/engine, or engine=openmp (quotes run on seq, parallel or
-// fused). So is a line longer than 64 KiB, whose connection is then
-// closed. deadline-ms bounds the quote's wall clock (cancelled between
-// trial blocks → code "deadline-exceeded").
+// portfolio/layer/engine. So is a line longer than 64 KiB, whose
+// connection is then closed. deadline-ms bounds the quote's wall clock
+// (cancelled between trial blocks → code "deadline-exceeded").
 //
 // QUOTE term keys build a per-request TermsOverride (the book is not
 // mutated); UPDATE mutates the book durably (terms-only, so the ground-up

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # The engine registry and the kernel knobs on the real binary. Every engine
-# `list-engines --names` prints (the kernel's four schedules) writes the
+# `list-engines --names` prints (the kernel's three schedules) writes the
 # YLT CSV seq writes, byte for byte: plain, under a mid-year window (which
 # must change the YLT), and with each of --chunk 4, --phases, --simd-ext
-# scalar and --tile 128 --partition guided. The former engine names are
-# knobs now and must fail naming the four.
+# scalar and --tile 128 --partition guided; and `price` prints seq's quote
+# line. The former engine names are knobs now, or parallel's schedule
+# (openmp): run, report and price must refuse them naming the three, before
+# any input loads. So must `price --output sharded`.
 #
 # usage: smoke_engines.sh ARE_CLI WORK_DIR
 # WORK_DIR is emptied first, so the smoke can be rerun.
@@ -16,7 +18,7 @@ mkdir -p "$work"
 cd "$work"
 
 "$cli" list-engines > list-engines.txt
-test "$("$cli" list-engines --names | tr '\n' ' ')" = "seq parallel openmp fused "
+test "$("$cli" list-engines --names | tr '\n' ' ')" = "seq parallel fused "
 
 "$cli" gen-elt --out book.elt --catalog-size 50000 --entries 5000 > /dev/null
 "$cli" gen-yet --out years.yet --trials 2000 --events 100 --catalog-size 50000 > /dev/null
@@ -31,12 +33,30 @@ for engine in $("$cli" list-engines --names); do
   cmp "$engine.csv" seq.csv
 done
 
-for removed in chunked simd windowed instrumented; do
-  if run --engine "$removed" --out removed.csv 2> removed.err; then
-    echo "--engine $removed must fail" >&2
-    exit 1
-  fi
-  grep -q 'known engines: seq, parallel, openmp, fused' removed.err
+# The YET named here does not exist, so each refusal must come from the
+# flags, before anything loads.
+for removed in chunked simd windowed instrumented openmp; do
+  for command in run report price; do
+    if "$cli" "$command" --yet missing.yet --elt book.elt --engine "$removed" \
+      > /dev/null 2> removed.err; then
+      echo "$command --engine $removed must fail" >&2
+      exit 1
+    fi
+    grep -q 'known engines: seq, parallel, fused' removed.err
+  done
+done
+if "$cli" price --yet missing.yet --elt book.elt --output sharded > /dev/null 2> sharded.err; then
+  echo "price --output sharded must fail" >&2
+  exit 1
+fi
+grep -q 'price.*--output' sharded.err
+
+# `price` on every engine prints seq's quote line, byte for byte.
+for engine in $("$cli" list-engines --names); do
+  "$cli" price --yet years.yet --elt book.elt --occ-retention 200000 --occ-limit 2000000 \
+    --engine "$engine" --threads 2 > price_"$engine".txt
+  grep -q . price_"$engine".txt
+  cmp price_"$engine".txt price_seq.txt
 done
 
 run --engine seq --window 0.25:0.75 --out seq_part.csv

@@ -13,9 +13,9 @@
 # lookups, no combine/lookup time, no fetch phase and a non-zero layer phase
 # over every event. The transport survives a client that sends 20000 PINGs
 # and leaves without reading, and a 1 MiB line without a newline
-# (invalid-argument, connection closed). engine=openmp is refused, naming
-# the engines that serve quotes, and `serve --engine openmp` fails before
-# it starts.
+# (invalid-argument, connection closed). engine=openmp, a name the
+# registry does not list, is refused naming the known engines, and `serve
+# --engine openmp` fails before it loads its inputs.
 #
 # usage: smoke_serve_quotes.sh ARE_CLI WORK_DIR
 # WORK_DIR is emptied first, so the smoke can be rerun.
@@ -78,13 +78,13 @@ assert len(response) < 1024, 'the oversized line must not be echoed'
 EOF
 "$cli" quote --socket are.sock --ping > /dev/null
 
-# engine=openmp would start an OpenMP team beside the session pool.
+# openmp is parallel's schedule, not an engine of its own.
 if "$cli" quote --socket are.sock --engine openmp > openmp.json; then
   echo "a quote on engine=openmp must be refused" >&2
   exit 1
 fi
 grep -q '"code":"invalid-argument"' openmp.json
-grep -q 'quotes run on seq, parallel, fused' openmp.json
+grep -q 'known engines: seq, parallel, fused' openmp.json
 
 "$cli" quote --socket are.sock \
   --occ-retention 200000 --occ-limit 2000000 \
@@ -160,11 +160,12 @@ assert any(p > 0 and a == 0 for p, a in zip(plain, aggregate)), 'retention never
 assert any(a == 1500000 and p > 2000000 for p, a in zip(plain, aggregate)), 'limit never binds'
 EOF
 
-# `serve --engine openmp` fails at startup with the same message.
-if "$cli" serve --yet years.yet --elt book.elt --engine openmp --socket openmp.sock \
+# `serve --engine openmp` fails at startup with the same message, before
+# it loads inputs (the YET named here does not exist) or binds a socket.
+if "$cli" serve --yet missing.yet --elt book.elt --engine openmp --socket openmp.sock \
   > openmp_serve.out 2> openmp_serve.err; then
   echo "serve --engine openmp must fail" >&2
   exit 1
 fi
-grep -q 'quotes run on seq, parallel, fused' openmp_serve.err
+grep -q 'known engines: seq, parallel, fused' openmp_serve.err
 test ! -e openmp.sock

@@ -4,9 +4,7 @@
 # to disk and fault back, and the streamed CSV must still be the in-memory
 # seq run's, byte for byte, on every engine. The --verbose stderr line,
 # rendered from the telemetry registry, must show the spills happened (a
-# quietly-fitting budget would make this smoke vacuous). Then the
-# in-process `list-engines --sinks` smoke, which fails on its own if an
-# engine's sharded CSV differs or never spilled.
+# quietly-fitting budget would make this smoke vacuous).
 #
 # usage: smoke_sharded_ylt.sh ARE_CLI WORK_DIR
 # WORK_DIR is emptied first, so the smoke can be rerun.
@@ -30,4 +28,3 @@ for engine in $("$cli" list-engines --names); do
   grep -E 'sharded YLT: .* [1-9][0-9]* spills' sharded_"$engine".err
   cmp big_sharded_"$engine".csv big_seq.csv
 done
-"$cli" list-engines --sinks

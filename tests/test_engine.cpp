@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "core/analysis.hpp"
+#include "core/engine_registry.hpp"
 #include "elt/synthetic.hpp"
 #include "obs/telemetry.hpp"
 #include "yet/generator.hpp"
@@ -197,9 +198,9 @@ TEST_P(EngineEquivalence, EveryEngineBitIdentical) {
   const auto yet_table = synthetic_yet(500, 80.0);
   const auto sequential = run_seq(portfolio, yet_table);
 
-  for (const auto kind : {core::EngineKind::kSequential, core::EngineKind::kParallel,
-                          core::EngineKind::kOpenMp, core::EngineKind::kFused}) {
-    SCOPED_TRACE(core::to_string(kind));
+  for (const core::EngineDescriptor& engine : core::EngineRegistry::global().descriptors()) {
+    const core::EngineKind kind = engine.kind;
+    SCOPED_TRACE(engine.name);
     expect_identical(sequential,
                      core::run({portfolio, yet_table, {.engine = kind, .num_threads = 4}}));
     // The paper's GPU chunk knob on the same schedule.

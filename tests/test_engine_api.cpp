@@ -1,5 +1,5 @@
-// Tests for the unified engine API: the four-engine table (lookup by kind
-// and by name, removed names failing with the four listed), AnalysisConfig
+// Tests for the unified engine API: the three-engine table (lookup by kind
+// and by name, removed names failing with the three listed), AnalysisConfig
 // validation, the pool check in core::run, execution facts recorded in the
 // InstrumentationSink, and the engine x knob sweep: every engine at every
 // lane type x event chunk x block size x window x output placement lands
@@ -95,12 +95,12 @@ std::vector<SimdExtension> runnable_lanes() {
 
 // --- The engine table -----------------------------------------------------------
 
-TEST(EngineRegistry, FourSchedulesByKindAndByName) {
+TEST(EngineRegistry, ThreeSchedulesByKindAndByName) {
   const auto& registry = EngineRegistry::global();
-  ASSERT_EQ(registry.descriptors().size(), 4u);
-  EXPECT_EQ(registry.known_names(), "seq, parallel, openmp, fused");
+  ASSERT_EQ(registry.descriptors().size(), 3u);
+  EXPECT_EQ(registry.known_names(), "seq, parallel, fused");
   for (const EngineKind kind :
-       {EngineKind::kSequential, EngineKind::kParallel, EngineKind::kOpenMp, EngineKind::kFused}) {
+       {EngineKind::kSequential, EngineKind::kParallel, EngineKind::kFused}) {
     const EngineDescriptor* by_kind = registry.find(kind);
     ASSERT_NE(by_kind, nullptr) << core::to_string(kind);
     EXPECT_EQ(by_kind->kind, kind);
@@ -110,12 +110,14 @@ TEST(EngineRegistry, FourSchedulesByKindAndByName) {
   }
 }
 
-TEST(EngineRegistry, UnknownAndRemovedNamesFailListingTheFour) {
+TEST(EngineRegistry, UnknownAndRemovedNamesFailListingTheThree) {
   const auto& registry = EngineRegistry::global();
   const auto portfolio = test_portfolio(1);
   const auto yet_table = test_yet(20, 10.0);
-  // The former engine names are knobs now, with no aliases.
-  for (const char* name : {"chunked", "simd", "windowed", "instrumented", "warp-drive"}) {
+  // The former engine names are knobs now, or parallel's schedule (openmp),
+  // with no aliases.
+  for (const char* name :
+       {"chunked", "simd", "windowed", "instrumented", "openmp", "warp-drive"}) {
     EXPECT_EQ(registry.find(name), nullptr) << name;
     AnalysisConfig config;
     config.engine_name = name;
@@ -125,7 +127,7 @@ TEST(EngineRegistry, UnknownAndRemovedNamesFailListingTheFour) {
     } catch (const std::invalid_argument& error) {
       const std::string message = error.what();
       EXPECT_NE(message.find(name), std::string::npos) << message;
-      EXPECT_NE(message.find("seq, parallel, openmp, fused"), std::string::npos) << message;
+      EXPECT_NE(message.find("seq, parallel, fused"), std::string::npos) << message;
     }
   }
 }
@@ -134,13 +136,10 @@ TEST(EngineRegistry, PoolReuseAndAvailabilityNotes) {
   const auto& registry = EngineRegistry::global();
   EXPECT_FALSE(registry.require("seq").supports_pool_reuse);
   EXPECT_TRUE(registry.require("parallel").supports_pool_reuse);
-  EXPECT_FALSE(registry.require("openmp").supports_pool_reuse);
   EXPECT_TRUE(registry.require("fused").supports_pool_reuse);
-  // The lane-resolving engines carry the runtime dispatch facts, openmp
-  // whether its directives or the pool fallback run.
+  // The lane-resolving engines carry the runtime dispatch facts.
   EXPECT_NE(registry.require("parallel").availability_note.find("auto runs"), std::string::npos);
   EXPECT_NE(registry.require("fused").availability_note.find("auto runs"), std::string::npos);
-  EXPECT_FALSE(registry.require("openmp").availability_note.empty());
 }
 
 // --- AnalysisConfig validation and the pool check ------------------------------
@@ -165,16 +164,16 @@ TEST(AnalysisConfig, ValidateRejectsBadWindowAndZeroPartitionChunk) {
   EXPECT_NO_THROW(config.validate());
 }
 
-TEST(UnifiedRun, RejectsBorrowedPoolOnEnginesThatOwnTheirThreads) {
+TEST(UnifiedRun, RejectsBorrowedPoolOnEnginesWithoutPoolReuse) {
   const auto portfolio = test_portfolio(1);
   const auto yet_table = test_yet(20, 10.0);
   parallel::ThreadPool pool(2);
-  for (const EngineKind kind : {EngineKind::kSequential, EngineKind::kOpenMp}) {
+  for (const auto& engine : EngineRegistry::global().descriptors()) {
+    if (engine.supports_pool_reuse) continue;
     AnalysisConfig config;
-    config.engine = kind;
+    config.engine = engine.kind;
     config.pool = &pool;
-    EXPECT_THROW(core::run({portfolio, yet_table, config}), std::invalid_argument)
-        << core::to_string(kind);
+    EXPECT_THROW(core::run({portfolio, yet_table, config}), std::invalid_argument) << engine.name;
   }
 }
 
@@ -202,7 +201,7 @@ TEST(UnifiedRun, EveryEngineRejectsAnExtensionNotRunnableHere) {
 
 // --- The engine x knob sweep ----------------------------------------------------
 
-// {seq, parallel, openmp, fused} x {scalar, each runnable extension} x
+// {seq, parallel, fused} x {scalar, each runnable extension} x
 // chunk_size {0, 1, 7} x tile_trials {0, 7} x window {none, 0.25:0.75} x
 // {materialized, sharded under a forced-spill budget}: every point must be
 // byte-equal to scalar seq with the same window.
@@ -256,7 +255,7 @@ TEST(EngineKnobSweep, EveryEngineAndKnobMatchesScalarSeq) {
       }
     }
   }
-  EXPECT_EQ(points, 2 * 4 * lanes.size() * 3 * 2);
+  EXPECT_EQ(points, 2 * EngineRegistry::global().descriptors().size() * lanes.size() * 3 * 2);
 }
 
 TEST(EngineKnobSweep, EveryEngineRecordsItsLanesAndSeqStaysScalarUnderAuto) {

@@ -49,7 +49,6 @@ TEST(EngineEdge, AllTrialsEmpty) {
         core::run({portfolio, yet_table, {.engine = EngineKind::kParallel, .num_threads = 2}}),
         core::run({portfolio, yet_table,
                    {.engine = EngineKind::kParallel, .num_threads = 1, .chunk_size = 4}}),
-        core::run({portfolio, yet_table, {.engine = EngineKind::kOpenMp, .num_threads = 2}}),
         core::run({portfolio, yet_table, {.engine = EngineKind::kFused, .num_threads = 2}})}) {
     ASSERT_EQ(ylt.num_trials(), 3u);
     for (std::size_t trial = 0; trial < 3; ++trial) {
@@ -232,12 +231,12 @@ TEST_P(EngineInvariants, AllEnginesAgreeOnRandomSetups) {
                                   {.engine = EngineKind::kParallel,
                                    .num_threads = 1,
                                    .chunk_size = 5}});
-  const auto omp = core::run(
-      {setup.portfolio, setup.yet_table, {.engine = EngineKind::kOpenMp, .num_threads = 2}});
+  const auto fused = core::run(
+      {setup.portfolio, setup.yet_table, {.engine = EngineKind::kFused, .num_threads = 2}});
   for (std::size_t trial = 0; trial < sequential.num_trials(); ++trial) {
     ASSERT_EQ(sequential.at(0, trial), parallel_ylt.at(0, trial));
     ASSERT_EQ(sequential.at(0, trial), chunked.at(0, trial));
-    ASSERT_EQ(sequential.at(0, trial), omp.at(0, trial));
+    ASSERT_EQ(sequential.at(0, trial), fused.at(0, trial));
   }
 }
 

@@ -1,108 +1,12 @@
-// Tests for the remaining extension modules: the OpenMP engine (the
-// paper's actual CPU-parallel implementation) and the multi-GPU estimate
-// (paper §IV).
+// Tests for the remaining extension module: the multi-GPU estimate (paper
+// §IV).
 #include <gtest/gtest.h>
 
-#include "core/analysis.hpp"
-#include "core/engine_registry.hpp"
-#include "elt/synthetic.hpp"
 #include "simgpu/multi_gpu.hpp"
-#include "yet/generator.hpp"
 
 namespace {
 
 using namespace are;
-
-// --- OpenMP engine -------------------------------------------------------------
-
-core::Portfolio small_portfolio() {
-  core::Portfolio portfolio;
-  core::Layer layer;
-  layer.id = 1;
-  layer.terms.occurrence_retention = 100e3;
-  layer.terms.occurrence_limit = 5e6;
-  layer.terms.aggregate_limit = 50e6;
-  for (std::uint64_t e = 0; e < 4; ++e) {
-    elt::SyntheticEltConfig config;
-    config.catalog_size = 10'000;
-    config.entries = 1'500;
-    config.elt_id = e;
-    core::LayerElt layer_elt;
-    layer_elt.lookup = elt::make_lookup(elt::LookupKind::kDirectAccess,
-                                        elt::make_synthetic_elt(config), 10'000);
-    layer_elt.terms.share = 0.75;
-    layer.elts.push_back(std::move(layer_elt));
-  }
-  portfolio.layers.push_back(std::move(layer));
-  return portfolio;
-}
-
-TEST(OpenMpEngine, BitIdenticalToSequential) {
-  const auto portfolio = small_portfolio();
-  yet::YetConfig config;
-  config.num_trials = 400;
-  config.events_per_trial = 60.0;
-  config.count_model = yet::CountModel::kPoisson;
-  const auto yet_table = yet::generate_uniform_yet(config, 10'000);
-
-  const auto sequential =
-      core::run({portfolio, yet_table, {.engine = core::EngineKind::kSequential}});
-  for (std::size_t threads : {1, 2, 4}) {
-    core::AnalysisConfig config;
-    config.engine = core::EngineKind::kOpenMp;
-    config.num_threads = threads;
-    const auto omp = core::run({portfolio, yet_table, config});
-    ASSERT_EQ(omp.num_trials(), sequential.num_trials());
-    for (std::size_t trial = 0; trial < sequential.num_trials(); ++trial) {
-      ASSERT_EQ(omp.at(0, trial), sequential.at(0, trial)) << "threads " << threads;
-    }
-  }
-}
-
-TEST(OpenMpEngine, DefaultThreadCountWorks) {
-  const auto portfolio = small_portfolio();
-  yet::YetConfig config;
-  config.num_trials = 50;
-  config.events_per_trial = 20.0;
-  const auto yet_table = yet::generate_uniform_yet(config, 10'000);
-  const auto ylt = core::run({portfolio, yet_table, {.engine = core::EngineKind::kOpenMp}});
-  EXPECT_EQ(ylt.num_trials(), 50u);
-}
-
-TEST(OpenMpEngine, InstrumentationSurfacesFallback) {
-  // The silent-fallback footgun: whether OpenMP directives actually ran is
-  // recorded in the sink instead of requiring callers to probe
-  // openmp_available() themselves.
-  const auto portfolio = small_portfolio();
-  yet::YetConfig config;
-  config.num_trials = 20;
-  config.events_per_trial = 10.0;
-  const auto yet_table = yet::generate_uniform_yet(config, 10'000);
-
-  core::InstrumentationSink sink;
-  core::AnalysisConfig analysis;
-  analysis.engine = core::EngineKind::kOpenMp;
-  analysis.instrumentation = &sink;
-  core::run({portfolio, yet_table, analysis});
-
-  ASSERT_TRUE(sink.engine_used.has_value());
-  EXPECT_EQ(*sink.engine_used, core::EngineKind::kOpenMp);
-  ASSERT_TRUE(sink.openmp_used.has_value());
-  EXPECT_EQ(*sink.openmp_used, core::openmp_available());
-}
-
-TEST(OpenMpEngine, RegistryNoteExplainsAvailability) {
-  const auto& descriptor = core::EngineRegistry::global().require("openmp");
-  EXPECT_FALSE(descriptor.availability_note.empty());
-}
-
-TEST(OpenMpEngine, ReportsAvailability) {
-#ifdef _OPENMP
-  EXPECT_TRUE(core::openmp_available());
-#else
-  EXPECT_FALSE(core::openmp_available());
-#endif
-}
 
 // --- Multi-GPU (paper §IV) -------------------------------------------------------
 

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "core/analysis.hpp"
+#include "core/engine_registry.hpp"
 #include "core/trial_kernel.hpp"
 #include "elt/synthetic.hpp"
 #include "fault/fault_injection.hpp"
@@ -128,7 +129,8 @@ TEST_F(Service, GroundUpReplayIsBitIdenticalAcrossEnginesAndSinks) {
   const auto portfolio = make_portfolio();
   const auto yet_table = make_yet();
 
-  for (const char* engine : {"seq", "parallel", "openmp", "fused"}) {
+  for (const core::EngineDescriptor& descriptor : core::EngineRegistry::global().descriptors()) {
+    const std::string& engine = descriptor.name;
     core::GroundUpLossCache cache(portfolio.layers.size(), yet_table.total_events());
     {
       core::AnalysisConfig config;
@@ -606,21 +608,23 @@ TEST_F(Service, HandleLineSpeaksTheProtocol) {
   }
   EXPECT_EQ(requests(), requests_before);
 
-  // openmp would start an OpenMP team beside the session pool: refused,
-  // naming the engines that serve quotes, as a request and as the default.
+  // An engine the registry does not list (openmp is parallel's schedule)
+  // is refused, naming the known engines, as a request and as the default.
   const std::string openmp = server.handle_line("QUOTE portfolio=book engine=openmp");
   EXPECT_NE(openmp.find("\"status\":\"error\",\"code\":\"invalid-argument\""),
             std::string::npos)
       << openmp;
-  EXPECT_NE(openmp.find("quotes run on seq, parallel, fused"), std::string::npos) << openmp;
+  EXPECT_NE(openmp.find("known engines: seq, parallel, fused"), std::string::npos) << openmp;
   service::ServiceConfig openmp_default;
   openmp_default.default_engine = "openmp";
   EXPECT_THROW(service::AnalysisService(make_yet(), openmp_default), std::invalid_argument);
-  for (const char* served : {"seq", "parallel", "fused"}) {
-    const std::string response = server.handle_line(
-        std::string("QUOTE portfolio=book cache=0 delta=0 engine=") + served);
+  // Every registered engine serves quotes: seq serially, the others on the
+  // session pool.
+  for (const core::EngineDescriptor& engine : core::EngineRegistry::global().descriptors()) {
+    const std::string response =
+        server.handle_line("QUOTE portfolio=book cache=0 delta=0 engine=" + engine.name);
     EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos) << response;
-    EXPECT_NE(response.find(std::string("\"engine\":\"") + served + "\""), std::string::npos);
+    EXPECT_NE(response.find("\"engine\":\"" + engine.name + "\""), std::string::npos);
   }
   // Every key of both verbs, flags spelt either way.
   for (const char* line :

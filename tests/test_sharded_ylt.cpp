@@ -100,6 +100,16 @@ core::AnalysisConfig sharded_config(std::string engine, std::uint64_t shard_tria
 
 // --- Bit-identity: engines x shard sizes --------------------------------------
 
+/// Every registered engine's name, so a change to the engine set changes
+/// what these suites cover.
+std::vector<std::string> engine_names() {
+  std::vector<std::string> names;
+  for (const auto& engine : core::EngineRegistry::global().descriptors()) {
+    names.push_back(engine.name);
+  }
+  return names;
+}
+
 class ShardedEquivalence
     : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {};
 
@@ -117,8 +127,7 @@ TEST_P(ShardedEquivalence, MaterializeMatchesSequential) {
 
 INSTANTIATE_TEST_SUITE_P(
     EnginesAndShardSizes, ShardedEquivalence,
-    ::testing::Combine(::testing::Values(std::string("seq"), std::string("parallel"),
-                                         std::string("openmp"), std::string("fused")),
+    ::testing::Combine(::testing::ValuesIn(engine_names()),
                        // shard size 1, a prime, a tile-straddling size, and
                        // one shard spanning every trial
                        ::testing::Values(1, 7, 64, 1000)),
@@ -169,7 +178,9 @@ TEST(ShardedYlt, ThreadedEnginesForcedSpillStaysBitIdentical) {
   const auto yet_table = skewed_yet(400, 40.0);
   const auto sequential = run_seq(portfolio, yet_table);
 
-  for (const std::string engine : {"parallel", "openmp", "fused"}) {
+  for (const auto& descriptor : core::EngineRegistry::global().descriptors()) {
+    if (descriptor.kind == core::EngineKind::kSequential) continue;
+    const std::string& engine = descriptor.name;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
       SCOPED_TRACE(engine + "_threads" + std::to_string(threads));
       // 2 layers x 25 trials x 8 B = 400 B per shard; a one-shard budget

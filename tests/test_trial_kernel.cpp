@@ -147,7 +147,7 @@ TEST(TrialKernel, LaneWidthsAndSchedulesShareTheBytes) {
        {core::SimdExtension::kScalar, core::SimdExtension::kAuto}) {
     for (const KernelLaunch::Schedule schedule :
          {KernelLaunch::Schedule::kSerial, KernelLaunch::Schedule::kPool,
-          KernelLaunch::Schedule::kCosted, KernelLaunch::Schedule::kOpenMp}) {
+          KernelLaunch::Schedule::kCosted}) {
       TrialKernelConfig config;
       config.extension = extension;
       config.block_trials = 37;

@@ -12,8 +12,6 @@
 //   are_cli info      --yet years.yet | --elt book.elt ...           (describe files)
 //   are_cli simd-info [--runnable]   (runtime SIMD dispatch facts for this host)
 //   are_cli list-engines [--names]   (dump the engine table)
-//   are_cli list-engines --sinks   (smoke-run every engine under a forced-spill
-//                                   budget, byte-diffing vs seq)
 //   are_cli serve     --yet years.yet --elt a.elt ... [terms...] --socket are.sock
 //                     (resident analysis service on an AF_UNIX socket; loads the
 //                     inputs once, then answers QUOTE/UPDATE lines with admission
@@ -26,7 +24,7 @@
 //                     quantiles, inflight vs budget, cache, faults)
 //
 // Layer terms: --occ-retention --occ-limit --agg-retention --agg-limit
-// Engine:      --engine seq|parallel|openmp|fused (the kernel's four schedules)
+// Engine:      --engine seq|parallel|fused (the kernel's three schedules)
 //              --threads N --partition static|dynamic|guided --partition-chunk N
 //              (parallel's trials per dynamic/guided work item; for fused,
 //              --partition picks the block scheduler)
@@ -109,8 +107,6 @@ commands:
                      and chosen extensions (--runnable: one runnable extension
                      per line, machine-readable — what CI override loops use)
   list-engines       dump the engine table               (--names: one name per line)
-                     --sinks: smoke-run every engine (forced spill, sharded
-                     CSV byte-diffed against the sequential reference)
   serve              resident analysis service           (--yet F --elt F... --socket PATH)
                      --portfolio NAME (book id, default 'book') --threads N
                      --max-request-cost N --max-inflight-cost N --queue-limit N
@@ -136,7 +132,7 @@ commands:
 
 common options:
   layer terms   --occ-retention X --occ-limit X --agg-retention X --agg-limit X
-  engine        --engine seq|parallel|openmp|fused (default parallel; fused for
+  engine        --engine seq|parallel|fused (default parallel; fused for
                 --output sharded) --threads N
                 --partition static|dynamic|guided --partition-chunk N
   knobs         (every engine) --chunk N (events staged per chunk; 0 = whole block)
@@ -145,7 +141,7 @@ common options:
                 runs scalar under auto)
                 --window FROM:TO  (fractions of the year)
   lookup        --lookup direct|sorted|robinhood|cuckoo
-  output        --output materialized|sharded  (sharded = out-of-core YLT)
+  output        --output materialized|sharded  (run, report; sharded = out-of-core YLT)
                 --shard-trials N --spill-dir PATH --memory-budget-mb M (0 = unlimited)
   telemetry     --telemetry json|csv|prom|trace  (runtime counters / trace spans,
                 exported after the run; Chrome-trace JSON loads in chrome://tracing)
@@ -337,11 +333,8 @@ void export_telemetry(const TelemetryCli& telemetry) {
 }
 
 /// Post-run execution facts (stderr, so CSV/report stdout stays clean): the
-/// resolved lane type, and whether openmp actually ran OpenMP or fell back.
+/// resolved lane type and why it ran.
 void report_execution(const core::InstrumentationSink& sink) {
-  if (sink.openmp_used && !*sink.openmp_used) {
-    std::cerr << "note: OpenMP not compiled in; bit-identical thread-pool fallback ran\n";
-  }
   if (sink.simd_extension_used) {
     std::cerr << "note: kernel executed extension '"
               << core::to_string(*sink.simd_extension_used) << "'";
@@ -552,6 +545,10 @@ int cmd_report(const Args& args) {
 int cmd_price(const Args& args) {
   const TelemetryCli telemetry = parse_telemetry(args);
   const core::AnalysisConfig config = parse_engine_config(args);
+  if (config.output == core::OutputMode::kSharded) {
+    // Refused before any input loads: a quote prices the materialized YLT.
+    throw std::runtime_error("--output sharded is for run and report only");
+  }
   const auto yet_table = load_yet(args.require("yet"));
   const auto portfolio = build_portfolio(args, universe_of(yet_table, args));
   const auto ylt = run_engine(config, portfolio, yet_table);
@@ -567,76 +564,8 @@ int cmd_price(const Args& args) {
   return 0;
 }
 
-/// `list-engines --sinks`: runs every engine on a small synthetic workload
-/// with a deliberately tiny memory budget (shards must spill and fault
-/// back) and byte-diffs its sharded CSV against the sequential reference —
-/// the in-process version of CI's sharded smoke leg, one command instead of
-/// a shell loop. Returns nonzero on the first mismatch.
-int smoke_sink_engines() {
-  elt::SyntheticEltConfig elt_config;
-  elt_config.catalog_size = 20'000;
-  elt_config.entries = 2'000;
-  core::Layer layer;
-  layer.id = 1;
-  layer.terms.occurrence_retention = 200e3;
-  layer.terms.occurrence_limit = 2e6;
-  core::LayerElt layer_elt;
-  layer_elt.lookup = elt::make_lookup(elt::LookupKind::kDirectAccess,
-                                      elt::make_synthetic_elt(elt_config), elt_config.catalog_size);
-  layer.elts.push_back(std::move(layer_elt));
-  core::Portfolio portfolio;
-  portfolio.layers.push_back(std::move(layer));
-
-  yet::YetConfig yet_config;
-  yet_config.num_trials = 2'000;
-  yet_config.events_per_trial = 20.0;
-  yet_config.count_model = yet::CountModel::kPoisson;
-  yet_config.seed = 2012;
-  const auto yet_table = yet::generate_uniform_yet(yet_config, elt_config.catalog_size);
-
-  std::ostringstream reference;
-  io::write_ylt_csv(reference,
-                    core::run({portfolio, yet_table, {.engine = core::EngineKind::kSequential,
-                                                      .num_threads = 1}}));
-
-  bool all_passed = true;
-  for (const auto& engine : core::EngineRegistry::global().descriptors()) {
-    core::AnalysisConfig config;
-    config.engine = engine.kind;
-    config.engine_name = engine.name;
-    config.num_threads = 2;
-    config.output = core::OutputMode::kSharded;
-    config.sharding.shard_trials = 64;
-    config.sharding.memory_budget_bytes = 2 * 64 * sizeof(double);  // ~2 shards: forced spill
-    auto sharded = shard::run_sharded({portfolio, yet_table, config});
-    std::ostringstream streamed;
-    io::write_ylt_csv(streamed, sharded);
-    const shard::ShardStoreStats stats = sharded.stats();
-
-    const bool identical = streamed.str() == reference.str();
-    const bool spilled = stats.spills > 0;
-    std::printf("%-9s %s  (%llu spills, %llu faults)\n", engine.name.c_str(),
-                identical && spilled ? "PASS" : "FAIL",
-                static_cast<unsigned long long>(stats.spills),
-                static_cast<unsigned long long>(stats.faults));
-    if (!identical) {
-      std::fprintf(stderr, "are_cli list-engines --sinks: engine '%s' sharded CSV differs "
-                           "from the sequential reference\n", engine.name.c_str());
-      all_passed = false;
-    }
-    if (!spilled) {
-      std::fprintf(stderr, "are_cli list-engines --sinks: engine '%s' never spilled — the "
-                           "smoke budget is vacuous\n", engine.name.c_str());
-      all_passed = false;
-    }
-  }
-  return all_passed ? 0 : 1;
-}
-
 int cmd_list_engines(const Args& args) {
   const auto& registry = core::EngineRegistry::global();
-  if (args.has("sinks")) return smoke_sink_engines();
-
   if (args.has("names")) {
     // Machine-readable: one canonical name per line (what CI loops over).
     for (const auto& engine : registry.descriptors()) std::cout << engine.name << "\n";
@@ -664,7 +593,7 @@ int cmd_list_engines(const Args& args) {
 /// Snapshot::diff.
 int cmd_serve(const Args& args) {
   const std::string engine = args.get("engine", "fused");
-  service::require_served_engine(engine);  // fail fast, before any input loads
+  core::EngineRegistry::global().require(engine);  // fail fast, before any input loads
   obs::set_enabled(true);
   auto yet_table = load_yet(args.require("yet"));
   auto portfolio = build_portfolio(args, universe_of(yet_table, args));
