@@ -8,6 +8,7 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -18,10 +19,12 @@
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/telemetry.hpp"
@@ -462,6 +465,61 @@ TEST(ParallelFor, StaticPartitionsAreContiguousBlocks) {
     cursor = hi;
   }
   EXPECT_EQ(cursor, 1000u);
+}
+
+// --- exact static boundaries ------------------------------------------------------
+// Every pool engine's chunks are these partitions, so their boundaries are
+// pinned exactly: a change to either partitioner shows here first.
+
+using Ranges = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+/// The [lo, hi) chunks one launch hands its body, sorted.
+template <typename Launch>
+Ranges chunks_of(const Launch& launch) {
+  std::mutex mutex;
+  Ranges ranges;
+  launch([&](std::uint64_t lo, std::uint64_t hi) {
+    std::lock_guard lock(mutex);
+    ranges.emplace_back(lo, hi);
+  });
+  std::sort(ranges.begin(), ranges.end());
+  return ranges;
+}
+
+Ranges count_blocks(std::size_t workers, std::uint64_t first, std::uint64_t last) {
+  ThreadPool pool(workers);
+  return chunks_of([&](const auto& body) { parallel_for(pool, first, last, body); });
+}
+
+Ranges cost_blocks(std::size_t workers, std::span<const std::uint64_t> prefix,
+                   std::uint64_t first, std::uint64_t last) {
+  ThreadPool pool(workers);
+  return chunks_of([&](const auto& body) {
+    parallel_for_costed(pool, first, last, prefix, /*chunk_cost=*/1, body, Partition::kStatic);
+  });
+}
+
+TEST(StaticPartition, EqualCountBoundariesArePinned) {
+  // ceil(count / workers) indices a block, the last one short.
+  EXPECT_EQ(count_blocks(4, 13, 10'007),
+            (Ranges{{13, 2'512}, {2'512, 5'011}, {5'011, 7'510}, {7'510, 10'007}}));
+  EXPECT_EQ(count_blocks(3, 0, 257), (Ranges{{0, 86}, {86, 172}, {172, 257}}));
+  EXPECT_EQ(count_blocks(16, 0, 5), (Ranges{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}));
+}
+
+TEST(StaticPartition, EqualCostBoundariesArePinned) {
+  // Skewed costs with zero-cost runs at both ends and inside; index 6 alone
+  // carries 30 of 75. A block ends at the first index whose prefix reaches
+  // its start's prefix plus total / workers + 1, or at the range's end.
+  constexpr std::uint64_t kCosts[] = {0, 0, 9, 1, 0, 0, 30, 2, 2, 0, 0, 0,
+                                      5, 5, 5, 0, 1, 1, 1, 1, 0, 12, 0, 0};
+  std::vector<std::uint64_t> prefix{0};
+  for (const std::uint64_t cost : kCosts) prefix.push_back(prefix.back() + cost);
+  EXPECT_EQ(cost_blocks(4, prefix, 0, 24), (Ranges{{0, 7}, {7, 15}, {15, 24}}));
+  EXPECT_EQ(cost_blocks(3, prefix, 0, 24), (Ranges{{0, 7}, {7, 22}, {22, 24}}));
+  EXPECT_EQ(cost_blocks(4, prefix, 3, 22), (Ranges{{3, 7}, {7, 15}, {15, 22}}));
+  EXPECT_EQ(cost_blocks(16, prefix, 0, 24),
+            (Ranges{{0, 3}, {3, 7}, {7, 13}, {13, 14}, {14, 15}, {15, 22}, {22, 24}}));
 }
 
 // --- fork_join ------------------------------------------------------------------
