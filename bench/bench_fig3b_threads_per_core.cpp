@@ -22,8 +22,6 @@ void fig3b_measured(benchmark::State& state) {
   core::AnalysisConfig config;
   config.engine = core::EngineKind::kParallel;
   config.num_threads = threads;
-  config.partition = parallel::Partition::kDynamic;
-  config.partition_chunk = 64;
   for (auto _ : state) {
     auto ylt = bench::run(portfolio, yet_table, config);
     benchmark::DoNotOptimize(ylt);

@@ -1,12 +1,13 @@
-// Fused trial-tiled engine: tile size x scheduling policy, both cache
-// regimes, plus the cross-engine comparison the acceptance target is
-// stated against (fused >= 1.5x over the parallel engine on the
-// cache-resident fig6a workload at max threads).
+// Fused trial-tiled engine: tile size in both cache regimes, plus the
+// cross-engine comparison the acceptance target is stated against (fused
+// >= 1.5x over the parallel engine on the cache-resident fig6a workload at
+// max threads).
 //
 // Two workload shapes per regime:
 //   * fig6a        — 1 layer x 15 ELTs, the paper's headline shape: the
 //                    gains here come from batch lookups + vectorized terms
-//                    + cost-aware dynamic scheduling.
+//                    + blocks balanced by event count (fused's static
+//                    equal-cost partition).
 //   * multilayer   — 4 layers x 8 ELTs: adds the loop-nest fusion gain
 //                    (the YET streams once per analysis, not once per
 //                    layer).
@@ -72,15 +73,6 @@ double measure_point(Workload& workload, const std::string& engine_label,
   return seconds;
 }
 
-const char* partition_name(parallel::Partition partition) {
-  switch (partition) {
-    case parallel::Partition::kStatic: return "static";
-    case parallel::Partition::kDynamic: return "dynamic";
-    case parallel::Partition::kGuided: return "guided";
-  }
-  return "unknown";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -121,22 +113,16 @@ int main(int argc, char** argv) {
     if (workload.name == "fig6a_cache") cache_fig6a_parallel = parallel_seconds;
     measure_point(workload, "simd", {.engine = core::EngineKind::kParallel}, report);
 
-    // The tentpole sweep: tile size x scheduling policy at max threads.
+    // The tile sweep at max threads.
     for (const std::size_t tile : kTiles) {
-      for (const auto partition :
-           {parallel::Partition::kStatic, parallel::Partition::kDynamic,
-            parallel::Partition::kGuided}) {
-        core::AnalysisConfig config;
-        config.engine = core::EngineKind::kFused;
-        config.partition = partition;
-        config.tile_trials = tile;
-        const std::string label =
-            "fused_t" + std::to_string(tile) + "_" + partition_name(partition);
-        const double seconds = measure_point(workload, label, config, report);
-        if (workload.name == "fig6a_cache" &&
-            (cache_fig6a_fused_best == 0.0 || seconds < cache_fig6a_fused_best)) {
-          cache_fig6a_fused_best = seconds;
-        }
+      core::AnalysisConfig config;
+      config.engine = core::EngineKind::kFused;
+      config.tile_trials = tile;
+      const double seconds =
+          measure_point(workload, "fused_t" + std::to_string(tile), config, report);
+      if (workload.name == "fig6a_cache" &&
+          (cache_fig6a_fused_best == 0.0 || seconds < cache_fig6a_fused_best)) {
+        cache_fig6a_fused_best = seconds;
       }
     }
   }

@@ -8,20 +8,8 @@
 
 namespace are::core {
 
-std::string_view to_string(EngineKind kind) noexcept {
-  switch (kind) {
-    case EngineKind::kSequential: return "seq";
-    case EngineKind::kParallel: return "parallel";
-    case EngineKind::kFused: return "fused";
-  }
-  return "unknown";
-}
-
 void AnalysisConfig::validate() const {
   if (window) window->validate();
-  if (partition_chunk == 0) {
-    throw std::invalid_argument("AnalysisConfig: partition_chunk must be > 0");
-  }
   if (sharding.shard_trials == 0) {
     throw std::invalid_argument("AnalysisConfig: sharding.shard_trials must be > 0");
   }
@@ -82,16 +70,9 @@ ResolvedExecution resolve_execution(const AnalysisRequest& request, EngineKind k
   }
 
   // The schedule is the engine.
+  resolved.launch.engine = kind;
   resolved.launch.num_threads = config.num_threads;
   resolved.launch.pool = config.pool;  // non-null only past the pool check
-  resolved.launch.partition = config.partition;
-  resolved.launch.chunk = config.partition_chunk;
-  using Schedule = KernelLaunch::Schedule;
-  switch (kind) {
-    case EngineKind::kSequential: resolved.launch.schedule = Schedule::kSerial; break;
-    case EngineKind::kParallel: resolved.launch.schedule = Schedule::kPool; break;
-    case EngineKind::kFused: resolved.launch.schedule = Schedule::kCosted; break;
-  }
   return resolved;
 }
 

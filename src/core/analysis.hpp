@@ -15,7 +15,6 @@
 #include <cstddef>
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "core/cancel.hpp"
 #include "core/coverage_window.hpp"
@@ -25,19 +24,6 @@
 namespace are::core {
 
 class GroundUpLossCache;  // core/trial_kernel.hpp
-
-/// The kernel's three schedules. Their canonical string names (used by the
-/// CLI, the service protocol and config files) live in the EngineRegistry
-/// descriptors.
-enum class EngineKind {
-  kSequential = 0,  ///< serial: one thread, the bit-identity anchor
-  kParallel,        ///< pool: parallel_for over trial ranges (paper's multi-core)
-  kFused,           ///< costed: parallel_for_costed over the YET offsets
-};
-
-/// Canonical name of the engine kind ("seq", "parallel", ...). Matches the
-/// registry descriptor's name.
-std::string_view to_string(EngineKind kind) noexcept;
 
 /// Per-run facts written back through AnalysisConfig::instrumentation:
 /// which engine actually executed, which SIMD lane type ran and why. Phase
@@ -99,11 +85,6 @@ struct AnalysisConfig {
   /// 1 = single-threaded. kSequential always runs on one.
   std::size_t num_threads = 0;
 
-  /// kParallel and kFused: trial-range partitioning strategy and, for
-  /// kParallel's dynamic/guided, the number of trials per work item.
-  parallel::Partition partition = parallel::Partition::kStatic;
-  std::size_t partition_chunk = 256;
-
   /// Events the combine/occurrence phases stage at a time (the paper's
   /// GPU chunk-size knob, Fig 5a); 0 = the whole kernel block at once.
   std::size_t chunk_size = 0;
@@ -159,8 +140,8 @@ struct AnalysisConfig {
   const CancelToken* cancel = nullptr;
 
   /// Engine-independent sanity checks; throws std::invalid_argument on a
-  /// malformed window, partition_chunk == 0, sharding.shard_trials == 0, or
-  /// both ground-up pointers set (chunk_size == 0 and tile_trials == 0 are
+  /// malformed window, sharding.shard_trials == 0, or both ground-up
+  /// pointers set (chunk_size == 0 and tile_trials == 0 are
   /// valid: the whole block, and the block-size heuristic). The pool check
   /// and extension availability happen in run(), which knows the engine.
   void validate() const;

@@ -2,6 +2,15 @@
 
 namespace are::core {
 
+std::string_view to_string(EngineKind kind) noexcept {
+  switch (kind) {
+    case EngineKind::kSequential: return "seq";
+    case EngineKind::kParallel: return "parallel";
+    case EngineKind::kFused: return "fused";
+  }
+  return "unknown";
+}
+
 AccessCounts predict_access_counts(const Portfolio& portfolio,
                                    const yet::YearEventTable& yet_table) noexcept {
   AccessCounts counts;

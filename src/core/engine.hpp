@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 #include "core/layer.hpp"
 #include "core/year_loss_table.hpp"
@@ -10,7 +11,8 @@
 #include "yet/year_event_table.hpp"
 
 // The engine vocabulary shared by the front door (core/analysis.hpp), the
-// trial-block kernel, and the cost models: the paper's memory-access counts.
+// trial-block kernel, and the cost models: the engine kinds, which are the
+// kernel's schedules, and the paper's memory-access counts.
 // Every engine runs the paper's "Basic Algorithm for Aggregate Risk
 // Analysis" — (1) look up each event's loss in each covered ELT, (2) apply
 // the ELT financial terms and combine across ELTs, (3) apply occurrence
@@ -19,6 +21,19 @@
 // core::run / core::run_to_sink.
 
 namespace are::core {
+
+/// The kernel's three schedules. Their canonical string names (used by the
+/// CLI, the service protocol and config files) live in the EngineRegistry
+/// descriptors.
+enum class EngineKind {
+  kSequential = 0,  ///< serial: one thread, the bit-identity anchor
+  kParallel,        ///< pool: parallel_for's equal-count trial blocks (paper's multi-core)
+  kFused,           ///< costed: parallel_for_costed's equal-event blocks over the YET offsets
+};
+
+/// Canonical name of the engine kind ("seq", "parallel", ...). Matches the
+/// registry descriptor's name.
+std::string_view to_string(EngineKind kind) noexcept;
 
 /// Memory-access counts per run — the inputs to the perfmodel and simgpu
 /// cost models. "Random" accesses are dependent loads with no locality

@@ -33,8 +33,7 @@ EngineRegistry::EngineRegistry() {
                             "extension runs as requested"},
       {.kind = EngineKind::kParallel,
        .name = "parallel",
-       .summary = "thread-pool trial parallelism, the paper's multi-core schedule "
-                  "(static/dynamic/guided partition)",
+       .summary = "thread-pool trial parallelism, the paper's multi-core schedule",
        .supports_pool_reuse = true,
        .availability_note = simd_dispatch_note()},
       {.kind = EngineKind::kFused,

@@ -115,8 +115,6 @@ void TrialBlockKernel::run_range(std::uint64_t first, std::uint64_t last,
   impl_->run_range(first, last, scratch);
 }
 
-std::size_t TrialBlockKernel::block_trials() const noexcept { return impl_->block_trials; }
-
 // --- The driver entry point ---------------------------------------------------
 
 void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
@@ -146,51 +144,39 @@ void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet
         .increment();
   }
 
-  switch (launch.schedule) {
-    case KernelLaunch::Schedule::kSerial: {
-      TrialKernelScratch scratch;
-      kernel.run_range(0, num_trials, scratch);
-      break;
-    }
-    case KernelLaunch::Schedule::kPool:
-    case KernelLaunch::Schedule::kCosted: {
-      std::optional<parallel::ThreadPool> owned;
-      parallel::ThreadPool& pool =
-          launch.pool != nullptr ? *launch.pool : owned.emplace(launch.num_threads);
-      parallel::TaskScratch<TrialKernelScratch> scratches(pool);
-      // Pool tasks must not throw (an escaping exception terminates, by
-      // pool design): the body catches everything, keeps the FIRST failure,
-      // cancels the shared token so sibling tasks wind down at their next
-      // block, and the driver rethrows once the launch has drained.
-      std::mutex failure_mutex;
-      std::exception_ptr failure;
-      const auto body = [&](std::uint64_t first, std::uint64_t last) {
-        try {
-          kernel.run_range(first, last, scratches.local());
-        } catch (...) {
-          {
-            std::lock_guard<std::mutex> guard(failure_mutex);
-            if (!failure) failure = std::current_exception();
-          }
-          abort.cancel();
-        }
-      };
-      if (launch.schedule == KernelLaunch::Schedule::kPool) {
-        parallel::parallel_for(pool, 0, num_trials, body, {launch.partition, launch.chunk});
-      } else {
-        // Chunks carry ~one block's worth of events (the YET offsets are
-        // the cost prefix), so skewed trial lengths spread across workers.
-        const double mean_events = std::max(1.0, yet_table.mean_events_per_trial());
-        const std::uint64_t chunk_cost = std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(static_cast<double>(kernel.block_trials()) *
-                                          mean_events));
-        parallel::parallel_for_costed(pool, 0, num_trials, yet_table.offsets(), chunk_cost,
-                                      body, launch.partition);
-      }
-      if (failure) std::rethrow_exception(failure);
-      break;
-    }
+  if (launch.engine == EngineKind::kSequential) {
+    TrialKernelScratch scratch;
+    kernel.run_range(0, num_trials, scratch);
+    return;
   }
+  std::optional<parallel::ThreadPool> owned;
+  parallel::ThreadPool& pool =
+      launch.pool != nullptr ? *launch.pool : owned.emplace(launch.num_threads);
+  parallel::TaskScratch<TrialKernelScratch> scratches(pool);
+  // Pool tasks must not throw (an escaping exception terminates, by pool
+  // design): the body catches everything, keeps the FIRST failure, cancels
+  // the shared token so sibling tasks wind down at their next block, and
+  // the driver rethrows once the launch has drained.
+  std::mutex failure_mutex;
+  std::exception_ptr failure;
+  const auto body = [&](std::uint64_t first, std::uint64_t last) {
+    try {
+      kernel.run_range(first, last, scratches.local());
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> guard(failure_mutex);
+        if (!failure) failure = std::current_exception();
+      }
+      abort.cancel();
+    }
+  };
+  if (launch.engine == EngineKind::kParallel) {
+    parallel::parallel_for(pool, 0, num_trials, body);
+  } else {
+    // The YET offsets are the cost prefix: blocks carry equal event counts.
+    parallel::parallel_for_costed(pool, 0, num_trials, yet_table.offsets(), body);
+  }
+  if (failure) std::rethrow_exception(failure);
 }
 
 std::size_t default_tile_trials(const Portfolio& portfolio,

@@ -174,14 +174,11 @@ class TrialBlockKernel {
   TrialBlockKernel& operator=(const TrialBlockKernel&) = delete;
 
   /// Computes trials [first, last) for every layer: walks the range in
-  /// blocks of at most block_trials() (clamped to sink boundaries), software-
-  /// prefetching the head of the next block's event ids while the current
-  /// block computes.
+  /// blocks of at most the resolved block size (config.block_trials, or the
+  /// footprint heuristic when that was 0; clamped to sink boundaries),
+  /// software-prefetching the head of the next block's event ids while the
+  /// current block computes.
   void run_range(std::uint64_t first, std::uint64_t last, TrialKernelScratch& scratch) const;
-
-  /// The resolved block size (config.block_trials, or the footprint
-  /// heuristic when that was 0).
-  std::size_t block_trials() const noexcept;
 
   /// The extension this kernel actually executes: config.extension, or —
   /// for kAuto — the runtime dispatch decision (cpuid ∩ compiled-in, env
@@ -198,25 +195,18 @@ class TrialBlockKernel {
 };
 
 /// How a driver schedules kernel blocks onto threads — together with
-/// TrialKernelConfig this is the *entire* definition of an engine.
+/// TrialKernelConfig this is the *entire* definition of an engine. The
+/// engine's kind is its schedule: kSequential runs every trial on the
+/// calling thread with one scratch; kParallel runs parallel_for's
+/// equal-count trial blocks on a pool; kFused runs parallel_for_costed's
+/// blocks over the YET offsets, equal in *events*, so skewed trial lengths
+/// balance across workers.
 struct KernelLaunch {
-  enum class Schedule {
-    kSerial,  ///< one thread, one scratch (seq)
-    kPool,    ///< parallel_for over trials on a thread pool (parallel)
-    kCosted,  ///< parallel_for_costed over the YET offsets (fused): chunks
-              ///< carry ~one block's worth of *events*, so skewed trial
-              ///< lengths balance across workers
-  };
-
-  Schedule schedule = Schedule::kSerial;
+  EngineKind engine = EngineKind::kSequential;
   /// Worker threads when the driver owns them; 0 = hardware concurrency.
   std::size_t num_threads = 0;
-  /// Borrowed pool (kPool/kCosted); nullptr = own a pool of num_threads.
+  /// Borrowed pool (kParallel/kFused); nullptr = own a pool of num_threads.
   parallel::ThreadPool* pool = nullptr;
-  /// Trial-range partitioning (kPool: index chunks of `chunk` trials;
-  /// kCosted: equal-cost chunks).
-  parallel::Partition partition = parallel::Partition::kStatic;
-  std::size_t chunk = 256;
 };
 
 /// The one entry point that runs the kernel: builds it and schedules it per

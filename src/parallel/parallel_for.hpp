@@ -13,19 +13,6 @@
 
 namespace are::parallel {
 
-/// How an index range is split across workers.
-enum class Partition {
-  kStatic,   // contiguous equal blocks, one per worker — best locality
-  kDynamic,  // fixed-size chunks claimed from an atomic cursor — best balance
-  kGuided,   // exponentially shrinking chunks — balance with less contention
-};
-
-struct ForOptions {
-  Partition partition = Partition::kStatic;
-  /// Chunk granularity for dynamic/guided scheduling, in loop iterations.
-  std::size_t chunk = 1024;
-};
-
 namespace detail {
 
 /// One claimant's turn at a launch, to the pool's telemetry: a pool.tasks
@@ -119,15 +106,15 @@ void launch(ThreadPool& pool, std::uint64_t first, std::uint64_t last, Next next
 }  // namespace detail
 
 /// Runs body(begin, end) over disjoint subranges of [first, last), blocking
-/// until every subrange has run. The calling thread runs subranges too, so
-/// a launch progresses even while the pool's workers serve other callers.
-/// `body` receives half-open index ranges, must be safe to run concurrently
-/// on disjoint ranges, and must not throw. Runs inline when the range has
-/// one index or the pool has one thread (keeps single-core containers and
-/// tests deterministic and cheap).
+/// until every subrange has run: one contiguous block of ceil(count /
+/// workers) indices per worker, the last one short. The calling thread runs
+/// blocks too, so a launch progresses even while the pool's workers serve
+/// other callers. `body` receives half-open index ranges, must be safe to
+/// run concurrently on disjoint ranges, and must not throw. Runs inline
+/// when the range has one index or the pool has one thread (keeps
+/// single-core containers and tests deterministic and cheap).
 template <typename Body>
-void parallel_for(ThreadPool& pool, std::uint64_t first, std::uint64_t last, const Body& body,
-                  ForOptions options = {}) {
+void parallel_for(ThreadPool& pool, std::uint64_t first, std::uint64_t last, const Body& body) {
   if (first >= last) return;
   const std::uint64_t count = last - first;
   const std::uint64_t workers = pool.size();
@@ -135,15 +122,8 @@ void parallel_for(ThreadPool& pool, std::uint64_t first, std::uint64_t last, con
     body(first, last);
     return;
   }
-  // Static: one contiguous block per worker. Dynamic: `chunk`-sized pieces.
-  // Guided: a shrinking share of what remains, floored at `chunk`.
-  const bool guided = options.partition == Partition::kGuided;
-  const std::uint64_t chunk = std::max<std::uint64_t>(1, options.chunk);
-  const std::uint64_t step =
-      options.partition == Partition::kStatic ? (count + workers - 1) / workers : chunk;
-  const auto next = [guided, chunk, step, last, workers](std::uint64_t lo) {
-    return std::min(lo + (guided ? std::max(chunk, (last - lo) / (2 * workers)) : step), last);
-  };
+  const std::uint64_t step = (count + workers - 1) / workers;
+  const auto next = [step, last](std::uint64_t lo) { return std::min(lo + step, last); };
   detail::launch(pool, first, last, next, body);
 }
 
@@ -183,40 +163,27 @@ inline void run_costed_chunk(const Body& body, std::uint64_t lo, std::uint64_t h
 
 /// Cost-aware parallel_for for ranges whose per-index work is skewed (the
 /// aggregate engines' trials: a Poisson/neg-binomial YET makes some trials
-/// many times longer than others, so equal-*count* chunks serialize on the
+/// many times longer than others, so equal-*count* blocks serialize on the
 /// worker that drew the long trials). `cost_prefix` is a monotone prefix
 /// sum over the index domain — cost of [a, b) is prefix[b] - prefix[a] and
 /// prefix must be valid on [first, last]; the YET's offsets() span is
-/// exactly this shape for trial indices. Chunk boundaries are chosen so
-/// every chunk carries ~`chunk_cost` cost:
-///   kStatic  — equal-cost contiguous blocks, at most one per worker
-///              (chunk_cost is ignored; best locality, balanced by cost)
-///   kDynamic — ~chunk_cost-sized chunks claimed from an atomic cursor
-///   kGuided  — cost-proportional shrinking chunks, floored at chunk_cost
-/// Same body contract, caller participation and inline small-range
-/// behaviour as parallel_for.
+/// exactly this shape for trial indices. The range splits into contiguous
+/// equal-cost blocks, at most one per worker: a block ends at the first
+/// index whose prefix reaches the block's start plus total / workers + 1,
+/// or at `last`. Same body contract, caller participation and inline
+/// small-range behaviour as parallel_for.
 template <typename Body>
 void parallel_for_costed(ThreadPool& pool, std::uint64_t first, std::uint64_t last,
-                         std::span<const std::uint64_t> cost_prefix, std::uint64_t chunk_cost,
-                         const Body& body, Partition partition = Partition::kDynamic) {
+                         std::span<const std::uint64_t> cost_prefix, const Body& body) {
   if (first >= last) return;
   const std::uint64_t workers = pool.size();
   if (workers <= 1 || last - first == 1) {
     detail::run_costed_chunk(body, first, last);
     return;
   }
-  // Static: equal-cost blocks, at most `workers` of them. Dynamic: chunks
-  // of at least min_cost each. Guided: a shrinking share of the remaining
-  // cost, floored at min_cost.
-  const bool guided = partition == Partition::kGuided;
-  const std::uint64_t min_cost = std::max<std::uint64_t>(1, chunk_cost);
-  const std::uint64_t budget = partition == Partition::kStatic
-                                   ? (cost_prefix[last] - cost_prefix[first]) / workers + 1
-                                   : min_cost;
-  const auto next = [cost_prefix, guided, min_cost, budget, last, workers](std::uint64_t lo) {
-    const std::uint64_t remaining = cost_prefix[last] - cost_prefix[lo];
-    return detail::advance_by_cost(
-        cost_prefix, lo, last, guided ? std::max(min_cost, remaining / (2 * workers)) : budget);
+  const std::uint64_t budget = (cost_prefix[last] - cost_prefix[first]) / workers + 1;
+  const auto next = [cost_prefix, budget, last](std::uint64_t lo) {
+    return detail::advance_by_cost(cost_prefix, lo, last, budget);
   };
   detail::launch(pool, first, last, next, [&body](std::uint64_t lo, std::uint64_t hi) {
     detail::run_costed_chunk(body, lo, hi);

@@ -18,6 +18,11 @@ struct PricingAssumptions {
   double tvar_level = 0.99;
   /// Expense ratio: premium is grossed up by 1 / (1 - expense_ratio).
   double expense_ratio = 0.15;
+
+  /// Throws std::invalid_argument naming the first bad field: both loadings
+  /// finite and >= 0, tvar_level in (0,1), expense_ratio in [0,1). NaN
+  /// fails every check.
+  void validate() const;
 };
 
 /// A priced quote for one layer, derived from its YLT column.
@@ -31,7 +36,8 @@ struct Quote {
   double rate_on_line = 0.0;
 };
 
-/// Prices a layer from its simulated annual ceded losses.
+/// Prices a layer from its simulated annual ceded losses; validates the
+/// assumptions first.
 Quote price_layer(std::span<const double> trial_losses, const financial::LayerTerms& terms,
                   const PricingAssumptions& assumptions = {});
 

@@ -75,6 +75,7 @@ AnalysisService::AnalysisService(yet::YearEventTable yet_table, ServiceConfig co
       broker_(config_.broker),
       cache_(config_.cache_entries) {
   core::EngineRegistry::global().require(config_.default_engine);
+  config_.assumptions.validate();
   if (!config_.access_log_path.empty()) {
     access_log_ = std::make_unique<AccessLog>(config_.access_log_path);
   }

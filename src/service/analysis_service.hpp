@@ -55,6 +55,8 @@ struct ServiceConfig {
   SessionConfig session;
   BrokerConfig broker;
   std::size_t cache_entries = 64;
+  /// Loadings every quote is priced with; the constructor throws
+  /// std::invalid_argument when validate() fails.
   pricing::PricingAssumptions assumptions;
   /// Registry name used when a request does not name an engine; the
   /// constructor throws std::invalid_argument for an unknown one.

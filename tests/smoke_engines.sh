@@ -3,10 +3,11 @@
 # `list-engines --names` prints (the kernel's three schedules) writes the
 # YLT CSV seq writes, byte for byte: plain, under a mid-year window (which
 # must change the YLT), and with each of --chunk 4, --phases, --simd-ext
-# scalar and --tile 128 --partition guided; and `price` prints seq's quote
-# line. The former engine names are knobs now, or parallel's schedule
+# scalar and --tile 128; and `price` prints seq's quote line. The former engine names are knobs now, or parallel's schedule
 # (openmp): run, report and price must refuse them naming the three, before
-# any input loads. So must `price --output sharded`.
+# any input loads. So must `price --output sharded`, a negative or NaN
+# pricing loading, and a MiB budget or metrics port that does not fit once
+# scaled or narrowed.
 #
 # usage: smoke_engines.sh ARE_CLI WORK_DIR
 # WORK_DIR is emptied first, so the smoke can be rerun.
@@ -50,6 +51,25 @@ if "$cli" price --yet missing.yet --elt book.elt --output sharded > /dev/null 2>
   exit 1
 fi
 grep -q 'price.*--output' sharded.err
+for loading in "--tvar-loading -5:tvar loading" "--stddev-loading nan:stddev loading"; do
+  if "$cli" price --yet missing.yet --elt book.elt ${loading%%:*} > /dev/null 2> loading.err; then
+    echo "price ${loading%%:*} must fail" >&2
+    exit 1
+  fi
+  grep -q "${loading#*:}" loading.err
+done
+# 2^44 MiB wraps to 0 bytes (no budget); 2^32 truncates to port 0.
+for leg in "run:--memory-budget-mb 17592186044416" "serve:--ground-up-budget-mb 17592186044416" \
+  "serve:--metrics-port 4294967296"; do
+  flag=${leg#*:}
+  if "$cli" "${leg%%:*}" --yet missing.yet --elt book.elt --out never.csv --socket never.sock \
+    $flag > /dev/null 2> flag.err; then
+    echo "${leg%%:*} $flag must fail" >&2
+    exit 1
+  fi
+  grep -q -- "${flag%% *}" flag.err
+done
+test ! -e never.sock
 
 # `price` on every engine prints seq's quote line, byte for byte.
 for engine in $("$cli" list-engines --names); do
@@ -70,7 +90,7 @@ for engine in $("$cli" list-engines --names); do
 done
 
 for engine in $("$cli" list-engines --names); do
-  for knob in "--chunk 4" "--phases" "--simd-ext scalar" "--tile 128 --partition guided"; do
+  for knob in "--chunk 4" "--phases" "--simd-ext scalar" "--tile 128"; do
     # $knob unquoted: a flag and its value are two words.
     run --engine "$engine" --threads 2 $knob --out knob.csv
     cmp knob.csv seq.csv

@@ -1,8 +1,7 @@
 // Tests for the core aggregate risk engine: correctness against
 // hand-computed cases, bit-identical equivalence of every engine across
 // lookup representations (telemetry on and off), parameterized sweeps over
-// event-chunk sizes, thread counts and partitions, and access-count
-// prediction.
+// event-chunk sizes and thread counts, and access-count prediction.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -242,18 +241,14 @@ INSTANTIATE_TEST_SUITE_P(Sizes, ChunkSweep,
 
 class ThreadSweep : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(ThreadSweep, ParallelMatchesSequentialAtEveryThreadCount) {
+TEST_P(ThreadSweep, PoolEnginesMatchSequentialAtEveryThreadCount) {
   const Portfolio portfolio = synthetic_portfolio(1, 3);
   const auto yet_table = synthetic_yet(257, 40.0);  // prime: uneven partitions
   const auto sequential = run_seq(portfolio, yet_table);
 
-  for (const auto partition : {parallel::Partition::kStatic, parallel::Partition::kDynamic,
-                               parallel::Partition::kGuided}) {
+  for (const auto engine : {core::EngineKind::kParallel, core::EngineKind::kFused}) {
     expect_identical(sequential, core::run({portfolio, yet_table,
-                                            {.engine = core::EngineKind::kParallel,
-                                             .num_threads = GetParam(),
-                                             .partition = partition,
-                                             .partition_chunk = 16}}));
+                                            {.engine = engine, .num_threads = GetParam()}}));
   }
 }
 
@@ -286,8 +281,7 @@ TEST(EngineEquivalenceExtra, MixedLookupKindsAcrossElts) {
                                            .chunk_size = 8}}));
   expect_identical(sequential, core::run({portfolio, yet_table,
                                           {.engine = core::EngineKind::kParallel,
-                                           .num_threads = 3,
-                                           .partition_chunk = 64}}));
+                                           .num_threads = 3}}));
 }
 
 TEST(EngineEquivalenceExtra, LookupKindDoesNotChangeResults) {

@@ -144,7 +144,7 @@ TEST(EngineRegistry, PoolReuseAndAvailabilityNotes) {
 
 // --- AnalysisConfig validation and the pool check ------------------------------
 
-TEST(AnalysisConfig, ValidateRejectsBadWindowAndZeroPartitionChunk) {
+TEST(AnalysisConfig, ValidateRejectsBadWindowAndZeroShardTrials) {
   AnalysisConfig config;
   EXPECT_NO_THROW(config.validate());
 
@@ -154,9 +154,9 @@ TEST(AnalysisConfig, ValidateRejectsBadWindowAndZeroPartitionChunk) {
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config.window.reset();
 
-  config.partition_chunk = 0;
+  config.sharding.shard_trials = 0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
-  config.partition_chunk = 256;
+  config.sharding.shard_trials = 4096;
 
   // 0 is each knob's default: the whole block, and the block heuristic.
   config.chunk_size = 0;

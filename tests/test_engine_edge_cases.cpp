@@ -91,15 +91,11 @@ TEST(EngineEdge, OneGiantTrialAmongTiny) {
   const auto portfolio = one_layer_portfolio({});
 
   const auto sequential = run_seq(portfolio, yet_table);
-  for (const auto partition : {parallel::Partition::kStatic, parallel::Partition::kDynamic,
-                               parallel::Partition::kGuided}) {
-    const auto parallel_ylt = core::run({portfolio, yet_table,
-                                         {.engine = EngineKind::kParallel,
-                                          .num_threads = 4,
-                                          .partition = partition,
-                                          .partition_chunk = 2}});
+  for (const auto engine : {EngineKind::kParallel, EngineKind::kFused}) {
+    const auto pooled_ylt =
+        core::run({portfolio, yet_table, {.engine = engine, .num_threads = 4}});
     for (std::size_t trial = 0; trial < 16; ++trial) {
-      ASSERT_EQ(parallel_ylt.at(0, trial), sequential.at(0, trial));
+      ASSERT_EQ(pooled_ylt.at(0, trial), sequential.at(0, trial));
     }
   }
 }

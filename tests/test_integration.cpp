@@ -93,9 +93,7 @@ TEST_F(FullPipeline, CatModelProducesUsableElts) {
 
 TEST_F(FullPipeline, EndToEndProducesFiniteNonTrivialYlt) {
   const auto ylt = core::run({make_portfolio(), yet_,
-                              {.engine = core::EngineKind::kParallel,
-                               .num_threads = 2,
-                               .partition_chunk = 128}});
+                              {.engine = core::EngineKind::kParallel, .num_threads = 2}});
   ASSERT_EQ(ylt.num_trials(), 2'000u);
   const auto losses = ylt.layer_losses(0);
   double total = 0.0;
@@ -112,9 +110,7 @@ TEST_F(FullPipeline, AllEnginesAgreeOnRealData) {
   const auto portfolio = make_portfolio();
   const auto sequential = run_seq(portfolio, yet_);
   const auto parallel = core::run({portfolio, yet_,
-                                   {.engine = core::EngineKind::kParallel,
-                                    .num_threads = 4,
-                                    .partition_chunk = 64}});
+                                   {.engine = core::EngineKind::kParallel, .num_threads = 4}});
   const auto chunked = core::run({portfolio, yet_,
                                   {.engine = core::EngineKind::kParallel,
                                    .num_threads = 2,

@@ -1,7 +1,7 @@
 // Tests for the thread pool and parallel_for: completeness, disjointness
-// and full coverage of ranges under every partitioning strategy, the
-// cost-aware parallel_for_costed variant, a short launch that does not wait
-// for a long one on the same pool, the pool's task telemetry, worker
+// and full coverage of ranges, the cost-aware parallel_for_costed variant,
+// both partitioners' exact block boundaries, a short launch that does not
+// wait for a long one on the same pool, the pool's task telemetry, worker
 // identity, and the per-thread TaskScratch arena; and for the load phase's
 // fork_join.
 #include <gtest/gtest.h>
@@ -107,99 +107,61 @@ TEST(ThreadPool, DestructorJoinsCleanly) {
   EXPECT_EQ(counter.load(), 10);
 }
 
-class ParallelForPartition : public ::testing::TestWithParam<Partition> {};
-
-TEST_P(ParallelForPartition, CoversRangeExactlyOnce) {
+TEST(ParallelFor, CoversRangeExactlyOnce) {
   ThreadPool pool(4);
   constexpr std::uint64_t kBegin = 13, kEnd = 10'007;
   std::vector<std::atomic<int>> visits(kEnd);
   for (auto& v : visits) v.store(0);
 
-  ForOptions options;
-  options.partition = GetParam();
-  options.chunk = 64;
-  parallel_for(
-      pool, kBegin, kEnd,
-      [&](std::uint64_t lo, std::uint64_t hi) {
-        for (std::uint64_t i = lo; i < hi; ++i) visits[i].fetch_add(1);
-      },
-      options);
+  parallel_for(pool, kBegin, kEnd, [&](std::uint64_t lo, std::uint64_t hi) {
+    for (std::uint64_t i = lo; i < hi; ++i) visits[i].fetch_add(1);
+  });
 
   for (std::uint64_t i = 0; i < kBegin; ++i) EXPECT_EQ(visits[i].load(), 0) << i;
   for (std::uint64_t i = kBegin; i < kEnd; ++i) ASSERT_EQ(visits[i].load(), 1) << i;
 }
 
-TEST_P(ParallelForPartition, SumReductionMatchesSerial) {
+TEST(ParallelFor, SumReductionMatchesSerial) {
   ThreadPool pool(8);
   constexpr std::uint64_t kN = 100'000;
   std::atomic<std::uint64_t> total{0};
-  ForOptions options;
-  options.partition = GetParam();
-  parallel_for(
-      pool, 0, kN,
-      [&](std::uint64_t lo, std::uint64_t hi) {
-        std::uint64_t local = 0;
-        for (std::uint64_t i = lo; i < hi; ++i) local += i;
-        total.fetch_add(local);
-      },
-      options);
+  parallel_for(pool, 0, kN, [&](std::uint64_t lo, std::uint64_t hi) {
+    std::uint64_t local = 0;
+    for (std::uint64_t i = lo; i < hi; ++i) local += i;
+    total.fetch_add(local);
+  });
   EXPECT_EQ(total.load(), kN * (kN - 1) / 2);
 }
 
-TEST_P(ParallelForPartition, EmptyRangeIsNoop) {
+TEST(ParallelFor, EmptyRangeIsNoop) {
   ThreadPool pool(4);
   bool called = false;
-  ForOptions options;
-  options.partition = GetParam();
-  parallel_for(pool, 5, 5, [&](std::uint64_t, std::uint64_t) { called = true; }, options);
-  parallel_for(pool, 7, 3, [&](std::uint64_t, std::uint64_t) { called = true; }, options);
+  parallel_for(pool, 5, 5, [&](std::uint64_t, std::uint64_t) { called = true; });
+  parallel_for(pool, 7, 3, [&](std::uint64_t, std::uint64_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
-TEST_P(ParallelForPartition, SingleElementRange) {
+TEST(ParallelFor, SingleElementRange) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
-  ForOptions options;
-  options.partition = GetParam();
-  parallel_for(
-      pool, 9, 10,
-      [&](std::uint64_t lo, std::uint64_t hi) {
-        EXPECT_EQ(lo, 9u);
-        EXPECT_EQ(hi, 10u);
-        count.fetch_add(1);
-      },
-      options);
+  parallel_for(pool, 9, 10, [&](std::uint64_t lo, std::uint64_t hi) {
+    EXPECT_EQ(lo, 9u);
+    EXPECT_EQ(hi, 10u);
+    count.fetch_add(1);
+  });
   EXPECT_EQ(count.load(), 1);
 }
 
-TEST_P(ParallelForPartition, MoreWorkersThanItems) {
+TEST(ParallelFor, MoreWorkersThanItems) {
   ThreadPool pool(16);
   constexpr std::uint64_t kN = 5;
   std::vector<std::atomic<int>> visits(kN);
   for (auto& v : visits) v.store(0);
-  ForOptions options;
-  options.partition = GetParam();
-  options.chunk = 1;
-  parallel_for(
-      pool, 0, kN,
-      [&](std::uint64_t lo, std::uint64_t hi) {
-        for (std::uint64_t i = lo; i < hi; ++i) visits[i].fetch_add(1);
-      },
-      options);
+  parallel_for(pool, 0, kN, [&](std::uint64_t lo, std::uint64_t hi) {
+    for (std::uint64_t i = lo; i < hi; ++i) visits[i].fetch_add(1);
+  });
   for (auto& v : visits) EXPECT_EQ(v.load(), 1);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllPartitions, ParallelForPartition,
-                         ::testing::Values(Partition::kStatic, Partition::kDynamic,
-                                           Partition::kGuided),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case Partition::kStatic: return "static";
-                             case Partition::kDynamic: return "dynamic";
-                             case Partition::kGuided: return "guided";
-                           }
-                           return "unknown";
-                         });
 
 TEST(ParallelFor, SingleThreadPoolRunsInline) {
   ThreadPool pool(1);
@@ -210,9 +172,7 @@ TEST(ParallelFor, SingleThreadPoolRunsInline) {
   for (int v : visits) EXPECT_EQ(v, 1);
 }
 
-class ParallelForCosted : public ::testing::TestWithParam<Partition> {};
-
-TEST_P(ParallelForCosted, CoversSkewedRangeExactlyOnce) {
+TEST(ParallelForCosted, CoversSkewedRangeExactlyOnce) {
   ThreadPool pool(4);
   // Heavily skewed costs including zero-cost indices (empty trials): the
   // prefix is what the fused engine passes (YET offsets).
@@ -225,55 +185,36 @@ TEST_P(ParallelForCosted, CoversSkewedRangeExactlyOnce) {
   std::vector<std::atomic<int>> visits(kN);
   for (auto& v : visits) v.store(0);
 
-  parallel_for_costed(
-      pool, 0, kN, prefix, /*chunk_cost=*/1'000,
-      [&](std::uint64_t lo, std::uint64_t hi) {
-        ASSERT_LT(lo, hi);
-        ASSERT_LE(hi, kN);
-        for (std::uint64_t i = lo; i < hi; ++i) visits[i].fetch_add(1);
-      },
-      GetParam());
+  parallel_for_costed(pool, 0, kN, prefix, [&](std::uint64_t lo, std::uint64_t hi) {
+    ASSERT_LT(lo, hi);
+    ASSERT_LE(hi, kN);
+    for (std::uint64_t i = lo; i < hi; ++i) visits[i].fetch_add(1);
+  });
 
   for (std::uint64_t i = 0; i < kN; ++i) ASSERT_EQ(visits[i].load(), 1) << i;
 }
 
-TEST_P(ParallelForCosted, StaticBlocksAreCostBalanced) {
-  if (GetParam() != Partition::kStatic) GTEST_SKIP();
+TEST(ParallelForCosted, BlocksAreCostBalanced) {
   ThreadPool pool(4);
   // All the cost concentrated in the first quarter of the range: an
-  // equal-count static split would give worker 0 everything.
+  // equal-count split would give worker 0 everything.
   constexpr std::uint64_t kN = 1'000;
   std::vector<std::uint64_t> prefix(kN + 1, 0);
   for (std::uint64_t i = 0; i < kN; ++i) prefix[i + 1] = prefix[i] + (i < 250 ? 100 : 1);
   std::mutex mutex;
   std::vector<std::uint64_t> chunk_costs;
-  parallel_for_costed(
-      pool, 0, kN, prefix, /*chunk_cost=*/1,
-      [&](std::uint64_t lo, std::uint64_t hi) {
-        std::lock_guard lock(mutex);
-        chunk_costs.push_back(prefix[hi] - prefix[lo]);
-      },
-      Partition::kStatic);
+  parallel_for_costed(pool, 0, kN, prefix, [&](std::uint64_t lo, std::uint64_t hi) {
+    std::lock_guard lock(mutex);
+    chunk_costs.push_back(prefix[hi] - prefix[lo]);
+  });
   ASSERT_GE(chunk_costs.size(), 2u);
   ASSERT_LE(chunk_costs.size(), 4u);
   const std::uint64_t total = prefix[kN];
   for (const std::uint64_t cost : chunk_costs) {
     // No block may carry the whole cost; every block stays near total/4.
-    EXPECT_LE(cost, total / 2) << "static cost partition degenerated";
+    EXPECT_LE(cost, total / 2) << "cost partition degenerated";
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(AllPartitions, ParallelForCosted,
-                         ::testing::Values(Partition::kStatic, Partition::kDynamic,
-                                           Partition::kGuided),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case Partition::kStatic: return "static";
-                             case Partition::kDynamic: return "dynamic";
-                             case Partition::kGuided: return "guided";
-                           }
-                           return "unknown";
-                         });
 
 TEST(WorkerSlot, ZeroOffPoolAndStableWithinWorkers) {
   std::mutex mutex;
@@ -355,33 +296,30 @@ TEST(TaskScratch, ForeignPoolWorkerFoldsToInlineSlot) {
   }
   EXPECT_EQ(runs.load(), 16);
 
-  // Workers 1..4 of one pool launching on a second 4-worker pool run chunks
-  // beside that pool's workers 1..4: as callers they must take slot 0, not
+  // Workers 1..4 of one pool launching on a second, 8-worker pool run chunks
+  // beside that pool's workers 1..8: as callers they must take slot 0, not
   // their own numbers, or two threads share a slot. Each scratch object
-  // counts the chunk bodies inside it at once.
+  // counts the threads inside it at once, index by index, so every launch's
+  // eight chunks overlap for their whole length.
   struct Holders {
     int count = 0;
   };
   std::atomic<int> shared_slots{0};
   std::atomic<int> launches{0};
   {
-    ThreadPool inner(4);
+    ThreadPool inner(8);
     ThreadPool callers(4);
     for (int i = 0; i < 64; ++i) {
       callers.submit([&] {
         TaskScratch<Holders> scratch(inner);
-        ForOptions options;
-        options.partition = Partition::kDynamic;
-        options.chunk = 1;
-        parallel_for(
-            inner, 0, 64,
-            [&](std::uint64_t, std::uint64_t) {
-              std::atomic_ref<int> holders(scratch.local().count);
-              if (holders.fetch_add(1) != 0) shared_slots.fetch_add(1);
-              std::this_thread::sleep_for(std::chrono::microseconds(50));
-              holders.fetch_sub(1);
-            },
-            options);
+        parallel_for(inner, 0, 64, [&](std::uint64_t lo, std::uint64_t hi) {
+          for (std::uint64_t index = lo; index < hi; ++index) {
+            std::atomic_ref<int> holders(scratch.local().count);
+            if (holders.fetch_add(1) != 0) shared_slots.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+            holders.fetch_sub(1);
+          }
+        });
         launches.fetch_add(1);
       });
     }
@@ -495,7 +433,7 @@ Ranges cost_blocks(std::size_t workers, std::span<const std::uint64_t> prefix,
                    std::uint64_t first, std::uint64_t last) {
   ThreadPool pool(workers);
   return chunks_of([&](const auto& body) {
-    parallel_for_costed(pool, first, last, prefix, /*chunk_cost=*/1, body, Partition::kStatic);
+    parallel_for_costed(pool, first, last, prefix, body);
   });
 }
 

@@ -1,5 +1,6 @@
 // Tests for the pricing module: quote composition, loadings and
-// rate-on-line arithmetic, and the TVaR by selection against the full sort.
+// rate-on-line arithmetic, the assumptions' validation, and the TVaR by
+// selection against the full sort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -252,13 +253,58 @@ TEST(Pricing, SelectionMatchesFullSortOnGeneratedBook) {
   EXPECT_EQ(compared, 24u * 5u);
 }
 
-TEST(Pricing, OutOfRangeTvarLevelsThrow) {
-  for (const double level : {0.0, 1.0, -0.5, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+// Each bad assumption fails validate() and price_layer alike, NaN included.
+void expect_rejected(const PricingAssumptions& assumptions, const std::string& field) {
+  try {
+    assumptions.validate();
+    ADD_FAILURE() << field << " was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(field), std::string::npos) << error.what();
+  }
+  EXPECT_THROW(price_layer(synthetic_losses(), LayerTerms{}, assumptions), std::invalid_argument);
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(Pricing, DefaultAndBoundaryAssumptionsAreValid) {
+  EXPECT_NO_THROW(PricingAssumptions{}.validate());
+  PricingAssumptions flat;
+  flat.stddev_loading = 0.0;
+  flat.tvar_loading = 0.0;
+  flat.expense_ratio = 0.0;
+  EXPECT_NO_THROW(flat.validate());
+}
+
+TEST(Pricing, StddevLoadingMustBeFiniteAndNonNegative) {
+  for (const double loading : {-0.01, -5.0, kNaN, kInf}) {
+    PricingAssumptions assumptions;
+    assumptions.stddev_loading = loading;
+    expect_rejected(assumptions, "stddev loading");
+  }
+}
+
+TEST(Pricing, TvarLoadingMustBeFiniteAndNonNegative) {
+  for (const double loading : {-0.01, -5.0, kNaN, kInf}) {
+    PricingAssumptions assumptions;
+    assumptions.tvar_loading = loading;
+    expect_rejected(assumptions, "tvar loading");
+  }
+}
+
+TEST(Pricing, TvarLevelMustBeInsideTheUnitInterval) {
+  for (const double level : {0.0, 1.0, -0.5, 1.5, kNaN}) {
     PricingAssumptions assumptions;
     assumptions.tvar_level = level;
-    EXPECT_THROW(price_layer(synthetic_losses(), LayerTerms{}, assumptions),
-                 std::invalid_argument)
-        << level;
+    expect_rejected(assumptions, "tvar level");
+  }
+}
+
+TEST(Pricing, ExpenseRatioMustBeInHalfOpenUnitInterval) {
+  for (const double ratio : {-0.1, 1.0, 2.0, kNaN, kInf}) {
+    PricingAssumptions assumptions;
+    assumptions.expense_ratio = ratio;
+    expect_rejected(assumptions, "expense ratio");
   }
 }
 

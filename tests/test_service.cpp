@@ -618,6 +618,10 @@ TEST_F(Service, HandleLineSpeaksTheProtocol) {
   service::ServiceConfig openmp_default;
   openmp_default.default_engine = "openmp";
   EXPECT_THROW(service::AnalysisService(make_yet(), openmp_default), std::invalid_argument);
+  // So is a pricing loading no quote could be priced with.
+  service::ServiceConfig negative_loading;
+  negative_loading.assumptions.tvar_loading = -5.0;
+  EXPECT_THROW(service::AnalysisService(make_yet(), negative_loading), std::invalid_argument);
   // Every registered engine serves quotes: seq serially, the others on the
   // session pool.
   for (const core::EngineDescriptor& engine : core::EngineRegistry::global().descriptors()) {

@@ -201,10 +201,11 @@ TEST(ShardedYlt, MultiThreadedFusedSpillingIsDeterministic) {
   const auto yet_table = skewed_yet(400, 50.0);
   const auto sequential = run_seq(portfolio, yet_table);
 
+  // 16 workers' equal-event chunks of 8-trial tiles land in 16-trial
+  // shards concurrently, under a budget that keeps one shard resident.
   auto config = sharded_config("fused", 16, /*budget_bytes=*/1024);
-  config.num_threads = 0;  // hardware concurrency
+  config.num_threads = 16;
   config.tile_trials = 8;
-  config.partition = parallel::Partition::kDynamic;
   auto sharded = shard::run_sharded({portfolio, yet_table, config});
   expect_identical(sequential, sharded.materialize());
 }

@@ -90,6 +90,37 @@ TEST(Args, NumericValidation) {
   EXPECT_THROW(core::CoverageWindow::parse(args.require("window")), std::invalid_argument);
 }
 
+TEST(Args, ScaledOrNarrowedValuesMustFit) {
+  // 2^44 MiB is 2^64 bytes, which wraps to 0 (no budget) and 2^44 + 1 to
+  // 1 MiB; one less than 2^44 still fits.
+  const Args args = make_args({"--memory-budget-mb", "17592186044416", "--ground-up-budget-mb",
+                               "17592186044417", "--spill-mb", "17592186044415",
+                               "--metrics-port", "4294967296", "--port", "65536", "--top",
+                               "65535"});
+  for (const char* key : {"memory-budget-mb", "ground-up-budget-mb"}) {
+    try {
+      args.get_mib(key, 0);
+      ADD_FAILURE() << key << " was accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(std::string("--") + key), std::string::npos)
+          << error.what();
+    }
+  }
+  EXPECT_EQ(args.get_mib("spill-mb", 0), std::size_t{17592186044415} << 20);
+  EXPECT_EQ(args.get_mib("absent", 512), std::size_t{512} << 20);
+
+  try {
+    args.get_u64_at_most("metrics-port", 0, 65'535);
+    ADD_FAILURE() << "metrics-port was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("--metrics-port"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_THROW(args.get_u64_at_most("port", 0, 65'535), std::runtime_error);
+  EXPECT_EQ(args.get_u64_at_most("top", 0, 65'535), 65'535u);
+  EXPECT_EQ(args.get_u64_at_most("absent", 9'464, 65'535), 9'464u);
+}
+
 TEST(Args, ScientificNotationDoubles) {
   const Args args = make_args({"--retention", "2.5e6"});
   EXPECT_DOUBLE_EQ(args.get_double("retention", 0.0), 2.5e6);

@@ -145,17 +145,16 @@ TEST(TrialKernel, LaneWidthsAndSchedulesShareTheBytes) {
 
   for (const core::SimdExtension extension :
        {core::SimdExtension::kScalar, core::SimdExtension::kAuto}) {
-    for (const KernelLaunch::Schedule schedule :
-         {KernelLaunch::Schedule::kSerial, KernelLaunch::Schedule::kPool,
-          KernelLaunch::Schedule::kCosted}) {
+    for (const core::EngineKind engine :
+         {core::EngineKind::kSequential, core::EngineKind::kParallel,
+          core::EngineKind::kFused}) {
       TrialKernelConfig config;
       config.extension = extension;
       config.block_trials = 37;
       KernelLaunch launch;
-      launch.schedule = schedule;
+      launch.engine = engine;
       launch.num_threads = 3;
-      SCOPED_TRACE(std::string(to_string(extension)) + "_schedule" +
-                   std::to_string(static_cast<int>(schedule)));
+      SCOPED_TRACE(std::string(to_string(extension)) + "_" + std::string(to_string(engine)));
       expect_identical(reference, run_kernel(portfolio, yet_table, config, launch));
     }
   }

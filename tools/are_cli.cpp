@@ -25,9 +25,7 @@
 //
 // Layer terms: --occ-retention --occ-limit --agg-retention --agg-limit
 // Engine:      --engine seq|parallel|fused (the kernel's three schedules)
-//              --threads N --partition static|dynamic|guided --partition-chunk N
-//              (parallel's trials per dynamic/guided work item; for fused,
-//              --partition picks the block scheduler)
+//              --threads N
 // Knobs (every engine): --chunk N (events staged per chunk; 0 = whole block)
 //              --tile N (trials per kernel block; 0 = footprint heuristic)
 //              --simd-ext auto|scalar|sse2|avx2|avx512|neon (seq: auto = scalar)
@@ -134,7 +132,6 @@ common options:
   layer terms   --occ-retention X --occ-limit X --agg-retention X --agg-limit X
   engine        --engine seq|parallel|fused (default parallel; fused for
                 --output sharded) --threads N
-                --partition static|dynamic|guided --partition-chunk N
   knobs         (every engine) --chunk N (events staged per chunk; 0 = whole block)
                 --tile N (trials per kernel block; 0 = auto heuristic)
                 --simd-ext auto|scalar|sse2|avx2|avx512|neon (lane type; seq
@@ -184,14 +181,6 @@ core::Portfolio build_portfolio(const Args& args, std::size_t catalog_size) {
   return tools::build_portfolio(tools::elt_paths(args), kind, catalog_size, terms, share);
 }
 
-parallel::Partition parse_partition(const Args& args) {
-  const std::string name = args.get("partition", "static");
-  if (name == "static") return parallel::Partition::kStatic;
-  if (name == "dynamic") return parallel::Partition::kDynamic;
-  if (name == "guided") return parallel::Partition::kGuided;
-  throw std::runtime_error("unknown --partition '" + name + "'");
-}
-
 /// Builds the AnalysisConfig from the command line. Engine names resolve
 /// through the registry, so `--engine` accepts exactly what list-engines
 /// prints.
@@ -206,8 +195,6 @@ core::AnalysisConfig parse_engine_config(const Args& args) {
   config.engine = engine.kind;
   config.engine_name = engine.name;
   config.num_threads = static_cast<std::size_t>(args.get_u64("threads", 0));
-  config.partition = parse_partition(args);
-  config.partition_chunk = static_cast<std::size_t>(args.get_u64("partition-chunk", 256));
   config.chunk_size = static_cast<std::size_t>(args.get_u64("chunk", 0));  // 0 = whole block
   config.tile_trials = static_cast<std::size_t>(args.get_u64("tile", 0));  // 0 = heuristic
   const std::string ext = args.get("simd-ext", "auto");
@@ -224,8 +211,7 @@ core::AnalysisConfig parse_engine_config(const Args& args) {
                              "' (expected materialized or sharded)");
   }
   config.sharding.shard_trials = args.get_u64("shard-trials", 4096);
-  config.sharding.memory_budget_bytes =
-      static_cast<std::size_t>(args.get_u64("memory-budget-mb", 0)) << 20;
+  config.sharding.memory_budget_bytes = args.get_mib("memory-budget-mb", 0);
   config.sharding.spill_dir = args.get("spill-dir", "");
   return config;
 }
@@ -549,14 +535,14 @@ int cmd_price(const Args& args) {
     // Refused before any input loads: a quote prices the materialized YLT.
     throw std::runtime_error("--output sharded is for run and report only");
   }
-  const auto yet_table = load_yet(args.require("yet"));
-  const auto portfolio = build_portfolio(args, universe_of(yet_table, args));
-  const auto ylt = run_engine(config, portfolio, yet_table);
-
   pricing::PricingAssumptions assumptions;
   assumptions.stddev_loading = args.get_double("stddev-loading", assumptions.stddev_loading);
   assumptions.tvar_loading = args.get_double("tvar-loading", assumptions.tvar_loading);
   assumptions.expense_ratio = args.get_double("expense-ratio", assumptions.expense_ratio);
+  assumptions.validate();  // a bad loading fails before any input loads
+  const auto yet_table = load_yet(args.require("yet"));
+  const auto portfolio = build_portfolio(args, universe_of(yet_table, args));
+  const auto ylt = run_engine(config, portfolio, yet_table);
   const auto quote =
       pricing::price_layer(ylt.layer_losses(0), portfolio.layers[0].terms, assumptions);
   export_telemetry(telemetry);
@@ -592,27 +578,27 @@ int cmd_list_engines(const Args& args) {
 /// state lives in the registry, and every response carries its per-request
 /// Snapshot::diff.
 int cmd_serve(const Args& args) {
-  const std::string engine = args.get("engine", "fused");
-  core::EngineRegistry::global().require(engine);  // fail fast, before any input loads
-  obs::set_enabled(true);
-  auto yet_table = load_yet(args.require("yet"));
-  auto portfolio = build_portfolio(args, universe_of(yet_table, args));
-
+  // Every service flag is read, and a bad one refused, before any input
+  // loads.
   service::ServiceConfig config;
+  config.default_engine = args.get("engine", "fused");
+  core::EngineRegistry::global().require(config.default_engine);
   config.session.num_threads = static_cast<std::size_t>(args.get_u64("threads", 0));
-  config.session.ground_up_budget_bytes =
-      static_cast<std::size_t>(args.get_u64("ground-up-budget-mb", 512)) << 20;
+  config.session.ground_up_budget_bytes = args.get_mib("ground-up-budget-mb", 512);
   config.broker.max_request_cost = args.get_u64("max-request-cost", 0);
   config.broker.max_inflight_cost = args.get_u64("max-inflight-cost", 0);
   config.broker.max_queued = static_cast<std::size_t>(args.get_u64("queue-limit", 16));
   config.cache_entries = static_cast<std::size_t>(args.get_u64("cache-entries", 64));
-  config.default_engine = engine;
   if (args.has("metrics-port")) {
-    config.metrics_port = static_cast<int>(args.get_u64("metrics-port", 0));
+    config.metrics_port = static_cast<int>(args.get_u64_at_most("metrics-port", 0, 65'535));
     config.metrics_bind = args.get("metrics-bind", "127.0.0.1");
   }
   config.access_log_path = args.get("access-log", "");
   const std::string trace_out = args.get("trace-out", "");
+
+  obs::set_enabled(true);
+  auto yet_table = load_yet(args.require("yet"));
+  auto portfolio = build_portfolio(args, universe_of(yet_table, args));
   if (!trace_out.empty()) obs::set_trace_enabled(true);
 
   const std::string book = args.get("portfolio", "book");

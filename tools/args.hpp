@@ -5,10 +5,15 @@
 // reporting. A repeated key keeps every value in command-line order; the
 // single-value getters read the last one. Numeric getters consume the
 // whole value: `--threads 2x` and `--memory-budget-mb 0.5` are errors, not
-// 2 and 0.
+// 2 and 0. A value that is scaled or narrowed after parsing must fit once
+// it is: `--memory-budget-mb 17592186044416` (2^44, whose bytes wrap to 0)
+// and `--metrics-port 4294967296` are errors, not an unlimited budget and
+// an ephemeral port.
 
 #include <charconv>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -68,6 +73,25 @@ class Args {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
     return parse_u64(key, it->second.back());
+  }
+
+  /// get_u64 for a value that is narrowed after parsing: one above `max`
+  /// is an error naming the flag.
+  std::uint64_t get_u64_at_most(const std::string& key, std::uint64_t fallback,
+                                std::uint64_t max) const {
+    const std::uint64_t value = get_u64(key, fallback);
+    if (value > max) {
+      throw std::runtime_error("option --" + key + " expects an integer at most " +
+                               std::to_string(max) + ", got '" + get(key, "") + "'");
+    }
+    return value;
+  }
+
+  /// A whole number of MiB, in bytes; a count whose bytes do not fit a
+  /// std::size_t is an error naming the flag.
+  std::size_t get_mib(const std::string& key, std::uint64_t fallback) const {
+    constexpr std::uint64_t kMaxMib = std::numeric_limits<std::size_t>::max() >> 20;
+    return static_cast<std::size_t>(get_u64_at_most(key, fallback, kMaxMib)) << 20;
   }
 
   double get_double(const std::string& key, double fallback) const {
